@@ -54,6 +54,11 @@ def _write_json(path: Path, payload: dict, manifest_hash: str):
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
+def _cells(values) -> str:
+    """CSV cells of floats, each the shortest repr that round-trips."""
+    return ",".join(repr(float(v)) for v in values)
+
+
 def _open_csv(path: Path, manifest_hash: str):
     fp = open(path, "w")
     fp.write(f"# manifest {manifest_hash}\n")
@@ -137,10 +142,11 @@ def _run_mfg(cfg, out: Path, strict: bool) -> int:
             "exploitability_err,domain_member,domain_worst\n"
         )
         for it in rep.iterations:
+            values = (it.w2_update, it.exploitability, it.exploitability_raw,
+                      it.exploitability_err)
             fp.write(
-                f"{it.index},{it.w2_update!r},{it.exploitability!r},"
-                f"{it.exploitability_raw!r},{it.exploitability_err!r},"
-                f"{int(it.domain_member)},{it.domain_worst!r}\n"
+                f"{it.index},{_cells(values)},{int(it.domain_member)},"
+                f"{_cells([it.domain_worst])}\n"
             )
     pol = result.policy
     with _open_csv(out / "policy.csv", h) as fp:
@@ -150,16 +156,14 @@ def _run_mfg(cfg, out: Path, strict: bool) -> int:
         )
         for n in range(pol.table.shape[0]):
             for i, x in enumerate(pol.lattice):
-                probs = ",".join(repr(float(v)) for v in pol.table[n, i])
-                fp.write(f"{n},{i},{x!r},{probs}\n")
+                fp.write(f"{n},{i},{_cells([x])},{_cells(pol.table[n, i])}\n")
     with _open_csv(out / "flow_summary.csv", h) as fp:
         fp.write("node,t,mean,std\n")
         grid = result.flow.grid
         for n in range(grid.steps + 1):
             cloud = result.flow.cloud(n)[:, 0]
-            fp.write(
-                f"{n},{grid.nodes[n]!r},{cloud.mean()!r},{cloud.std(ddof=0)!r}\n"
-            )
+            values = (grid.nodes[n], cloud.mean(), cloud.std(ddof=0))
+            fp.write(f"{n},{_cells(values)}\n")
     if strict and not rep.converged:
         return EXIT_NONCONVERGENCE
     return EXIT_OK
@@ -179,10 +183,9 @@ def _run_rsde(cfg, out: Path, strict: bool) -> int:
         x = sol.ensemble.Z[..., 0]
         for n in range(grid.steps + 1):
             col = x[:, n]
-            fp.write(
-                f"{n},{grid.nodes[n]!r},{col.mean()!r},{col.std(ddof=0)!r},"
-                f"{col.min()!r},{col.max()!r}\n"
-            )
+            values = (grid.nodes[n], col.mean(), col.std(ddof=0), col.min(),
+                      col.max())
+            fp.write(f"{n},{_cells(values)}\n")
     payload = {"seed": cfg.seed, "model": cfg.model_name}
     if model.d == 1 and model.l == 1:
         diag = rsde.martingale_diagnostics(sol)
@@ -300,17 +303,6 @@ def _load_and_validate(args, task=None):
     return cfg, issues
 
 
-def _limit_threads(threads):
-    if threads is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        pass
-
-
 def _execute(cfg, out_dir, strict, command) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--strict", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -410,7 +401,6 @@ def main(argv=None) -> int:
         for issue in issues:
             print(f"issue: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
-    _limit_threads(args.threads)
     label = command if command == "run" else f"{command} {args.sub}"
     try:
         return _execute(cfg, args.out, args.strict, label)

@@ -225,12 +225,6 @@ def validate(cfg: ExperimentConfig) -> list:
         issues.append(f"lambda_mix must lie in [0, 1], got {cfg.lambda_mix}")
     if cfg.m < 2:
         issues.append(f"moment order m must be >= 2, got {cfg.m}")
-    # IndexPair membership was enforced at parse time; re-check defensively
-    try:
-        IndexPair(cfg.indices.beta, cfg.indices.beta_p, cfg.indices.gamma,
-                  cfg.indices.alpha)
-    except InputError as exc:
-        issues.append(str(exc))
     return issues
 
 

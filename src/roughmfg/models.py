@@ -17,15 +17,18 @@ class UnknownModelError(KeyError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class CoefficientSet:
     """Model coefficients: drift b(t,x,mu,u), noise loadings sigma(t,x,mu)
     and sigma0(t,x,mu), costs f(t,x,mu,u) and g(x,mu).
 
     sigma0 may be None (no rough term; the solver then reduces to a plain
     Euler-Maruyama recursion).  grad_sigma0 is the spatial Jacobian
-    (..., d, k, d); lions_sigma0(t, x, mu, y) is the measure derivative
-    evaluated at probe particles y (Py, d), shaped (..., Py, d, k, d).
+    (..., d, k, d).  sigma0_dmu(t, x, mu, v), with v (P, d, k) one direction
+    per particle of mu and rough direction, is the derivative of sigma0 as
+    each mu[p] moves along v[p, :, j], shaped (..., d, k, k); it equals the
+    particle average of the measure derivative contracted with v.  Without
+    it the field builder takes a central difference along v.
     """
 
     name: str
@@ -39,7 +42,7 @@ class CoefficientSet:
     g: callable
     sigma0: callable | None = None
     grad_sigma0: callable | None = None
-    lions_sigma0: callable | None = None
+    sigma0_dmu: callable | None = None
     gamma: float = 2.0
     bound: float = 10.0
     lipschitz: float = 5.0
@@ -118,11 +121,6 @@ def _build_lq(params):
         x = np.asarray(x, dtype=float)
         return p["cost_g"] * x[..., 0] ** 2
 
-    def lions(t, x, mu, y):
-        x = np.asarray(x, dtype=float)
-        y = np.atleast_2d(y)
-        return np.zeros(x.shape[:-1] + (y.shape[0], d, k, d))
-
     return CoefficientSet(
         name="lq",
         d=d,
@@ -135,7 +133,6 @@ def _build_lq(params):
         grad_sigma0=None
         if p["sigma0"] is None
         else _const_field(np.zeros((d, k, d))),
-        lions_sigma0=None if p["sigma0"] is None else lions,
         f=f,
         g=g,
         params=p,
@@ -188,17 +185,12 @@ def _build_tanh(params):
         val = p["s_int"] * m * _sech2(x[..., 0])
         return val[..., None, None, None]
 
-    def lions_sigma0(t, x, mu, y):
-        # coefficient depends on mu through its mean only: the measure
-        # derivative is constant in the probe particle
+    def sigma0_dmu(t, x, mu, v):
+        # coefficient depends on mu through its mean only: moving the
+        # particles along v moves the mean along the mean of v
         x = np.asarray(x, dtype=float)
-        y = np.atleast_2d(y)
-        m = _mean(mu)[0]
-        val = p["s_int"] * np.tanh(x[..., 0]) * _sech2(m)
-        out = np.broadcast_to(
-            val[..., None, None, None, None], x.shape[:-1] + (y.shape[0], d, k, d)
-        )
-        return out.copy()
+        val = p["s_int"] * np.tanh(x[..., 0]) * _sech2(_mean(mu)[0])
+        return (val[..., None] * v[:, 0].mean(axis=0))[..., None, None, :]
 
     def f(t, x, mu, u):
         x = np.asarray(x, dtype=float)
@@ -218,7 +210,7 @@ def _build_tanh(params):
         sigma=_const_field(s_mat),
         sigma0=sigma0,
         grad_sigma0=grad_sigma0,
-        lions_sigma0=lions_sigma0,
+        sigma0_dmu=sigma0_dmu,
         f=f,
         g=g,
         params=p,

@@ -112,9 +112,7 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
             nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[s, :, n])
             if coeffs.sigma0 is not None:
                 nxt = nxt + coeffs.sigma0(t, xs, cloud) @ db0[s, n]
-            worst = float(np.abs(nxt).max())
-            if worst > rsde.BLOWUP_THRESHOLD:
-                raise rsde.DivergedError(n, worst)
+            rsde.check_blowup(nxt, n, first_particle=s * particles)
             x[s] = nxt
     cond_means = x.mean(axis=1)
     cond_second = np.einsum("spa,spb->sab", x, x) / particles

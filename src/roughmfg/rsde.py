@@ -28,9 +28,23 @@ BLOWUP_THRESHOLD = 1e6
 
 
 class DivergedError(RuntimeError):
-    def __init__(self, step, worst):
-        super().__init__(f"state blew up at step {step} (|X| = {worst:.3g})")
+    def __init__(self, step, particle, worst):
+        super().__init__(
+            f"state blew up at step {step}, particle {particle} (|X| = {worst:.3g})"
+        )
         self.step = step
+        self.particle = particle
+
+
+def check_blowup(x, step, first_particle=0):
+    """Raise DivergedError when a state in x (P, d) is NaN or beyond the
+    blow-up threshold, naming the first such particle (numbered from
+    first_particle)."""
+    if np.abs(x).max() <= BLOWUP_THRESHOLD:  # false for NaN
+        return
+    bad = ~(np.abs(x) <= BLOWUP_THRESHOLD).all(axis=-1)
+    i = int(bad.argmax())
+    raise DivergedError(step, first_particle + i, float(np.abs(x[i]).max()))
 
 
 class CausalityViolationError(RuntimeError):
@@ -269,9 +283,7 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
         if cvf is not None:
             nxt = nxt + cvf.f(n, xn) @ db[n]
             nxt = nxt + np.einsum("pdij,ij->pd", correction(n, xn), bb[n])
-        worst = float(np.abs(nxt).max())
-        if worst > BLOWUP_THRESHOLD:
-            raise DivergedError(n, worst)
+        check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x
 
@@ -279,6 +291,29 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
 def solve(coeffs, flow, p: RoughPath, policy, init: InitialLaw, particles: int,
           seed: int) -> RsdeSolution:
     """Simulate the state ensemble under a frozen flow, lift and policy."""
+    return _solve(coeffs, flow, p, policy, init, particles, seed, audit=None)
+
+
+def realize_from_measure(coeffs, flow, p, policy, init: InitialLaw,
+                         particles: int, seed: int) -> RsdeSolution:
+    """Solve under an open-loop causal policy; every control draw consumes
+    only the realized W prefix plus an exogenous stream, and the audit log
+    records the deepest node each draw touched."""
+    if getattr(policy, "mode", None) != "open_loop_causal":
+        raise InputError("causal realization needs an open-loop causal policy")
+    sol = _solve(coeffs, flow, p, policy, init, particles, seed, audit=[])
+    for entry in sol.audit_log:
+        if entry["max_node_accessed"] > entry["step"]:
+            raise CausalityViolationError(
+                f"draw at step {entry['step']} touched node"
+                f" {entry['max_node_accessed']}"
+            )
+    return sol
+
+
+def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
+    """Shared body of solve and realize_from_measure; a list `audit` switches
+    to sampled causal actions and receives the access log."""
     if flow.grid != p.grid:
         raise InputError("flow and rough path live on different grids")
     cvf = correction = None
@@ -287,8 +322,10 @@ def solve(coeffs, flow, p: RoughPath, policy, init: InitialLaw, particles: int,
         correction = vf.gubinelli_correction(cvf)
     x0 = draw_initial(seed, init, particles, coeffs.d)
     dw = draw_wiener(seed, particles, p.grid.steps, coeffs.l, p.grid.dt)
+    causal = None if audit is None else (substream(seed, "rsde", "exo"), audit)
     record = {}
-    x = _evolve(coeffs, flow, p, policy, x0, dw, cvf, correction, record=record)
+    x = _evolve(coeffs, flow, p, policy, x0, dw, cvf, correction,
+                record=record, causal=causal)
     n1 = p.grid.steps + 1
     zp = np.zeros((particles, n1, coeffs.d, p.dim))
     if cvf is not None:
@@ -300,59 +337,8 @@ def solve(coeffs, flow, p: RoughPath, policy, init: InitialLaw, particles: int,
         zp,
         generation_record={"seed": seed, "path": ("rsde", "W"), "branch": None},
     )
-    if "mixture_weights" in record:
-        record["mixture_weights"] = np.stack(record["mixture_weights"], axis=1)
-    return RsdeSolution(
-        ensemble=ensemble,
-        coeffs=coeffs,
-        flow=flow,
-        rough=p,
-        policy=policy,
-        init=init,
-        seed=seed,
-        W_increments=dw,
-        control_record=record,
-        cvf=cvf,
-        correction=correction,
-    )
-
-
-def realize_from_measure(coeffs, flow, p, policy, init: InitialLaw,
-                         particles: int, seed: int) -> RsdeSolution:
-    """Solve under an open-loop causal policy; every control draw consumes
-    only the realized W prefix plus an exogenous stream, and the audit log
-    records the deepest node each draw touched."""
-    if getattr(policy, "mode", None) != "open_loop_causal":
-        raise InputError("causal realization needs an open-loop causal policy")
-    if flow.grid != p.grid:
-        raise InputError("flow and rough path live on different grids")
-    cvf = correction = None
-    if coeffs.sigma0 is not None:
-        cvf = vf.build_cvf_from_flow(coeffs, flow)
-        correction = vf.gubinelli_correction(cvf)
-    x0 = draw_initial(seed, init, particles, coeffs.d)
-    dw = draw_wiener(seed, particles, p.grid.steps, coeffs.l, p.grid.dt)
-    exo = substream(seed, "rsde", "exo")
-    audit = []
-    record = {}
-    x = _evolve(
-        coeffs, flow, p, policy, x0, dw, cvf, correction,
-        record=record, causal=(exo, audit),
-    )
-    n1 = p.grid.steps + 1
-    zp = np.zeros((particles, n1, coeffs.d, p.dim))
-    if cvf is not None:
-        for n in range(n1):
-            zp[:, n] = cvf.f(n, x[:, n])
-    if "sampled_actions" in record:
-        record["sampled_actions"] = np.stack(record["sampled_actions"], axis=1)
-    ensemble = ct.ControlledEnsemble(p.grid, x, zp)
-    for entry in audit:
-        if entry["max_node_accessed"] > entry["step"]:
-            raise CausalityViolationError(
-                f"draw at step {entry['step']} touched node"
-                f" {entry['max_node_accessed']}"
-            )
+    for key, rows in record.items():
+        record[key] = np.stack(rows, axis=1)
     return RsdeSolution(
         ensemble=ensemble,
         coeffs=coeffs,

@@ -4,8 +4,11 @@ A field pair (f, f') is stored as node-indexed evaluators f(n, x), f'(n, x)
 on the grid of the driving lift, together with a spatial gradient (analytic
 or central-difference).  The central construction builds the pair
 (interaction coefficient, its derivative field) out of a measure flow: the
-coefficient evaluated at the empirical cloud, and the particle average of
-the measure derivative contracted with the flow's derivative particles.
+coefficient evaluated at the empirical cloud, and its directional derivative
+as the cloud moves along the flow's derivative particles.  That derivative
+equals the particle average of the measure derivative contracted with the
+derivative particles (the empirical-projection identity), so the measure
+derivative itself is never formed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ import numpy as np
 
 from .controlled import ControlledEnsemble, IndexPair
 from .roughpath import InputError, RoughPath, TimeGrid
+
+# step of the central difference along the derivative particles used when a
+# model has no sigma0_dmu: near eps^(1/3), it balances the O(h^2) truncation
+# against the O(eps/h) round-off for particles and directions of unit scale
+DMU_STEP = 1e-5
 
 
 class ConfigurationError(ValueError):
@@ -76,11 +84,12 @@ def from_callables(grid, d, k, out_shape, f_t, fp_t, grad_t=None, gamma=2.0):
 def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
     """Interaction coefficient along a measure flow, with derivative field.
 
-    The first slot evaluates the coefficient at the flow's empirical cloud;
-    the second is the particle average of the measure derivative at the flow
-    particles contracted with their derivative particles.  Uses the model's
-    measure-derivative evaluator when present, otherwise a mass-shift
-    difference quotient over single particles.
+    The first slot evaluates the coefficient at the flow's empirical cloud.
+    The second is the derivative of that coefficient as each flow particle
+    moves along its derivative particle, one column per rough direction:
+    (1/P) sum_p d_mu sigma0(x, mu^P)(y_p) Y'_p = d/dh sigma0(x, {y_p + h Y'_p})
+    at h = 0.  Uses the model's sigma0_dmu when present, otherwise one
+    central difference per rough direction (2k coefficient calls).
     """
     if coeffs.sigma0 is None:
         raise ConfigurationError(f"model {coeffs.name!r} has no rough coefficient")
@@ -96,37 +105,22 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
             raise NumericError("coefficient produced non-finite values")
         return out
 
-    if coeffs.lions_sigma0 is not None:
+    def directional(t, x, cloud, v):
+        h = DMU_STEP
+        cols = [
+            (coeffs.sigma0(t, x, cloud + h * v[..., j])
+             - coeffs.sigma0(t, x, cloud - h * v[..., j])) / (2.0 * h)
+            for j in range(k)
+        ]
+        return np.stack(cols, axis=-1)
 
-        def fp(n, x):
-            cloud = flow.cloud(n)  # (P, d)
-            dm = coeffs.lions_sigma0(nodes[n], x, cloud, cloud)  # (..., P, d, k, d)
-            out = np.einsum("...pabc,pcj->...abj", dm, flow.Yp[:, n]) / cloud.shape[0]
-            if not np.isfinite(out).all():
-                raise NumericError("derivative field produced non-finite values")
-            return out
+    dmu = coeffs.sigma0_dmu if coeffs.sigma0_dmu is not None else directional
 
-    else:
-
-        def fp(n, x):
-            # mass-shift quotient: moving one particle along its derivative
-            # perturbs the coefficient by (1/P) times the measure derivative,
-            # so the quotients sum directly to the particle average
-            cloud = flow.cloud(n)
-            p_count = cloud.shape[0]
-            h = 1.0 / p_count
-            base = coeffs.sigma0(nodes[n], x, cloud)
-            out = np.zeros(base.shape + (k,))
-            for i in range(p_count):
-                for j in range(k):
-                    shifted = cloud.copy()
-                    shifted[i] += h * flow.Yp[i, n, :, j]
-                    out[..., j] += (
-                        coeffs.sigma0(nodes[n], x, shifted) - base
-                    ) / h
-            if not np.isfinite(out).all():
-                raise NumericError("derivative field produced non-finite values")
-            return out
+    def fp(n, x):
+        out = dmu(nodes[n], x, flow.cloud(n), flow.Yp[:, n])
+        if not np.isfinite(out).all():
+            raise NumericError("derivative field produced non-finite values")
+        return out
 
     grad = None
     if coeffs.grad_sigma0 is not None:

@@ -127,9 +127,6 @@ def test_criterion_3_rough_ode_oracle():
     model.grad_sigma0 = lambda t, x, mu: np.full(
         np.asarray(x).shape[:-1] + (1, 1, 1), a
     )
-    model.lions_sigma0 = lambda t, x, mu, y: np.zeros(
-        np.asarray(x).shape[:-1] + (np.atleast_2d(y).shape[0], 1, 1, 1)
-    )
     errs, sizes = [], [32, 64, 128, 256]
     for n in sizes:
         grid = rp.TimeGrid(1.0, n)

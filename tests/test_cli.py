@@ -149,6 +149,24 @@ class TestCli:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert "martingale" in diag and "apriori" in diag
 
+    def test_csv_cells_are_plain_floats(self, tmp_path):
+        mfg_out, rsde_out = tmp_path / "mfg", tmp_path / "rs"
+        path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(path), "--out", str(mfg_out)]) == 0
+        assert cli.main(
+            ["rsde", "solve", "--model", "tanh-interaction", "--grid", "8",
+             "--particles", "16", "--seed", "1", "--out", str(rsde_out)]
+        ) == 0
+        files = [mfg_out / name for name in
+                 ("iterations.csv", "policy.csv", "flow_summary.csv")]
+        files.append(rsde_out / "trajectory_summary.csv")
+        for csv_path in files:
+            rows = csv_path.read_text().splitlines()[2:]  # manifest, header
+            assert rows
+            for row in rows:
+                for cell in row.split(","):
+                    float(cell)
+
     def test_rsde_solve_from_rough_file(self, tmp_path):
         from roughmfg import roughpath as rpm
         from roughmfg.rng import substream

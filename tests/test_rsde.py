@@ -5,6 +5,7 @@ from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
 from roughmfg import mfg
 from roughmfg import models
+from roughmfg import randomize as rz
 from roughmfg import roughpath as rp
 from roughmfg import rsde
 from roughmfg.rng import substream
@@ -88,9 +89,6 @@ class TestSolve:
         model.grad_sigma0 = lambda t, x, mu: np.full(
             np.asarray(x).shape[:-1] + (1, 1, 1), a
         )
-        model.lions_sigma0 = lambda t, x, mu, y: np.zeros(
-            np.asarray(x).shape[:-1] + (np.atleast_2d(y).shape[0], 1, 1, 1)
-        )
         errs = []
         ns = [32, 64, 128, 256]
         for n in ns:
@@ -167,6 +165,36 @@ class TestSolve:
                 rsde.InitialLaw("constant", 1.0), 4, 0,
             )
         assert err.value.step >= 0
+
+    def test_nan_drift_reaches_blowup_guard(self):
+        # NaN compares false against the threshold; the guard must still
+        # stop at the first NaN step and name the first NaN particle
+        model = models.make_model("tanh-interaction")
+        model.b = lambda t, x, mu, u: np.zeros_like(np.asarray(x, dtype=float))
+        p = brownian_lift(3, n=8)
+        flow = still_flow(p.grid)
+        policy = delta_policy(model, 8)
+        clean = rsde.solve(model, flow, p, policy, rsde.InitialLaw(), 16, 5)
+        model.b = lambda t, x, mu, u: (
+            np.where(np.asarray(x) > 0.0, np.nan, 0.0)
+            if t > 0.5 else np.zeros_like(np.asarray(x, dtype=float))
+        )
+        with pytest.raises(rsde.DivergedError) as err:
+            rsde.solve(model, flow, p, policy, rsde.InitialLaw(), 16, 5)
+        assert err.value.step == 5  # first node past t = 0.5
+        assert err.value.particle == int(np.argmax(clean.ensemble.Z[:, 5, 0] > 0.0))
+        assert "step 5" in str(err.value)
+
+    def test_nan_drift_reaches_joint_blowup_guard(self):
+        model = models.make_model("tanh-interaction")
+        model.b = lambda t, x, mu, u: np.full(
+            np.shape(x), np.nan if t > 0.5 else 0.0
+        )
+        grid = rp.TimeGrid(1.0, 8)
+        with pytest.raises(rsde.DivergedError) as err:
+            rz.joint_simulate(model, delta_policy(model, 8), rsde.InitialLaw(),
+                              grid, 8, 2, 5)
+        assert (err.value.step, err.value.particle) == (5, 0)
 
     def test_refinement_consistency_slope(self):
         # grand coupling: bridge-refined W and lift change the terminal mean

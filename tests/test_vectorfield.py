@@ -22,6 +22,40 @@ def random_flow(seed, grid, particles=32, d=1, k=1):
     return mf.MeasureFlow(grid, y, yp)
 
 
+def dense_contraction(lions, t, x, cloud, yp):
+    """Slow reference for the derivative slot: the measure derivative at
+    every flow particle, (..., P, d, k, d), contracted with the derivative
+    particles (P, d, k) and averaged."""
+    dm = lions(t, x, cloud, cloud)
+    return np.einsum("...pabc,pcj->...abj", dm, yp) / cloud.shape[0]
+
+
+def measure_dependent_model():
+    """d = k = 2 model with sigma0_ab = tanh(x_a) tanh(mean_p sin(w_b . y_p))
+    and no sigma0_dmu, plus its measure derivative in closed form, which
+    varies with the probe particle."""
+    w = np.array([[1.3, -0.4], [0.6, 0.9]])
+
+    def sigma0(t, x, mu):
+        m = np.sin(mu @ w.T).mean(axis=0)
+        return np.tanh(x)[..., :, None] * np.tanh(m)
+
+    def lions(t, x, mu, y):
+        sech2 = 1.0 / np.cosh(np.sin(mu @ w.T).mean(axis=0)) ** 2  # (k,)
+        per_probe = np.cos(y @ w.T)[:, :, None] * w  # (Py, k, d)
+        return (
+            np.tanh(x)[..., None, :, None, None]
+            * (sech2[:, None] * per_probe)[:, None]
+        )
+
+    base = models.make_model("lq")
+    model = models.CoefficientSet(
+        name="sin-mean", d=2, l=1, k=2, actions=base.actions, b=base.b,
+        sigma=base.sigma, f=base.f, g=base.g, sigma0=sigma0,
+    )
+    return model, lions
+
+
 class TestBuildFromFlow:
     def test_mu_independent_coefficient_has_zero_derivative_field(self):
         grid = rp.TimeGrid(1.0, 8)
@@ -40,8 +74,8 @@ class TestBuildFromFlow:
         model.sigma0 = lambda t, x, mu: np.full(
             np.asarray(x).shape[:-1] + (1, 1), c * mu.mean(axis=0)[0]
         )
-        model.lions_sigma0 = lambda t, x, mu, y: np.full(
-            np.asarray(x).shape[:-1] + (np.atleast_2d(y).shape[0], 1, 1, 1), c
+        model.sigma0_dmu = lambda t, x, mu, v: np.full(
+            np.asarray(x).shape[:-1] + (1, 1, 1), c * v[:, 0, 0].mean()
         )
         cvf = vf.build_cvf_from_flow(model, flow)
         x = np.zeros((1, 1))
@@ -63,13 +97,13 @@ class TestBuildFromFlow:
         )
         np.testing.assert_allclose(cvf.fp(n, x)[:, 0, 0, 0], expect, atol=1e-10)
 
-    def test_mass_shift_fallback_matches_analytic(self):
+    def test_difference_fallback_matches_analytic(self):
         grid = rp.TimeGrid(1.0, 4)
         flow = random_flow(3, grid, particles=16)
         model = models.make_model("tanh-interaction")
         analytic = vf.build_cvf_from_flow(model, flow)
         model_fd = models.make_model("tanh-interaction")
-        model_fd.lions_sigma0 = None
+        model_fd.sigma0_dmu = None
         fallback = vf.build_cvf_from_flow(model_fd, flow)
         x = np.array([[0.5], [-0.2]])
         np.testing.assert_allclose(
@@ -87,6 +121,57 @@ class TestBuildFromFlow:
         x = np.array([[0.1], [1.4]])
         np.testing.assert_allclose(a.f(2, x), b.f(2, x), rtol=1e-12)
         np.testing.assert_allclose(a.fp(2, x), b.fp(2, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("particles", [16, 2000])
+    def test_tanh_hook_matches_dense_reference(self, particles):
+        grid = rp.TimeGrid(1.0, 6)
+        flow = random_flow(6, grid, particles=particles)
+        model = models.make_model("tanh-interaction")
+        s_int = model.params["s_int"]
+
+        def lions(t, x, mu, y):
+            # depends on mu through its mean: constant in the probe particle
+            val = s_int * np.tanh(x[..., 0]) / np.cosh(mu.mean()) ** 2
+            return np.broadcast_to(
+                val[..., None, None, None, None], x.shape[:-1] + (len(y), 1, 1, 1)
+            )
+
+        cvf = vf.build_cvf_from_flow(model, flow)
+        x = np.linspace(-3.0, 3.0, 7)[:, None]
+        n = 4
+        ref = dense_contraction(lions, grid.nodes[n], x, flow.cloud(n), flow.Yp[:, n])
+        # same sum in another order: round-off only
+        np.testing.assert_allclose(cvf.fp(n, x), ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("particles", [16, 2000])
+    def test_difference_fallback_matches_dense_reference_k2(self, particles):
+        model, lions = measure_dependent_model()
+        grid = rp.TimeGrid(1.0, 4)
+        flow = random_flow(7, grid, particles=particles, d=2, k=2)
+        cvf = vf.build_cvf_from_flow(model, flow)
+        x = substream(8, "vf", "x").normal(size=(5, 2))
+        n = 2
+        ref = dense_contraction(lions, grid.nodes[n], x, flow.cloud(n), flow.Yp[:, n])
+        got = cvf.fp(n, x)
+        assert got.shape == (5, 2, 2, 2)
+        # central difference at vf.DMU_STEP: observed error about 4e-12
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+    def test_difference_fallback_makes_2k_coefficient_calls(self):
+        model, _ = measure_dependent_model()
+        calls = []
+        sigma0 = model.sigma0
+        model.sigma0 = lambda t, x, mu: calls.append(1) or sigma0(t, x, mu)
+        grid = rp.TimeGrid(1.0, 4)
+        flow = random_flow(9, grid, particles=50, d=2, k=2)
+        cvf = vf.build_cvf_from_flow(model, flow)
+        cvf.fp(1, np.zeros((3, 2)))
+        assert len(calls) == 2 * model.k
+
+    def test_coefficient_set_rejects_unknown_fields(self):
+        model = models.make_model("tanh-interaction")
+        with pytest.raises(AttributeError):
+            model.sigma0_measure_derivative = None
 
     def test_missing_derivative_particles_rejected(self):
         grid = rp.TimeGrid(1.0, 4)
