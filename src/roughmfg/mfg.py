@@ -80,7 +80,9 @@ class RelaxedPolicy:
         """Action mixture at step n for a batch of states, shape (P, K)."""
         if self.mode != FEEDBACK:
             raise InputError("mixture lookup needs a feedback policy")
-        n = min(n, self.table.shape[0] - 1)
+        rows = self.table.shape[0]
+        if n >= rows:
+            raise InputError(f"policy table has {rows} steps, step {n} requested")
         return self.table[n, self._node_index(x)]
 
     def sample_causal(self, n: int, w_view, rng) -> np.ndarray:
@@ -111,20 +113,20 @@ class CostEstimate:
 
 
 def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
-         init: rsde.InitialLaw | None = None,
-         solution: rsde.RsdeSolution | None = None) -> CostEstimate:
+         init: rsde.InitialLaw | None = None) -> CostEstimate:
     """Monte Carlo cost: running mixture cost plus terminal cost, with the
-    sample standard error of the particle mean."""
+    sample standard error of the particle mean.  The running cost weighs the
+    actions by the mixture weights the solve recorded."""
     init = init or rsde.InitialLaw()
-    sol = solution or rsde.solve(coeffs, flow, p, policy, init, particles, seed)
+    sol = rsde.solve(coeffs, flow, p, policy, init, particles, seed)
     grid = sol.grid
     x = sol.ensemble.Z
+    weights = sol.control_record["mixture_weights"]  # (P, N, K)
     totals = np.zeros(x.shape[0])
     for n in range(grid.steps):
-        weights = policy.mixture(n, x[:, n])
         cloud = flow.cloud(n)
         for a in range(coeffs.n_actions):
-            w = weights[:, a]
+            w = weights[:, n, a]
             if np.any(w):
                 totals += w * coeffs.f(
                     grid.nodes[n], x[:, n], cloud, coeffs.actions[a]
@@ -214,8 +216,9 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
         sig = coeffs.sigma(t, xcol, cloud)[:, 0, 0]
         forcing = np.zeros(n_lat)
         if cvf is not None:
-            forcing = cvf.f(n, xcol)[:, 0, 0] * db[n]
-            forcing += correction(n, xcol)[:, 0, 0, 0] * bb[n]
+            fx = cvf.f(n, xcol)
+            forcing = fx[:, 0, 0] * db[n]
+            forcing += correction(n, xcol, fx)[:, 0, 0, 0] * bb[n]
         q = np.empty((coeffs.n_actions, n_lat))
         for a in range(coeffs.n_actions):
             drift = coeffs.b(t, xcol, cloud, coeffs.actions[a])[:, 0]

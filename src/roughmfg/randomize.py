@@ -102,12 +102,8 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
         for s in range(samples):
             xs = x[s]
             cloud = flow.cloud(n) if external else xs
-            weights = policy.mixture(n, xs)
-            drift = np.zeros_like(xs)
-            for a in range(coeffs.n_actions):
-                w = weights[:, a]
-                if np.any(w):
-                    drift += w[:, None] * coeffs.b(t, xs, cloud, coeffs.actions[a])
+            weights = rsde._mixture_weights(policy, n, xs, coeffs.n_actions)
+            drift = rsde._drift_mixture(coeffs, t, xs, cloud, weights)
             nxt = xs + drift * dtn
             nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[s, :, n])
             if coeffs.sigma0 is not None:

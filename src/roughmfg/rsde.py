@@ -114,7 +114,12 @@ class WPrefixView:
 
 @dataclass
 class RsdeSolution:
-    """Solved ensemble plus the inputs needed to replay or continue it."""
+    """Solved ensemble plus the inputs needed to replay or continue it.
+
+    ensemble holds (X, f(X)) and fhat (P, N+1, d, k, k) the correction
+    grad(f) f + f' at every node, as the step evaluated them; without a
+    rough coefficient f(X) is zero and fhat is None.
+    """
 
     ensemble: ct.ControlledEnsemble
     coeffs: object
@@ -127,6 +132,7 @@ class RsdeSolution:
     control_record: dict
     cvf: vf.ControlledVectorField | None
     correction: object | None
+    fhat: np.ndarray | None
     audit_log: list | None = None
     monitors: list = field(default_factory=list)
 
@@ -138,19 +144,11 @@ class RsdeSolution:
         return self.ensemble.Z
 
     def sigma0_ensemble(self) -> ct.ControlledEnsemble:
-        """(coefficient along the path, its correction along the path)."""
+        """(coefficient along the path, its correction along the path): the
+        pair the recursion evaluated, read from the solution's slots."""
         if self.cvf is None:
             raise InputError("solution has no rough coefficient")
-        x = self.ensemble.Z
-        n1 = self.grid.steps + 1
-        p_count = x.shape[0]
-        d, k = self.coeffs.d, self.coeffs.k
-        z = np.empty((p_count, n1, d, k))
-        zp = np.empty((p_count, n1, d, k, k))
-        for n in range(n1):
-            z[:, n] = self.cvf.f(n, x[:, n])
-            zp[:, n] = self.correction(n, x[:, n])
-        return ct.ControlledEnsemble(self.grid, z, zp)
+        return ct.ControlledEnsemble(self.grid, self.ensemble.Zp, self.fhat)
 
     def make_resampler(self, which: str = "state", inner_seed_salt: int = 1):
         """Two-level Monte Carlo continuations for the norm estimators.
@@ -158,62 +156,50 @@ class RsdeSolution:
         which="state" yields futures of (X, f(X)); which="sigma0" yields
         futures of (f(X), fhat(X)).  Continuations freeze each particle at
         the anchor node and redraw the idiosyncratic noise; flow, lift and
-        policy stay frozen.  Feedback/mixture policies only.
+        policy stay frozen.  Each future is the solution's own prefix before
+        the anchor spliced to the continuation's slots from the anchor on.
+        Feedback/mixture policies only.
         """
         if self.policy is not None and getattr(self.policy, "mode", "feedback") != "feedback":
             raise InputError("conditional resampling needs a feedback policy")
+        if which not in ("state", "sigma0"):
+            raise InputError(f"unknown resampler target {which!r}")
+        if which == "sigma0" and self.cvf is None:
+            raise InputError("solution has no rough coefficient")
 
         def resample(s_idx, n_inner):
-            x0 = self.ensemble.Z[:, s_idx]
-            p_count, d = x0.shape
-            flat0 = np.repeat(x0, n_inner, axis=0)
-            steps = self.grid.steps - s_idx
+            p_count = self.ensemble.particles
             dw = draw_wiener(
                 self.seed,
                 p_count * n_inner,
-                steps,
+                self.grid.steps - s_idx,
                 self.coeffs.l,
                 self.grid.dt,
                 "inner",
                 inner_seed_salt,
                 s_idx,
             )
-            xc = _evolve(
+            xc, fc, fhatc = _evolve(
                 self.coeffs,
                 self.flow,
                 self.rough,
                 self.policy,
-                flat0,
+                np.repeat(self.ensemble.Z[:, s_idx], n_inner, axis=0),
                 dw,
                 self.cvf,
                 self.correction,
                 start=s_idx,
             )
-            xc = xc.reshape(p_count, n_inner, steps + 1, d)
-            full = np.empty((p_count, n_inner, self.grid.steps + 1, d))
-            full[:, :, : s_idx + 1] = self.ensemble.Z[:, None, : s_idx + 1]
-            full[:, :, s_idx:] = xc
-            k = self.ensemble.Zp.shape[-1]
-            if which == "state":
-                z = full
-                zp = np.zeros((p_count, n_inner, self.grid.steps + 1, d, k))
-                if self.cvf is not None:
-                    for n in range(s_idx, self.grid.steps + 1):
-                        zp[:, :, n] = self.cvf.f(n, full[:, :, n])
-                zp[:, :, :s_idx] = self.ensemble.Zp[:, None, :s_idx]
-                return z, zp
+
+            def splice(prefix, cont):
+                out = np.empty((p_count, n_inner) + prefix.shape[1:])
+                out[:, :, :s_idx] = prefix[:, None, :s_idx]
+                out[:, :, s_idx:] = cont.reshape(out[:, :, s_idx:].shape)
+                return out
+
             if which == "sigma0":
-                if self.cvf is None:
-                    raise InputError("solution has no rough coefficient")
-                z = np.zeros(
-                    (p_count, n_inner, self.grid.steps + 1, d, k)
-                )
-                zp = np.zeros(z.shape + (k,))
-                for n in range(self.grid.steps + 1):
-                    z[:, :, n] = self.cvf.f(n, full[:, :, n])
-                    zp[:, :, n] = self.correction(n, full[:, :, n])
-                return z, zp
-            raise InputError(f"unknown resampler target {which!r}")
+                return splice(self.ensemble.Zp, fc), splice(self.fhat, fhatc)
+            return splice(self.ensemble.Z, xc), splice(self.ensemble.Zp, fc)
 
         return resample
 
@@ -241,7 +227,12 @@ def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
 
 def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             record=None, causal=None):
-    """Run the recursion from node `start`; returns (P, steps+1, d) states.
+    """Run the recursion from node `start` over dW.shape[1] steps.
+
+    Returns (x, fx, fhat): the states (P, steps+1, d) and, at every node
+    visited, the last included, the pair the step evaluates once and uses:
+    fx = f(X) (P, steps+1, d, k) and fhat = grad(f) f + f' (P, steps+1, d,
+    k, k).  Without a rough coefficient fx is zero and fhat is None.
 
     record, when a dict, receives mixture weights or sampled actions.
     causal, when set, is (exo_rng, audit_list) and switches to sampled
@@ -252,11 +243,22 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
     p_count, d = x0.shape
     x = np.empty((p_count, steps + 1, d))
     x[:, 0] = x0
-    db = None if cvf is None else np.diff(rough.first_level, axis=0)
-    bb = None if cvf is None else rough.step_second()
-    for i in range(steps):
+    fx = np.zeros((p_count, steps + 1, d, rough.dim))
+    fhat = None
+    if cvf is not None:
+        db = np.diff(rough.first_level, axis=0)
+        bb = rough.step_second()
+        fhat = np.empty(fx.shape + (rough.dim,))
+    for i in range(steps + 1):
         n = start + i
         xn = x[:, i]
+        if cvf is not None:
+            f_n = cvf.f(n, xn)
+            fhat_n = correction(n, xn, f_n)
+            fx[:, i] = f_n
+            fhat[:, i] = fhat_n
+        if i == steps:
+            break
         cloud = flow.cloud(n) if flow is not None else xn
         t = nodes[n]
         if causal is not None:
@@ -281,11 +283,11 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             "pdl,pl->pd", coeffs.sigma(t, xn, cloud), dW[:, i]
         )
         if cvf is not None:
-            nxt = nxt + cvf.f(n, xn) @ db[n]
-            nxt = nxt + np.einsum("pdij,ij->pd", correction(n, xn), bb[n])
+            nxt = nxt + f_n @ db[n]
+            nxt = nxt + np.einsum("pdij,ij->pd", fhat_n, bb[n])
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
-    return x
+    return x, fx, fhat
 
 
 def solve(coeffs, flow, p: RoughPath, policy, init: InitialLaw, particles: int,
@@ -324,17 +326,12 @@ def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
     dw = draw_wiener(seed, particles, p.grid.steps, coeffs.l, p.grid.dt)
     causal = None if audit is None else (substream(seed, "rsde", "exo"), audit)
     record = {}
-    x = _evolve(coeffs, flow, p, policy, x0, dw, cvf, correction,
-                record=record, causal=causal)
-    n1 = p.grid.steps + 1
-    zp = np.zeros((particles, n1, coeffs.d, p.dim))
-    if cvf is not None:
-        for n in range(n1):
-            zp[:, n] = cvf.f(n, x[:, n])
+    x, fx, fhat = _evolve(coeffs, flow, p, policy, x0, dw, cvf, correction,
+                          record=record, causal=causal)
     ensemble = ct.ControlledEnsemble(
         p.grid,
         x,
-        zp,
+        fx,
         generation_record={"seed": seed, "path": ("rsde", "W"), "branch": None},
     )
     for key, rows in record.items():
@@ -351,6 +348,7 @@ def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
         control_record=record,
         cvf=cvf,
         correction=correction,
+        fhat=fhat,
         audit_log=audit,
     )
 
@@ -580,20 +578,34 @@ class MartingaleDiagnostics:
         )
 
 
-def _increments_of_martingale(sol, phi, cloud_at):
+def _martingale_paths(sol):
+    """Shared per-call tables for d = l = 1: states x (P, N+1), the W path
+    (P, N+1), the noise loading sigma at nodes 0..N-1 (P, N), and the
+    interaction cloud per node."""
+    grid = sol.grid
+    x = sol.ensemble.Z[..., 0]
+    wpath = np.concatenate(
+        [np.zeros((x.shape[0], 1)), np.cumsum(sol.W_increments[..., 0], axis=1)],
+        axis=1,
+    )
+    cloud_at = (lambda n: sol.flow.cloud(n)) if sol.flow is not None else (
+        lambda n: sol.ensemble.Z[:, n]
+    )
+    sig = np.empty((x.shape[0], grid.steps))
+    for n in range(grid.steps):
+        sig[:, n] = sol.coeffs.sigma(
+            grid.nodes[n], x[:, n][:, None], cloud_at(n)
+        )[:, 0, 0]
+    return x, wpath, sig, cloud_at
+
+
+def _increments_of_martingale(sol, phi, paths):
     """Per-step increments of the compensated process for one test function."""
     coeffs = sol.coeffs
     grid = sol.grid
     nodes = grid.nodes
     dt = grid.dt
-    x = sol.ensemble.Z[..., 0]  # (P, N+1), d = 1
-    wpath = np.concatenate(
-        [
-            np.zeros((x.shape[0], 1)),
-            np.cumsum(sol.W_increments[..., 0], axis=1),
-        ],
-        axis=1,
-    )
+    x, wpath, sig, cloud_at = paths
     weights = sol.control_record.get("mixture_weights")
     n_steps = grid.steps
     db = np.diff(sol.rough.first_level[:, 0]) if sol.cvf is not None else None
@@ -605,50 +617,42 @@ def _increments_of_martingale(sol, phi, cloud_at):
     vals = phi.value(x, wpath)
     dm = np.empty((x.shape[0], n_steps))
     for n in range(n_steps):
-        xn, wn = x[:, n], wpath[:, n]
-        cloud = cloud_at(n)
+        xn, wn, sn = x[:, n], wpath[:, n], sig[:, n]
         gx = phi.grad_x(xn, wn)
         gw = phi.grad_w(xn, wn)
         hxx = phi.hess_xx(xn, wn)
         hxw = phi.hess_xw(xn, wn)
         hww = phi.hess_ww(xn, wn)
-        sig = coeffs.sigma(nodes[n], xn[:, None], cloud)[:, 0, 0]
         drift = np.zeros_like(xn)
         if phi.depends_x:
+            cloud = cloud_at(n)
             for a in range(coeffs.n_actions):
                 w_a = weights[:, n, a]
                 if np.any(w_a):
                     drift += w_a * coeffs.b(
                         nodes[n], xn[:, None], cloud, coeffs.actions[a]
                     )[:, 0]
-        gen = drift * gx + 0.5 * (sig**2 * hxx + hww) + sig * hxw
+        gen = drift * gx + 0.5 * (sn**2 * hxx + hww) + sn * hxw
         comp = gen * dt
         if sol.cvf is not None and phi.depends_x:
-            s0 = sol.cvf.f(n, xn[:, None])[:, 0, 0]
-            shat = sol.correction(n, xn[:, None])[:, 0, 0, 0]
+            s0 = sol.ensemble.Zp[:, n, 0, 0]
+            shat = sol.fhat[:, n, 0, 0, 0]
             t_phi = gx * s0
             tp_phi = hxx * s0**2 + gx * shat
             comp += t_phi * db[n] + tp_phi * bb[n]
             # second-order bracket correction of the rough term
             comp += 0.5 * hxx * s0**2 * brackets[n]
         dm[:, n] = vals[:, n + 1] - vals[:, n] - comp
-    return dm, x, wpath
+    return dm
 
 
-def _qv_target(sol, phi, cloud_at):
-    coeffs = sol.coeffs
-    grid = sol.grid
-    x = sol.ensemble.Z[..., 0]
-    wpath = np.concatenate(
-        [np.zeros((x.shape[0], 1)), np.cumsum(sol.W_increments[..., 0], axis=1)],
-        axis=1,
-    )
-    out = np.zeros((x.shape[0], grid.steps))
-    for n in range(grid.steps):
+def _qv_target(sol, phi, paths):
+    x, wpath, sig, _ = paths
+    out = np.zeros(sig.shape)
+    for n in range(sol.grid.steps):
         xn, wn = x[:, n], wpath[:, n]
-        sig = coeffs.sigma(grid.nodes[n], xn[:, None], cloud_at(n))[:, 0, 0]
-        load = phi.grad_x(xn, wn) * sig + phi.grad_w(xn, wn)
-        out[:, n] = load**2 * grid.dt
+        load = phi.grad_x(xn, wn) * sig[:, n] + phi.grad_w(xn, wn)
+        out[:, n] = load**2 * sol.grid.dt
     return out
 
 
@@ -656,11 +660,9 @@ def qv_gap(sol: RsdeSolution, phi: TestFunction) -> np.ndarray:
     """Per-particle gap between the realized quadratic variation of the
     compensated process and the integrated squared loading.  Under grid
     refinement its spread shrinks like sqrt(dt)."""
-    cloud_at = (lambda n: sol.flow.cloud(n)) if sol.flow is not None else (
-        lambda n: sol.ensemble.Z[:, n]
-    )
-    dm, _, _ = _increments_of_martingale(sol, phi, cloud_at)
-    return (dm**2).sum(axis=1) - _qv_target(sol, phi, cloud_at).sum(axis=1)
+    paths = _martingale_paths(sol)
+    dm = _increments_of_martingale(sol, phi, paths)
+    return (dm**2).sum(axis=1) - _qv_target(sol, phi, paths).sum(axis=1)
 
 
 def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
@@ -681,9 +683,8 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
     grid = sol.grid
     p_count = sol.ensemble.particles
     low_power = p_count < 100
-    cloud_at = (lambda n: sol.flow.cloud(n)) if sol.flow is not None else (
-        lambda n: sol.ensemble.Z[:, n]
-    )
+    paths = _martingale_paths(sol)
+    x, wpath, sig, _ = paths
 
     anchors = sorted({int(a) for a in np.linspace(0, grid.steps // 2, n_anchor_pairs)})
     spans = [max(1, grid.steps // 4), max(1, grid.steps // 2)]
@@ -691,7 +692,7 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
     per_phi = []
     dms = {}
     for phi in phis:
-        dm, x, wpath = _increments_of_martingale(sol, phi, cloud_at)
+        dm = _increments_of_martingale(sol, phi, paths)
         dms[phi.name] = dm
         if np.all(dm == 0.0):
             per_phi.append(
@@ -720,7 +721,7 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
         crit = stats.norm.ppf(1.0 - 0.5 * level / n_tests)
         residual_pass = all(abs(t) < crit for t in tstats)
         # (b) realized quadratic variation vs integrated loading
-        gap = (dm**2).sum(axis=1) - _qv_target(sol, phi, cloud_at).sum(axis=1)
+        gap = (dm**2).sum(axis=1) - _qv_target(sol, phi, paths).sum(axis=1)
         sd = gap.std(ddof=1)
         qv_t = 0.0 if sd == 0.0 else float(gap.mean() / (sd / math.sqrt(p_count)))
         qv_crit = stats.t.ppf(1.0 - 0.5 * level, df=p_count - 1)
@@ -732,10 +733,6 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
 
     # (c) cross variation between x-only and w-only test functions
     cross = []
-    x = sol.ensemble.Z[..., 0]
-    wpath = np.concatenate(
-        [np.zeros((p_count, 1)), np.cumsum(sol.W_increments[..., 0], axis=1)], axis=1
-    )
     x_phis = [f for f in phis if f.depends_x and not f.depends_w]
     w_phis = [f for f in phis if f.depends_w and not f.depends_x]
     for fx in x_phis:
@@ -743,12 +740,9 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
             realized = (dms[fx.name] * dms[fw.name]).sum(axis=1)
             target = np.zeros(p_count)
             for n in range(grid.steps):
-                sig = sol.coeffs.sigma(
-                    grid.nodes[n], x[:, n][:, None], cloud_at(n)
-                )[:, 0, 0]
                 target += (
                     fx.grad_x(x[:, n], wpath[:, n])
-                    * sig
+                    * sig[:, n]
                     * fw.grad_w(x[:, n], wpath[:, n])
                     * grid.dt
                 )

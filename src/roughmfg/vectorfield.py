@@ -131,13 +131,13 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
 
 
 def gubinelli_correction(cvf: ControlledVectorField):
-    """Evaluator of grad(f) f + f' at (n, x): the second-level coefficient of
+    """Evaluator of fhat = grad(f) f + f' at (n, x, fx), where fx = f(n, x)
+    is the value the caller already holds: the second-level coefficient of
     the state recursion; shape (..., *out_shape, k)."""
     if cvf.out_shape != (cvf.d, cvf.k):
         raise ConfigurationError("correction needs a (d, k) matrix field")
 
-    def corr(n, x):
-        fx = cvf.f(n, x)
+    def corr(n, x, fx):
         gx = cvf.gradient(n, x)  # (..., d, k, d)
         return np.einsum("...abc,...cj->...abj", gx, fx) + cvf.fp(n, x)
 

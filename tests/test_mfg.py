@@ -46,6 +46,13 @@ class TestRelaxedPolicy:
             pol.mixture(0, x), [[1, 0], [0, 1], [1, 0]]
         )
 
+    def test_short_table_raises_instead_of_reusing_last_row(self):
+        model = models.make_model("lq")
+        p = brownian_lift(0, n=8)
+        policy = mfg.RelaxedPolicy.constant(model.actions, 4)
+        with pytest.raises(rp.InputError, match="4 steps, step 4 requested"):
+            rsde.solve(model, still_flow(p.grid), p, policy, rsde.InitialLaw(), 8, 0)
+
 
 class TestCost:
     def setup_inputs(self, seed=0, n=64):
@@ -80,6 +87,27 @@ class TestCost:
         policy = mfg.RelaxedPolicy.constant(model.actions, 64, action_index=1)
         est = mfg.cost(model, flow, p, policy, 16, 0)
         assert est.value == 0.0
+
+
+    def test_recorded_weights_match_policy_lookup(self):
+        # slow reference: look the mixture up again at every node
+        model, p, flow = self.setup_inputs(n=16)
+        lattice = np.linspace(-2.0, 2.0, 9)
+        table = substream(3, "mg", "table").dirichlet(np.ones(3), size=(16, 9))
+        policy = mfg.RelaxedPolicy(model.actions, lattice=lattice, table=table)
+        sol = rsde.solve(model, flow, p, policy, rsde.InitialLaw(), 32, 5)
+        x = sol.ensemble.Z
+        totals = np.zeros(32)
+        for n in range(16):
+            weights = policy.mixture(n, x[:, n])
+            for a in range(model.n_actions):
+                totals += weights[:, a] * model.f(
+                    p.grid.nodes[n], x[:, n], flow.cloud(n), model.actions[a]
+                ) * p.grid.dt
+        totals += model.g(x[:, 16], flow.cloud(16))
+        est = mfg.cost(model, flow, p, policy, 32, 5)
+        assert est.value == float(totals.mean())
+        assert est.error_bar == float(totals.std(ddof=1) / np.sqrt(32))
 
 
 class TestBestResponse:

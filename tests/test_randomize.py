@@ -118,6 +118,18 @@ class TestJointSimulate:
         )
 
 
+    @pytest.mark.parametrize("n_actions", [2, 4])
+    def test_policy_action_count_must_match_model(self, n_actions):
+        # lq has 3 actions: a 4-action policy must not drop the mass on its
+        # extra action, a 2-action one must not fail with a bare IndexError
+        model = models.make_model("lq")
+        actions = np.linspace(-1.0, 1.0, n_actions)[:, None]
+        policy = mfg.RelaxedPolicy.constant(actions, 8, action_index=n_actions - 1)
+        with pytest.raises(rp.InputError, match=f"mixes {n_actions} actions, model has 3"):
+            rz.joint_simulate(model, policy, rsde.InitialLaw(), rp.TimeGrid(1.0, 8),
+                              particles=8, samples=2, seed=0)
+
+
 class TestEnergyDistance:
     def test_identical_samples_zero(self):
         x = substream(0, "rz", "e").normal(size=(50, 1))

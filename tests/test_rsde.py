@@ -132,7 +132,7 @@ class TestSolve:
         dw = rsde.draw_wiener(seed, particles, 12, 1, p.grid.dt)[perm]
         from roughmfg.rsde import _evolve
 
-        x = _evolve(
+        x, _, _ = _evolve(
             model, flow, p, delta_policy(model, 12), x0, dw, sol.cvf, sol.correction
         )
         np.testing.assert_array_equal(x, sol.ensemble.Z[perm])
@@ -224,7 +224,7 @@ class TestSolve:
 
             cvf = vf.build_cvf_from_flow(model, flow)
             corr = vf.gubinelli_correction(cvf)
-            x = _evolve(
+            x, _, _ = _evolve(
                 model, flow, p, delta_policy(model, n), x0, dw, cvf, corr
             )
             means.append(x[:, -1, 0].mean())

@@ -3,8 +3,10 @@ import pytest
 
 from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
+from roughmfg import mfg
 from roughmfg import models
 from roughmfg import roughpath as rp
+from roughmfg import rsde
 from roughmfg import vectorfield as vf
 from roughmfg.rng import substream
 
@@ -402,4 +404,114 @@ class TestGubinelliCorrection:
             np.einsum("...abc,...cj->...abj", cvf.gradient(n, x), cvf.f(n, x))
             + cvf.fp(n, x)
         )
-        np.testing.assert_allclose(corr(n, x), expect, rtol=1e-12)
+        np.testing.assert_allclose(corr(n, x, cvf.f(n, x)), expect, rtol=1e-12)
+
+
+def reference_pair(cvf, n, x):
+    """Slow reference for the coefficient pair at one node: f and
+    grad(f) f + f' evaluated afresh."""
+    fx = cvf.f(n, x)
+    return fx, np.einsum("...abc,...cj->...abj", cvf.gradient(n, x), fx) + cvf.fp(n, x)
+
+
+def reference_slots(sol):
+    """Re-evaluate the pair at every node of the solved states."""
+    pairs = [reference_pair(sol.cvf, n, sol.ensemble.Z[:, n])
+             for n in range(sol.grid.steps + 1)]
+    return (np.stack([f for f, _ in pairs], axis=1),
+            np.stack([fh for _, fh in pairs], axis=1))
+
+
+def reference_resample(sol, which, s_idx, n_inner, inner_seed_salt=1):
+    """Continue the states from the anchor, then re-evaluate the pair along
+    the joined paths: at every node for "sigma0"; from the anchor on, with
+    the solution's prefix before it, for "state"."""
+    p_count, n1 = sol.ensemble.particles, sol.grid.steps + 1
+    dw = rsde.draw_wiener(sol.seed, p_count * n_inner, n1 - 1 - s_idx,
+                          sol.coeffs.l, sol.grid.dt, "inner", inner_seed_salt, s_idx)
+    xc, _, _ = rsde._evolve(
+        sol.coeffs, sol.flow, sol.rough, sol.policy,
+        np.repeat(sol.ensemble.Z[:, s_idx], n_inner, axis=0), dw,
+        sol.cvf, sol.correction, start=s_idx,
+    )
+    full = np.empty((p_count, n_inner, n1, sol.coeffs.d))
+    full[:, :, : s_idx + 1] = sol.ensemble.Z[:, None, : s_idx + 1]
+    full[:, :, s_idx:] = xc.reshape(p_count, n_inner, n1 - s_idx, sol.coeffs.d)
+    pairs = [reference_pair(sol.cvf, n, full[:, :, n]) for n in range(n1)]
+    f = np.stack([fx for fx, _ in pairs], axis=2)
+    fhat = np.stack([fh for _, fh in pairs], axis=2)
+    if which == "sigma0":
+        return f, fhat
+    f[:, :, :s_idx] = sol.ensemble.Zp[:, None, :s_idx]
+    return full, f
+
+
+def solved(model, steps=12, particles=6, seed=4):
+    grid = rp.TimeGrid(1.0, steps)
+    dw = substream(seed, "vf", "slots").normal(0.0, np.sqrt(grid.dt),
+                                                size=(steps, model.k))
+    flow = random_flow(seed, grid, d=model.d, k=model.k)
+    policy = mfg.RelaxedPolicy.constant(model.actions, steps)
+    return rsde.solve(model, flow, rp.ito_lift(dw, grid), policy,
+                      rsde.InitialLaw(), particles, seed)
+
+
+SLOT_MODELS = {
+    "tanh-interaction": lambda: models.make_model("tanh-interaction"),
+    "sin-mean": lambda: measure_dependent_model()[0],
+}
+
+
+class TestSolvedSlots:
+    """The pair the recursion evaluates, stored once, against the
+    re-evaluation loops it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_solution_slots_match_reevaluation(self, name):
+        sol = solved(SLOT_MODELS[name]())
+        f, fhat = reference_slots(sol)
+        np.testing.assert_array_equal(sol.ensemble.Zp, f)
+        np.testing.assert_array_equal(sol.fhat, fhat)
+        pair = sol.sigma0_ensemble()
+        np.testing.assert_array_equal(pair.Z, f)
+        np.testing.assert_array_equal(pair.Zp, fhat)
+
+    @pytest.mark.parametrize("which", ["state", "sigma0"])
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_resampler_targets_match_reevaluation(self, name, which):
+        sol = solved(SLOT_MODELS[name]())
+        s_idx, n_inner = 5, 3
+        z, zp = sol.make_resampler(which)(s_idx, n_inner)
+        z_ref, zp_ref = reference_resample(sol, which, s_idx, n_inner)
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(zp, zp_ref)
+
+    def test_solve_evaluates_the_pair_once_per_node(self, monkeypatch):
+        calls = {"f": 0, "correction": 0}
+        build, correction_of = vf.build_cvf_from_flow, vf.gubinelli_correction
+
+        def counted_build(coeffs, flow):
+            cvf = build(coeffs, flow)
+            f = cvf.f
+
+            def counted_f(n, x):
+                calls["f"] += 1
+                return f(n, x)
+
+            cvf.f = counted_f
+            return cvf
+
+        def counted_correction(cvf):
+            corr = correction_of(cvf)
+
+            def counted(n, x, fx):
+                calls["correction"] += 1
+                return corr(n, x, fx)
+
+            return counted
+
+        monkeypatch.setattr(vf, "build_cvf_from_flow", counted_build)
+        monkeypatch.setattr(vf, "gubinelli_correction", counted_correction)
+        sol = solved(models.make_model("tanh-interaction"), steps=16)
+        assert sol.cvf.grad is not None  # no difference quotient calls f
+        assert calls == {"f": 17, "correction": 17}
