@@ -211,7 +211,6 @@ def estimate_norm(
     i0, i1 = _window_nodes(ce.grid, window)
     nz = len(ce.vshape)
     nodes = ce.grid.nodes
-    db_full = p.first_level  # node values; increments via differences
 
     # static part of the derivative component: sup over nodes of reduced |Z'|
     zp_abs = _vec_abs(ce.Zp[:, i0 : i1 + 1], nz + 1)
@@ -243,7 +242,7 @@ def estimate_norm(
             )
             # conditional mean of R^Z; Z'_s and dB are F_s-measurable
             zp_s = zpc[:, 0, s]  # (P, *v, k)
-            db = db_full[t_idx] - db_full[s]  # (nt, k)
+            db = p.increment(s, t_idx)  # (nt, k)
             lin = np.einsum("p...k,tk->pt...", zp_s, db)
             rem_mean = dz.mean(axis=1) - lin
             rem_abs = _vec_abs(rem_mean, nz)  # (P, nt)
@@ -266,7 +265,7 @@ def estimate_norm(
             dzp_abs = _vec_abs(ce.Zp[:, t_idx] - ce.Zp[:, s : s + 1], nz + 1)
             dzp_m = np.mean(dzp_abs**m, axis=0) ** (1.0 / m)
             dzp_best = max(dzp_best, float((dzp_m / gaps**idx.beta_p).max()))
-            db = db_full[t_idx] - db_full[s]
+            db = p.increment(s, t_idx)
             lin = np.einsum("p...k,tk->pt...", ce.Zp[:, s], db)
             rem_mean = (ce.Z[:, t_idx] - ce.Z[:, s : s + 1] - lin).mean(axis=0)
             rem_best = max(

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import controlled as ct
 from .rng import substream
-from .roughpath import InputError, RoughPath, TimeGrid
+from .roughpath import InputError, RoughPath, TimeGrid, read_exact
 
 EXACT_ASSIGNMENT_MAX = 64
 _MAGIC = b"MFLW"
@@ -237,19 +237,17 @@ def dump(flow: MeasureFlow, fp) -> None:
 def load(fp) -> MeasureFlow:
     if fp.read(4) != _MAGIC:
         raise InputError("not a measure-flow container (bad magic)")
-    (version,) = struct.unpack("<I", fp.read(4))
+    version, p, n, d, k, horizon = struct.unpack("<IIIIId", read_exact(fp, 28, "header"))
     if version != _FORMAT_VERSION:
         raise InputError(f"unsupported container version {version}")
-    p, n, d, k = struct.unpack("<IIII", fp.read(16))
-    (horizon,) = struct.unpack("<d", fp.read(8))
     grid = TimeGrid(horizon, n)
-    y = np.frombuffer(fp.read(8 * p * (n + 1) * d), dtype="<f8").reshape(
-        p, n + 1, d
-    )
+    y = np.frombuffer(
+        read_exact(fp, 8 * p * (n + 1) * d, "states"), dtype="<f8"
+    ).reshape(p, n + 1, d)
     yp = None
     if k:
         yp = np.frombuffer(
-            fp.read(8 * p * (n + 1) * d * k), dtype="<f8"
+            read_exact(fp, 8 * p * (n + 1) * d * k, "derivatives"), dtype="<f8"
         ).reshape(p, n + 1, d, k).copy()
     return MeasureFlow(grid, y.copy(), yp)
 

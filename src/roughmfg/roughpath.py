@@ -1,10 +1,10 @@
 """Rough-path lifts on a uniform time grid.
 
-A lift stores the first level B at every node and the second level (the
-iterated integrals) for every ordered node pair, dense, so that integrators
-and norm estimators can query arbitrary (s, t) without re-summation.  Two
-constructions are provided: the left-point (Ito) enhancement of an increment
-sequence and the exact enhancement of a piecewise-linear path (geometric).
+A lift stores the first level B and the prefix sums of the second level at
+every node, O(N k^2) numbers; Chen's relation gives the iterated integral
+over any node pair (s, t) without re-summation.  Two constructions are
+provided: the left-point (Ito) enhancement of an increment sequence and the
+exact enhancement of a piecewise-linear path (geometric).
 """
 
 import struct
@@ -56,16 +56,17 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class RoughPath:
-    """First and second level of a lift over a TimeGrid.
+    """First level and second-level prefix sums of a lift over a TimeGrid.
 
     first_level: (N+1, k) node values of B.
-    second_level: (N+1, N+1, k, k); entry [i, j] is the iterated integral
-    over [t_i, t_j] for i < j, zero elsewhere.
+    prefix: (N+1, k, k) second level over [t_0, t_j] plus B_0 (x) (B_j - B_0),
+    i.e. S_j = sum_{r<j} B*_r (x) dB_r with B*_r the left point (Ito) or the
+    midpoint (geometric).  By Chen, `second(i, j)` = S_j - S_i - B_i (x) (B_j - B_i).
     """
 
     grid: TimeGrid
     first_level: np.ndarray
-    second_level: np.ndarray
+    prefix: np.ndarray
     bracket_mode: str
 
     def __post_init__(self):
@@ -73,73 +74,62 @@ class RoughPath:
         k = self.dim
         if self.first_level.shape != (n, k):
             raise InputError(f"first level shape {self.first_level.shape} != {(n, k)}")
-        if self.second_level.shape != (n, n, k, k):
-            raise InputError(f"second level shape {self.second_level.shape} != {(n, n, k, k)}")
+        if self.prefix.shape != (n, k, k):
+            raise InputError(f"prefix sums shape {self.prefix.shape} != {(n, k, k)}")
         if self.bracket_mode not in (BRACKET_ITO, BRACKET_GEOMETRIC):
             raise InputError(f"unknown bracket mode {self.bracket_mode!r}")
-        if not (np.isfinite(self.first_level).all() and np.isfinite(self.second_level).all()):
+        if not (np.isfinite(self.first_level).all() and np.isfinite(self.prefix).all()):
             raise InputError("non-finite entries in rough path")
         self.first_level.setflags(write=False)
-        self.second_level.setflags(write=False)
+        self.prefix.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.first_level.shape[1]
 
-    def increment(self, i: int, j: int) -> np.ndarray:
+    def increment(self, i, j) -> np.ndarray:
         return self.first_level[j] - self.first_level[i]
 
     def increments(self) -> np.ndarray:
         """One-step increments, shape (N, k)."""
         return np.diff(self.first_level, axis=0)
 
-    def second(self, i: int, j: int) -> np.ndarray:
-        return self.second_level[i, j]
+    def second(self, i, j) -> np.ndarray:
+        """Iterated integral over [t_i, t_j] for i <= j, shape (..., k, k);
+        i and j may be broadcasting index arrays."""
+        b, s = self.first_level, self.prefix
+        return (s[j] - s[i]) - b[i][..., :, None] * (b[j] - b[i])[..., None, :]
 
     def step_second(self) -> np.ndarray:
         """One-step second level, shape (N, k, k)."""
-        n = self.grid.steps
-        idx = np.arange(n)
-        return self.second_level[idx, idx + 1]
+        idx = np.arange(self.grid.steps)
+        return self.second(idx, idx + 1)
 
-    def bracket(self, i: int, j: int) -> np.ndarray:
+    def bracket(self, i, j) -> np.ndarray:
         """Realized bracket dB (x) dB - (second + second^T) over [t_i, t_j]."""
         db = self.increment(i, j)
-        bb = self.second_level[i, j]
-        return np.outer(db, db) - (bb + bb.T)
+        bb = self.second(i, j)
+        return db[..., :, None] * db[..., None, :] - (bb + np.swapaxes(bb, -1, -2))
 
     def step_brackets(self) -> np.ndarray:
         """Per-step realized brackets, shape (N, k, k)."""
-        db = self.increments()
-        bb = self.step_second()
-        return db[:, :, None] * db[:, None, :] - (bb + np.swapaxes(bb, -1, -2))
+        idx = np.arange(self.grid.steps)
+        return self.bracket(idx, idx + 1)
 
     def restrict(self, stride: int) -> "RoughPath":
-        """Lift seen on every stride-th node (second level is subsampled)."""
-        grid = self.grid.restrict(stride)
-        sel = np.arange(0, self.grid.steps + 1, stride)
+        """Lift seen on every stride-th node (both levels are subsampled)."""
         return RoughPath(
-            grid,
-            self.first_level[sel].copy(),
-            self.second_level[np.ix_(sel, sel)].copy(),
+            self.grid.restrict(stride),
+            self.first_level[::stride].copy(),
+            self.prefix[::stride].copy(),
             self.bracket_mode,
         )
 
 
-def _second_from_prefix(first: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    """Assemble the dense pair array from prefix sums S_j of B_r (x) dB_r.
-
-    second[i, j] = S_j - S_i - B_i (x) (B_j - B_i); the formula satisfies the
-    Chen relation identically, so the dense storage stays algebraically
-    consistent up to round-off.
-    """
-    n = first.shape[0]
-    second = prefix[None, :, :, :] - prefix[:, None, :, :]
-    db = first[None, :, :] - first[:, None, :]
-    second -= first[:, None, :, None] * db[:, :, None, :]
-    iu = np.tril_indices(n)
-    second[iu] = 0.0
-    return second
+def _pairs(p: RoughPath):
+    """Node pairs i < j (row-major upper triangle) and their time gaps."""
+    i, j = np.triu_indices(p.grid.steps + 1, k=1)
+    return i, j, p.grid.nodes[j] - p.grid.nodes[i]
 
 
 def ito_lift(increments: np.ndarray, grid: TimeGrid) -> RoughPath:
@@ -160,7 +150,7 @@ def ito_lift(increments: np.ndarray, grid: TimeGrid) -> RoughPath:
     terms = first[:-1, :, None] * increments[:, None, :]
     prefix = np.zeros((grid.steps + 1, k, k))
     np.cumsum(terms, axis=0, out=prefix[1:])
-    return RoughPath(grid, first, _second_from_prefix(first, prefix), BRACKET_ITO)
+    return RoughPath(grid, first, prefix, BRACKET_ITO)
 
 
 def smooth_lift(path: np.ndarray, grid: TimeGrid) -> RoughPath:
@@ -182,13 +172,14 @@ def smooth_lift(path: np.ndarray, grid: TimeGrid) -> RoughPath:
     terms = (path[:-1] + 0.5 * steps)[:, :, None] * steps[:, None, :]
     prefix = np.zeros((grid.steps + 1, k, k))
     np.cumsum(terms, axis=0, out=prefix[1:])
-    return RoughPath(grid, path.copy(), _second_from_prefix(path, prefix), BRACKET_GEOMETRIC)
+    return RoughPath(grid, path.copy(), prefix, BRACKET_GEOMETRIC)
 
 
 def chen_defect(p: RoughPath) -> float:
-    """Max over grid triples s<u<t of |Chen residual| (Frobenius)."""
-    first, second = p.first_level, p.second_level
+    """Max over grid triples s<u<t of |Chen residual| (largest entry)."""
+    first = p.first_level
     n = p.grid.steps + 1
+    second = p.second(*np.indices((n, n)))  # (n, n, k, k), read for i < j only
     worst = 0.0
     for u in range(1, n - 1):
         # residual[i, t] for all i < u < t, one middle point at a time
@@ -205,14 +196,10 @@ def chen_defect(p: RoughPath) -> float:
 
 
 def symmetry_defect(p: RoughPath) -> float:
-    """Max over pairs of |Sym(second) - (1/2) dB (x) dB| (geometric identity)."""
-    db = p.first_level[None, :, :] - p.first_level[:, None, :]
-    outer = db[:, :, :, None] * db[:, :, None, :]
-    sym = 0.5 * (p.second_level + np.swapaxes(p.second_level, -1, -2))
-    res = sym - 0.5 * outer
-    n = p.grid.steps + 1
-    res[np.tril_indices(n)] = 0.0
-    return float(np.abs(res).max())
+    """Max over pairs of |Sym(second) - (1/2) dB (x) dB| (geometric identity),
+    which is half the largest realized bracket."""
+    i, j, _ = _pairs(p)
+    return 0.5 * float(np.abs(p.bracket(i, j)).max())
 
 
 @dataclass(frozen=True)
@@ -224,11 +211,6 @@ class HolderReport:
     second_seminorm: float
 
 
-def _pair_gaps(p: RoughPath) -> np.ndarray:
-    t = p.grid.nodes
-    return t[None, :] - t[:, None]
-
-
 def _check_alpha(alpha: float):
     if not (0.0 < alpha <= 0.5):
         raise InputError(f"alpha must lie in (0, 1/2], got {alpha}")
@@ -236,13 +218,11 @@ def _check_alpha(alpha: float):
 
 def holder_report(p: RoughPath, alpha: float = 0.45) -> HolderReport:
     _check_alpha(alpha)
-    gaps = _pair_gaps(p)
-    iu = np.triu_indices(p.grid.steps + 1, k=1)
-    db = p.first_level[None, :, :] - p.first_level[:, None, :]
-    first = np.linalg.norm(db[iu], axis=-1) / gaps[iu] ** alpha
+    i, j, gaps = _pairs(p)
+    first = np.linalg.norm(p.increment(i, j), axis=-1) / gaps ** alpha
     second = (
-        np.linalg.norm(p.second_level[iu].reshape(len(iu[0]), -1), axis=-1)
-        / gaps[iu] ** (2 * alpha)
+        np.linalg.norm(p.second(i, j).reshape(len(i), -1), axis=-1)
+        / gaps ** (2 * alpha)
     )
     return HolderReport(alpha, float(first.max()), float(second.max()))
 
@@ -253,50 +233,81 @@ def rho_alpha(p: RoughPath, q: RoughPath, alpha: float = 0.45) -> float:
     _check_alpha(alpha)
     if p.grid != q.grid or p.dim != q.dim:
         raise InputError("rough paths must share grid and dimension")
-    gaps = _pair_gaps(p)
-    iu = np.triu_indices(p.grid.steps + 1, k=1)
-    db = (p.first_level - q.first_level)[None, :, :] - (
-        p.first_level - q.first_level
-    )[:, None, :]
-    first = np.linalg.norm(db[iu], axis=-1) / gaps[iu] ** alpha
-    dbb = p.second_level - q.second_level
+    i, j, gaps = _pairs(p)
+    gap = p.first_level - q.first_level
+    first = np.linalg.norm(gap[j] - gap[i], axis=-1) / gaps ** alpha
+    dbb = p.second(i, j) - q.second(i, j)
     second = (
-        np.linalg.norm(dbb[iu].reshape(len(iu[0]), -1), axis=-1)
-        / gaps[iu] ** (2 * alpha)
+        np.linalg.norm(dbb.reshape(len(i), -1), axis=-1)
+        / gaps ** (2 * alpha)
     )
     return float(first.max() + second.max())
+
+
+def from_dense(grid: TimeGrid, first: np.ndarray, second: np.ndarray,
+               mode: str) -> RoughPath:
+    """Compact lift from B (N+1, k) and the container's dense pair array
+    (N+1, N+1, k, k), entry [i, j] the iterated integral over [t_i, t_j] for
+    i < j.  The prefix sums come from row 0, S_j = second[0, j] + B_0 (x)
+    (B_j - B_0); a pair whose Chen residual against them exceeds
+    1e-12 (1 + max |dB|^2) raises InputError naming the worst pair."""
+    if not np.isfinite(second).all():
+        raise InputError("non-finite entries in rough path")
+    prefix = second[0] + first[0][:, None] * (first - first[0])[:, None, :]
+    p = RoughPath(grid, first, prefix, mode)
+    i, j, _ = _pairs(p)
+    res = np.abs(second[i, j] - p.second(i, j)).max(axis=(-2, -1))
+    tol = 1e-12 * (1.0 + np.abs(p.increments()).max() ** 2)
+    worst = int(np.argmax(res))
+    if res[worst] > tol:
+        raise InputError(
+            f"second level breaks Chen's relation at node pair"
+            f" ({i[worst]}, {j[worst]}): residual {res[worst]:.3e} > {tol:.3e}"
+        )
+    return p
 
 
 _MODE_CODE = {BRACKET_ITO: 0, BRACKET_GEOMETRIC: 1}
 _CODE_MODE = {v: k for k, v in _MODE_CODE.items()}
 
 
+def read_exact(fp, nbytes: int, what: str) -> bytes:
+    """Read nbytes of a binary container; a short read raises InputError."""
+    data = fp.read(nbytes)
+    if len(data) != nbytes:
+        raise InputError(f"truncated container: {what} needs {nbytes} bytes, got {len(data)}")
+    return data
+
+
 def dump(p: RoughPath, fp) -> None:
-    """Write the binary container: magic, version, k, N, T, mode, levels."""
+    """Write the binary container: magic, version, k, N, T, mode, B, and the
+    dense pair array (iterated integral at [i, j] for i < j, zero elsewhere)."""
+    n = p.grid.steps + 1
+    second = np.zeros((n, n, p.dim, p.dim))
+    i, j, _ = _pairs(p)
+    second[i, j] = p.second(i, j)
     fp.write(_MAGIC)
     fp.write(struct.pack("<I", _FORMAT_VERSION))
     fp.write(struct.pack("<II", p.dim, p.grid.steps))
     fp.write(struct.pack("<d", p.grid.horizon))
     fp.write(struct.pack("<B", _MODE_CODE[p.bracket_mode]))
     fp.write(np.ascontiguousarray(p.first_level, dtype="<f8").tobytes())
-    fp.write(np.ascontiguousarray(p.second_level, dtype="<f8").tobytes())
+    fp.write(np.ascontiguousarray(second, dtype="<f8").tobytes())
 
 
 def load(fp) -> RoughPath:
     if fp.read(4) != _MAGIC:
         raise InputError("not a rough-path container (bad magic)")
-    (version,) = struct.unpack("<I", fp.read(4))
+    version, k, n, horizon, code = struct.unpack("<IIIdB", read_exact(fp, 21, "header"))
     if version != _FORMAT_VERSION:
         raise InputError(f"unsupported container version {version}")
-    k, n = struct.unpack("<II", fp.read(8))
-    (horizon,) = struct.unpack("<d", fp.read(8))
-    (mode_code,) = struct.unpack("<B", fp.read(1))
+    if code not in _CODE_MODE:
+        raise InputError(f"unknown bracket mode code {code}")
     grid = TimeGrid(horizon, n)
-    first = np.frombuffer(fp.read(8 * (n + 1) * k), dtype="<f8").reshape(n + 1, k)
-    second = np.frombuffer(
-        fp.read(8 * (n + 1) * (n + 1) * k * k), dtype="<f8"
-    ).reshape(n + 1, n + 1, k, k)
-    return RoughPath(grid, first.copy(), second.copy(), _CODE_MODE[mode_code])
+    first = np.frombuffer(read_exact(fp, 8 * (n + 1) * k, "first level"), "<f8")
+    second = np.frombuffer(read_exact(fp, 8 * (n + 1) ** 2 * k**2, "second level"), "<f8")
+    return from_dense(grid, first.reshape(n + 1, k).copy(),
+                      second.reshape(n + 1, n + 1, k, k), _CODE_MODE[code])
 
 
 def dump_path(p: RoughPath, path) -> None:

@@ -581,38 +581,37 @@ class MartingaleDiagnostics:
 def _martingale_paths(sol):
     """Shared per-call tables for d = l = 1: states x (P, N+1), the W path
     (P, N+1), the noise loading sigma at nodes 0..N-1 (P, N), and the
-    interaction cloud per node."""
+    mixed drift at nodes 0..N-1 (P, N), None when the solution recorded no
+    mixture weights (causal realizations)."""
     grid = sol.grid
     x = sol.ensemble.Z[..., 0]
     wpath = np.concatenate(
         [np.zeros((x.shape[0], 1)), np.cumsum(sol.W_increments[..., 0], axis=1)],
         axis=1,
     )
-    cloud_at = (lambda n: sol.flow.cloud(n)) if sol.flow is not None else (
-        lambda n: sol.ensemble.Z[:, n]
-    )
+    weights = sol.control_record.get("mixture_weights")
     sig = np.empty((x.shape[0], grid.steps))
+    drift = None if weights is None else np.empty_like(sig)
     for n in range(grid.steps):
-        sig[:, n] = sol.coeffs.sigma(
-            grid.nodes[n], x[:, n][:, None], cloud_at(n)
-        )[:, 0, 0]
-    return x, wpath, sig, cloud_at
+        t, xn = grid.nodes[n], x[:, n][:, None]
+        cloud = sol.flow.cloud(n) if sol.flow is not None else sol.ensemble.Z[:, n]
+        sig[:, n] = sol.coeffs.sigma(t, xn, cloud)[:, 0, 0]
+        if drift is not None:
+            drift[:, n] = _drift_mixture(sol.coeffs, t, xn, cloud, weights[:, n])[:, 0]
+    return x, wpath, sig, drift
 
 
 def _increments_of_martingale(sol, phi, paths):
     """Per-step increments of the compensated process for one test function."""
-    coeffs = sol.coeffs
     grid = sol.grid
-    nodes = grid.nodes
     dt = grid.dt
-    x, wpath, sig, cloud_at = paths
-    weights = sol.control_record.get("mixture_weights")
+    x, wpath, sig, drifts = paths
     n_steps = grid.steps
     db = np.diff(sol.rough.first_level[:, 0]) if sol.cvf is not None else None
     bb = sol.rough.step_second()[:, 0, 0] if sol.cvf is not None else None
     brackets = sol.rough.step_brackets()[:, 0, 0] if sol.cvf is not None else None
 
-    if weights is None and phi.depends_x:
+    if drifts is None and phi.depends_x:
         raise InputError("diagnostics need the mixture control record")
     vals = phi.value(x, wpath)
     dm = np.empty((x.shape[0], n_steps))
@@ -623,15 +622,7 @@ def _increments_of_martingale(sol, phi, paths):
         hxx = phi.hess_xx(xn, wn)
         hxw = phi.hess_xw(xn, wn)
         hww = phi.hess_ww(xn, wn)
-        drift = np.zeros_like(xn)
-        if phi.depends_x:
-            cloud = cloud_at(n)
-            for a in range(coeffs.n_actions):
-                w_a = weights[:, n, a]
-                if np.any(w_a):
-                    drift += w_a * coeffs.b(
-                        nodes[n], xn[:, None], cloud, coeffs.actions[a]
-                    )[:, 0]
+        drift = drifts[:, n] if phi.depends_x else np.zeros_like(xn)
         gen = drift * gx + 0.5 * (sn**2 * hxx + hww) + sn * hxw
         comp = gen * dt
         if sol.cvf is not None and phi.depends_x:

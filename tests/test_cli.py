@@ -203,6 +203,33 @@ class TestCli:
         )
         assert code == 2
 
+    def test_rsde_solve_rejects_bad_rough_containers(self, tmp_path, capsys):
+        from roughmfg import roughpath as rpm
+
+        grid = rpm.TimeGrid(1.0, 16)
+        lift = rpm.smooth_lift(np.sin(grid.nodes), grid)
+        good = tmp_path / "lift.rpth"
+        rpm.dump_path(lift, good)
+        data = good.read_bytes()
+        # the dense pair array starts after the 25-byte header and B; entry
+        # [3, 9] of the 17 x 17 (k = 1) array breaks Chen's relation
+        at = 25 + 8 * 17 + 8 * (3 * 17 + 9)
+        broken = bytearray(data)
+        broken[at:at + 8] = np.float64(lift.second(3, 9)[0, 0] + 0.5).tobytes()
+        cases = [(bytes(broken), "(3, 9)"), (data[:-16], "truncated")]
+        for i, (payload, named) in enumerate(cases):
+            path = tmp_path / f"bad{i}.rpth"
+            path.write_bytes(payload)
+            code = cli.main(
+                [
+                    "rsde", "solve", "--model", "lq", "--grid", "16",
+                    "--particles", "16", "--seed", "1",
+                    "--rough", f"file:{path}", "--out", str(tmp_path / f"o{i}"),
+                ]
+            )
+            assert code == 2
+            assert named in capsys.readouterr().err
+
     def test_randomize_compare_outputs(self, tmp_path):
         out = tmp_path / "rz"
         code = cli.main(

@@ -53,7 +53,7 @@ class TestRoughIntegral:
         ce = path_ensemble(p)
         got = ct.rough_integral(ce, p, 0, 24)
         assert got.shape == (1,)
-        assert got[0] == pytest.approx(p.second_level[0, 24, 0, 0], abs=1e-12)
+        assert got[0] == pytest.approx(p.second(0, 24)[0, 0], abs=1e-12)
 
     def test_smooth_antiderivative_oracle(self):
         # int B dB = (B_T^2 - B_0^2)/2: telescopes exactly for a geometric

@@ -190,6 +190,21 @@ class TestFlowBasics:
         np.testing.assert_array_equal(back.Y, flow.Y)
         np.testing.assert_array_equal(back.Yp, flow.Yp)
 
+    def test_binary_truncated(self):
+        import io
+
+        grid = rp.TimeGrid(1.0, 3)
+        rng = substream(21, "mf", "bin")
+        flow = mf.MeasureFlow(
+            grid, rng.normal(size=(4, 4, 1)), rng.normal(size=(4, 4, 1, 2))
+        )
+        buf = io.BytesIO()
+        mf.dump(flow, buf)
+        data = buf.getvalue()
+        for cut, what in [(len(data) - 8, "derivatives"), (60, "states")]:
+            with pytest.raises(rp.InputError, match=what):
+                mf.load(io.BytesIO(data[:cut]))
+
     def test_binary_bad_magic(self):
         import io
 

@@ -28,7 +28,7 @@ class TestSampleLift:
         a = rz.sample_lift(grid, 2, seed=5, sample=3)
         b = rz.sample_lift(grid, 2, seed=5, sample=3)
         np.testing.assert_array_equal(a.first_level, b.first_level)
-        np.testing.assert_array_equal(a.second_level, b.second_level)
+        np.testing.assert_array_equal(a.prefix, b.prefix)
 
     def test_distinct_across_seeds_and_samples(self):
         grid = rp.TimeGrid(1.0, 8)
@@ -57,7 +57,7 @@ class TestSampleLift:
         assert fine.grid == plain.grid
         scale = 1.0 + np.abs(fine.increments()).max() ** 2
         assert rp.chen_defect(fine) <= 1e-12 * scale
-        assert not np.allclose(fine.second_level, plain.second_level)
+        assert not np.allclose(fine.prefix, plain.prefix)
 
     def test_inner_refinement_validates_power_of_two(self):
         grid = rp.TimeGrid(1.0, 4)
@@ -70,7 +70,7 @@ class TestSampleLift:
         m = 10_000
         acc = 0.0
         for s in range(m):
-            acc += rz.sample_lift(grid, 1, seed=11, sample=s).second_level[0, 8, 0, 0]
+            acc += rz.sample_lift(grid, 1, seed=11, sample=s).second(0, 8)[0, 0]
         assert abs(acc / m) <= 4.0 * 1.0 / np.sqrt(m)
 
 

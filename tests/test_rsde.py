@@ -401,6 +401,44 @@ class TestMartingaleDiagnostics:
         diag = rsde.martingale_diagnostics(sol)
         assert diag.low_power
 
+    def test_drift_table_matches_per_step_mixture(self):
+        # reference: the per-node action loop the increments once ran for
+        # every x-dependent test function
+        model = models.make_model("tanh-interaction")
+        n, lattice = 12, np.linspace(-2.0, 2.0, 9)
+        table = substream(3, "rs", "mix").uniform(size=(n, 9, model.n_actions))
+        policy = mfg.RelaxedPolicy(
+            model.actions, lattice=lattice, table=table / table.sum(axis=2, keepdims=True)
+        )
+        p = brownian_lift(4, n=n)
+        sol = rsde.solve(model, still_flow(p.grid), p, policy,
+                         rsde.InitialLaw("normal", 0.0, 1.0), 40, 4)
+        weights = sol.control_record["mixture_weights"]
+        x = sol.ensemble.Z[..., 0]
+        want = np.empty((40, n))
+        for step in range(n):
+            drift = np.zeros(40)
+            for a in range(model.n_actions):
+                if np.any(weights[:, step, a]):
+                    drift += weights[:, step, a] * model.b(
+                        p.grid.nodes[step], x[:, step][:, None],
+                        sol.flow.cloud(step), model.actions[a],
+                    )[:, 0]
+            want[:, step] = drift
+        np.testing.assert_array_equal(rsde._martingale_paths(sol)[3], want)
+
+    def test_causal_solution_needs_mixture_record(self):
+        model = models.make_model("tanh-interaction")
+        p = brownian_lift(5, n=8)
+        policy = mfg.RelaxedPolicy.causal(
+            model.actions, lambda n, view, rng: np.ones(16, dtype=int)
+        )
+        sol = rsde.realize_from_measure(
+            model, still_flow(p.grid), p, policy, rsde.InitialLaw(), 16, 5
+        )
+        with pytest.raises(rp.InputError, match="mixture control record"):
+            rsde.martingale_diagnostics(sol)
+
     def test_pure_bump_qv_gap_sqrt_dt_rate(self):
         # Brownian characterization through a plain compact bump in W: the
         # spread of the per-particle QV gap shrinks like sqrt(dt)
