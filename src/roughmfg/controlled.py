@@ -4,8 +4,9 @@ An ensemble stores P realizations of a process Z together with its Gubinelli
 derivative Z'.  Z may carry any trailing value shape; Z' carries one extra
 trailing axis of length k that contracts against rough-path increments.  The
 rough integral is the compensated left-point Riemann sum on the grid; norms
-are estimated with conditional moments obtained from a two-level Monte Carlo
-resampler (outer particles, inner conditional continuations).
+are estimated with conditional moments obtained by two-level Monte Carlo
+(outer particles, inner conditional continuations), tabulated per anchor
+and node.
 """
 
 import math
@@ -76,10 +77,6 @@ class ControlledEnsemble:
     @property
     def vshape(self) -> tuple:
         return self.Z.shape[2:]
-
-    @property
-    def value_dim(self) -> int:
-        return int(np.prod(self.vshape, dtype=int)) if self.vshape else 1
 
     @property
     def rough_dim(self) -> int:
@@ -154,12 +151,12 @@ def _combine(parts, m, combine):
     raise InputError(f"unknown combine rule {combine!r}")
 
 
-def _reduce(values: np.ndarray, m: int, n_mode: str) -> np.ndarray:
-    """Collapse the particle axis (axis 0)."""
+def _reduce(values: np.ndarray, m: int, n_mode: str, axis: int = 0) -> np.ndarray:
+    """Collapse the particle axis."""
     if n_mode == N_INFTY:
-        return values.max(axis=0)
+        return values.max(axis=axis)
     if n_mode == N_EQ_M:
-        return (np.mean(values**m, axis=0)) ** (1.0 / m)
+        return (np.mean(values**m, axis=axis)) ** (1.0 / m)
     raise InputError(f"unknown n mode {n_mode!r}")
 
 
@@ -181,6 +178,54 @@ def _window_nodes(grid: TimeGrid, window):
     return i0, i1
 
 
+def anchor_nodes(grid: TimeGrid, window=None, anchor_stride: int | None = None):
+    """Anchor nodes of the two-level estimator on a window (default stride:
+    about 32 anchors), and the window's end node."""
+    i0, i1 = _window_nodes(grid, window)
+    if anchor_stride is None:
+        anchor_stride = max(1, math.ceil((i1 - i0) / 32))
+    return list(range(i0, i1, anchor_stride)), i1
+
+
+@dataclass
+class ConditionalMoments:
+    """Two-level conditional moments of a controlled path, per anchor.
+
+    Row g holds the statistics of the continuations from node anchors[g],
+    which run to node stops[g]: at each column t in (anchors[g], stops[g]]
+    the particle reduction (m, n_mode) of the conditional m-th moment of
+    |Z_t - Z_s| (delta_z) and of |Z'_t - Z'_s| (delta_zp), and the largest
+    |E[R^Z_{s,t} | F_s]| over particles (remainder); other columns are NaN.
+    Tables are (G, N+1).  Built by RsdeSolution.continuation_moments."""
+
+    anchors: list
+    stops: list
+    delta_z: np.ndarray
+    delta_zp: np.ndarray
+    remainder: np.ndarray
+    m: int
+    n_mode: str
+    inner_samples: int
+
+
+def node_moments(z_s, zp_s, z_t, zp_t, db, m: int, n_mode: str):
+    """The estimator's statistics at one node t for G anchor groups.
+
+    z_t (G, P, n_inner, *v) and zp_t (G, P, n_inner, *v, k) are the inner
+    continuations at node t, z_s and zp_s the same rows at their anchor s,
+    db (G, k) the increments B_t - B_s.  Returns three (G,) arrays: the
+    particle reduction of the conditional m-th moment of |Z_t - Z_s| and of
+    |Z'_t - Z'_s|, and the largest |E[R^Z_{s,t} | F_s]| over particles."""
+    nz = z_t.ndim - 3
+    dz = z_t - z_s
+    dz_m = np.mean(_vec_abs(dz, nz) ** m, axis=2) ** (1.0 / m)
+    dzp_m = np.mean(_vec_abs(zp_t - zp_s, nz + 1) ** m, axis=2) ** (1.0 / m)
+    # conditional mean of R^Z; Z'_s and dB are F_s-measurable
+    lin = np.einsum("gp...k,gk->gp...", zp_s[:, :, 0], db)
+    rem = _vec_abs(dz.mean(axis=2) - lin, nz).max(axis=1)
+    return _reduce(dz_m, m, n_mode, axis=1), _reduce(dzp_m, m, n_mode, axis=1), rem
+
+
 def estimate_norm(
     ce: ControlledEnsemble,
     p: RoughPath,
@@ -188,10 +233,8 @@ def estimate_norm(
     m: int = 4,
     n_mode: str = N_INFTY,
     window: tuple | None = None,
-    inner_samples: int = 8,
-    resampler=None,
+    moments: ConditionalMoments | None = None,
     anchor_stride: int | None = None,
-    pair_stride: int = 1,
     combine: str = "sum",
 ) -> NormEstimate:
     """Estimate the (beta, beta'; m, n) norm of the ensemble against a lift.
@@ -199,12 +242,13 @@ def estimate_norm(
     Components: conditional m-th moments of increments of Z (exponent beta)
     and of Z' (exponent beta', plus the static sup of |Z'|), and the
     conditional mean of the remainder (exponent beta + beta', reduced by sup
-    over particles).  resampler(s_idx, n_inner) must return fresh futures
-    (Zc, Zpc) of shapes (P, n_inner, N+1, *vshape) and (..., k) for every
-    particle frozen at node s_idx.  Without a resampler the conditional
-    moments degrade to unconditional ensemble moments and the result is
-    flagged "lower_bound".
-    """
+    over particles).  The conditional moments are read from `moments`, the
+    tables of the ensemble's continuations (RsdeSolution.
+    continuation_moments), at each anchor s of anchor_nodes(grid, window,
+    anchor_stride) and every later node t of the window, divided by
+    (t - s) to the component's exponent.  Without moments they degrade to
+    unconditional ensemble moments and the result is flagged
+    "lower_bound"."""
     if m < 2:
         raise InputError(f"moment order must be >= 2, got {m}")
     _check_shared_grid(ce, p)
@@ -220,44 +264,36 @@ def estimate_norm(
     dzp_best = 0.0
     rem_best = 0.0
 
-    if resampler is not None:
-        if anchor_stride is None:
-            anchor_stride = max(1, math.ceil((i1 - i0) / 32))
-        anchors = [s for s in range(i0, i1, anchor_stride)]
-        for s in anchors:
-            t_idx = np.arange(s + 1, i1 + 1)
-            if pair_stride > 1:
-                t_idx = t_idx[::pair_stride]
-            if len(t_idx) == 0:
-                continue
-            zc, zpc = resampler(s, inner_samples)
-            gaps = nodes[t_idx] - nodes[s]
-            dz = zc[:, :, t_idx] - zc[:, :, s : s + 1]
-            dz_m = np.mean(_vec_abs(dz, nz) ** m, axis=1) ** (1.0 / m)
-            dz_best = max(dz_best, float((_reduce(dz_m, m, n_mode) / gaps**idx.beta).max()))
-            dzp = zpc[:, :, t_idx] - zpc[:, :, s : s + 1]
-            dzp_m = np.mean(_vec_abs(dzp, nz + 1) ** m, axis=1) ** (1.0 / m)
-            dzp_best = max(
-                dzp_best, float((_reduce(dzp_m, m, n_mode) / gaps**idx.beta_p).max())
+    if moments is not None:
+        if (moments.m, moments.n_mode) != (m, n_mode):
+            raise InputError(
+                f"moments are of order {moments.m} ({moments.n_mode}),"
+                f" the estimate needs {m} ({n_mode})"
             )
-            # conditional mean of R^Z; Z'_s and dB are F_s-measurable
-            zp_s = zpc[:, 0, s]  # (P, *v, k)
-            db = p.increment(s, t_idx)  # (nt, k)
-            lin = np.einsum("p...k,tk->pt...", zp_s, db)
-            rem_mean = dz.mean(axis=1) - lin
-            rem_abs = _vec_abs(rem_mean, nz)  # (P, nt)
+        row = {s: g for g, s in enumerate(moments.anchors)}
+        anchors, _ = anchor_nodes(ce.grid, window, anchor_stride)
+        for s in anchors:
+            g = row.get(s)
+            if g is None or moments.stops[g] < i1:
+                raise InputError(f"moments have no continuation from node {s} to {i1}")
+            t_idx = np.arange(s + 1, i1 + 1)
+            gaps = nodes[t_idx] - nodes[s]
+            dz_best = max(dz_best, float((moments.delta_z[g, t_idx] / gaps**idx.beta).max()))
+            dzp_best = max(
+                dzp_best, float((moments.delta_zp[g, t_idx] / gaps**idx.beta_p).max())
+            )
             rem_best = max(
                 rem_best,
-                float((rem_abs.max(axis=0) / gaps ** (idx.beta + idx.beta_p)).max()),
+                float(
+                    (moments.remainder[g, t_idx] / gaps ** (idx.beta + idx.beta_p)).max()
+                ),
             )
         mode = "two_level"
+        inner_samples = moments.inner_samples
     else:
         # unconditional fallback; a lower bound in the n_infty reduction
-        sel = np.arange(i0, i1 + 1, pair_stride)
-        if sel[-1] != i1:
-            sel = np.append(sel, i1)
-        for a, s in enumerate(sel[:-1]):
-            t_idx = sel[a + 1 :]
+        for s in range(i0, i1):
+            t_idx = np.arange(s + 1, i1 + 1)
             gaps = nodes[t_idx] - nodes[s]
             dz_abs = _vec_abs(ce.Z[:, t_idx] - ce.Z[:, s : s + 1], nz)
             dz_m = np.mean(dz_abs**m, axis=0) ** (1.0 / m)

@@ -171,13 +171,19 @@ def check_domain(
     m: int,
     M_bound: float,
     epsilon: float,
-    resampler=None,
+    solution=None,
     inner_samples: int = 4,
     max_windows: int = 16,
     anchor_stride: int | None = None,
 ) -> DomainCertificate:
     """Evaluate the windowed controlled-path norm of the flow representation
-    on windows of width < epsilon and compare against M_bound."""
+    on windows of width < epsilon and compare against M_bound.
+
+    solution, the rsde solution whose state ensemble the flow represents,
+    supplies the conditional moments: one continuation_moments request
+    covers the distinct anchors of all windows, each continued to the
+    furthest window end that uses it.  Without it every window gets the
+    unconditional lower-bound estimate."""
     ens = flow.ensemble()
     grid = flow.grid
     span = max(1, min(grid.steps, int(math.ceil(epsilon / grid.dt)) - 1))
@@ -187,11 +193,25 @@ def check_domain(
         starts = starts[::step]
     if not starts:
         starts = [0]
+    windows = [(grid.nodes[s], grid.nodes[s + span]) for s in starts]
+    moments = None
+    if solution is not None:
+        stop_of = {}
+        for window in windows:
+            anchors, end = ct.anchor_nodes(grid, window, anchor_stride)
+            for a in anchors:
+                stop_of[a] = max(stop_of.get(a, end), end)
+        anchors = sorted(stop_of)
+        # running further than a window needs changes no statistic, and
+        # nondecreasing stops keep the pass's active rows contiguous
+        stops = np.maximum.accumulate([stop_of[a] for a in anchors])
+        moments = solution.continuation_moments(
+            anchors, stops, inner_samples, m, ct.N_INFTY
+        )["state"]
     worst = -1.0
     offender = None
     norms = []
-    for s in starts:
-        window = (grid.nodes[s], grid.nodes[s + span])
+    for window in windows:
         est = ct.estimate_norm(
             ens,
             p,
@@ -199,8 +219,7 @@ def check_domain(
             m=m,
             n_mode=ct.N_INFTY,
             window=window,
-            inner_samples=inner_samples,
-            resampler=resampler,
+            moments=moments,
             anchor_stride=anchor_stride,
             combine="power_mean",
         )

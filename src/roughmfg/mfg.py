@@ -55,6 +55,9 @@ class RelaxedPolicy:
         if mode == FEEDBACK:
             if self.table is None or self.lattice is None:
                 raise InputError("feedback policy needs a lattice and a table")
+            if (self.lattice.ndim != 1 or len(self.lattice) == 0
+                    or not np.all(np.diff(self.lattice) > 0)):
+                raise InputError("policy lattice must be strictly increasing")
             if self.table.ndim != 3 or self.table.shape[2] != self.n_actions:
                 raise InputError(f"bad policy table shape {self.table.shape}")
             if self.table.min() < 0:
@@ -73,8 +76,13 @@ class RelaxedPolicy:
         return self.actions.shape[0]
 
     def _node_index(self, x) -> np.ndarray:
+        """Nearest lattice node, the lower one on a tie."""
         x = np.asarray(x)[..., 0]
-        return np.abs(x[..., None] - self.lattice[None, :]).argmin(axis=-1)
+        lat = self.lattice
+        if len(lat) == 1:
+            return np.zeros(x.shape, dtype=np.intp)
+        j = np.clip(np.searchsorted(lat, x), 1, len(lat) - 1)
+        return j - (np.abs(x - lat[j - 1]) <= np.abs(x - lat[j]))
 
     def mixture(self, n: int, x: np.ndarray) -> np.ndarray:
         """Action mixture at step n for a batch of states, shape (P, K)."""
@@ -290,14 +298,6 @@ class EquilibriumReport:
     tol_exp: float
     seed: int
 
-    @property
-    def update_distances(self):
-        return [it.w2_update for it in self.iterations]
-
-    @property
-    def final_exploitability(self):
-        return self.iterations[-1].exploitability if self.iterations else math.nan
-
 
 @dataclass
 class FixedPointResult:
@@ -372,7 +372,7 @@ def fixed_point(
             eps = domain_epsilon if domain_epsilon is not None else grid.horizon / 4
             cert = mf.check_domain(
                 flow_cand, p, idx, m, domain_bound, eps,
-                resampler=sol.make_resampler("state"),
+                solution=sol,
                 inner_samples=domain_inner, max_windows=domain_windows,
                 anchor_stride=domain_anchor_stride,
             )

@@ -28,23 +28,35 @@ BLOWUP_THRESHOLD = 1e6
 
 
 class DivergedError(RuntimeError):
-    def __init__(self, step, particle, worst):
+    """A state left the blow-up threshold.  anchor is the node a two-level
+    continuation started from, None in a forward solve."""
+
+    def __init__(self, step, particle, worst, anchor=None):
+        where = "" if anchor is None else f" in the continuation from anchor node {anchor}"
         super().__init__(
-            f"state blew up at step {step}, particle {particle} (|X| = {worst:.3g})"
+            f"state blew up at step {step}, particle {particle}{where}"
+            f" (|X| = {worst:.3g})"
         )
         self.step = step
         self.particle = particle
+        self.anchor = anchor
+
+
+def _blowup_row(x):
+    """Index of the first row of x (P, d) that is NaN or beyond the blow-up
+    threshold, or None."""
+    if np.abs(x).max() <= BLOWUP_THRESHOLD:  # false for NaN
+        return None
+    return int((~(np.abs(x) <= BLOWUP_THRESHOLD).all(axis=-1)).argmax())
 
 
 def check_blowup(x, step, first_particle=0):
     """Raise DivergedError when a state in x (P, d) is NaN or beyond the
     blow-up threshold, naming the first such particle (numbered from
     first_particle)."""
-    if np.abs(x).max() <= BLOWUP_THRESHOLD:  # false for NaN
-        return
-    bad = ~(np.abs(x) <= BLOWUP_THRESHOLD).all(axis=-1)
-    i = int(bad.argmax())
-    raise DivergedError(step, first_particle + i, float(np.abs(x[i]).max()))
+    i = _blowup_row(x)
+    if i is not None:
+        raise DivergedError(step, first_particle + i, float(np.abs(x[i]).max()))
 
 
 class CausalityViolationError(RuntimeError):
@@ -140,9 +152,6 @@ class RsdeSolution:
     def grid(self):
         return self.ensemble.grid
 
-    def state_paths(self) -> np.ndarray:
-        return self.ensemble.Z
-
     def sigma0_ensemble(self) -> ct.ControlledEnsemble:
         """(coefficient along the path, its correction along the path): the
         pair the recursion evaluated, read from the solution's slots."""
@@ -150,18 +159,29 @@ class RsdeSolution:
             raise InputError("solution has no rough coefficient")
         return ct.ControlledEnsemble(self.grid, self.ensemble.Zp, self.fhat)
 
+    def _inner_increments(self, rows, s_idx, salt=1):
+        """Idiosyncratic increments of the continuations from node s_idx,
+        drawn at full length to the end of the grid."""
+        return draw_wiener(self.seed, rows, self.grid.steps - s_idx, self.coeffs.l,
+                           self.grid.dt, "inner", salt, s_idx)
+
+    def _require_feedback(self):
+        if self.policy is not None and getattr(self.policy, "mode", "feedback") != "feedback":
+            raise InputError("conditional resampling needs a feedback policy")
+
     def make_resampler(self, which: str = "state", inner_seed_salt: int = 1):
-        """Two-level Monte Carlo continuations for the norm estimators.
+        """Two-level Monte Carlo continuations of one anchor at a time.
 
         which="state" yields futures of (X, f(X)); which="sigma0" yields
         futures of (f(X), fhat(X)).  Continuations freeze each particle at
         the anchor node and redraw the idiosyncratic noise; flow, lift and
         policy stay frozen.  Each future is the solution's own prefix before
         the anchor spliced to the continuation's slots from the anchor on.
-        Feedback/mixture policies only.
+        Feedback/mixture policies only.  The norm estimators use
+        continuation_moments, which runs the same continuations for many
+        anchors in one pass; this per-anchor form is its reference.
         """
-        if self.policy is not None and getattr(self.policy, "mode", "feedback") != "feedback":
-            raise InputError("conditional resampling needs a feedback policy")
+        self._require_feedback()
         if which not in ("state", "sigma0"):
             raise InputError(f"unknown resampler target {which!r}")
         if which == "sigma0" and self.cvf is None:
@@ -169,16 +189,7 @@ class RsdeSolution:
 
         def resample(s_idx, n_inner):
             p_count = self.ensemble.particles
-            dw = draw_wiener(
-                self.seed,
-                p_count * n_inner,
-                self.grid.steps - s_idx,
-                self.coeffs.l,
-                self.grid.dt,
-                "inner",
-                inner_seed_salt,
-                s_idx,
-            )
+            dw = self._inner_increments(p_count * n_inner, s_idx, inner_seed_salt)
             xc, fc, fhatc = _evolve(
                 self.coeffs,
                 self.flow,
@@ -203,6 +214,126 @@ class RsdeSolution:
 
         return resample
 
+    def continuation_moments(self, anchors, stops, n_inner: int, m: int,
+                             n_mode: str = ct.N_INFTY):
+        """Conditional moments for the two-level norm estimators, from one
+        grouped pass over the grid.
+
+        Group g freezes every particle at node anchors[g] and continues it
+        n_inner times with fresh idiosyncratic noise to node stops[g]; flow,
+        lift and policy stay frozen.  These are make_resampler's
+        continuations (default salt), on the same random numbers: the
+        "inner" block keyed
+        by the anchor is drawn at full length, and only its columns up to
+        the stop are used.  At node n the active groups, those with
+        anchors[g] <= n <= stops[g], advance together: one coefficient,
+        correction, policy and drift call per node on all their rows.  The
+        estimator's per-node statistics (ct.node_moments) are folded into
+        the pass, so only the current rows, the anchor values, the
+        increments not yet consumed and the tables are kept.  Anchors must
+        increase and stops must not decrease, so the active rows are one
+        contiguous block.
+
+        Returns {"state": moments of (X, f(X)), "sigma0": moments of
+        (f(X), fhat(X))}, each a ct.ConditionalMoments with (G, N+1)
+        tables; "sigma0" only with a rough coefficient.  A continuation
+        that blows up raises DivergedError naming the step, the outer
+        particle and the anchor.
+        """
+        self._require_feedback()
+        anchors = [int(a) for a in anchors]
+        stops = [int(e) for e in stops]
+        n_groups, steps = len(anchors), self.grid.steps
+        if n_groups == 0 or len(stops) != n_groups or n_inner < 1:
+            raise InputError(
+                "need one stop per anchor, at least one anchor and one inner sample"
+            )
+        if not (0 <= anchors[0] and stops[-1] <= steps
+                and all(a < e for a, e in zip(anchors, stops))
+                and all(a < b for a, b in zip(anchors, anchors[1:]))
+                and all(e <= f for e, f in zip(stops, stops[1:]))):
+            raise InputError(
+                "anchors must increase and stops must not decrease, each stop"
+                f" past its anchor and within the grid of {steps} steps"
+            )
+        coeffs, cvf, rough = self.coeffs, self.cvf, self.rough
+        p_count, d, k = self.ensemble.particles, coeffs.d, rough.dim
+        rows = p_count * n_inner
+        nodes = self.grid.nodes
+        db = np.diff(rough.first_level, axis=0)
+        bb = rough.step_second()
+        # slots x, f(x), fhat(x); a target is a (Z, Z') pair of slots
+        targets = {"state": (0, 1)} if cvf is None else {"state": (0, 1), "sigma0": (1, 2)}
+        shapes = [(d,), (d, k), (d, k, k)][: len(targets) + 1]
+        anchor = [np.empty((n_groups * rows,) + shape) for shape in shapes]
+        tables = {t: np.full((3, n_groups, steps + 1), np.nan) for t in targets}
+        x = np.empty_like(anchor[0])
+        dw = [None] * n_groups  # increments not yet consumed, from node w_node
+        w_node = anchors[0]
+        lo = hi = 0  # the active groups are lo .. hi-1
+        for n in range(anchors[0], stops[-1] + 1):
+            while stops[lo] < n:
+                dw[lo] = None
+                lo += 1
+            fresh = hi < n_groups and anchors[hi] == n
+            if fresh:
+                for g in range(lo, hi):
+                    dw[g] = dw[g][:, n - w_node :].copy()
+                w_node = n
+                dw[hi] = self._inner_increments(rows, n)[:, : stops[hi] - n]
+                x[hi * rows : (hi + 1) * rows] = np.repeat(
+                    self.ensemble.Z[:, n], n_inner, axis=0
+                )
+                hi += 1
+            xa = x[lo * rows : hi * rows]
+            if cvf is None:
+                slots = [xa, np.zeros((len(xa), d, k))]
+            else:
+                fa = cvf.f(n, xa)
+                slots = [xa, fa, self.correction(n, xa, fa)]
+            if fresh:
+                for held, now in zip(anchor, slots):
+                    held[(hi - 1) * rows : hi * rows] = now[-rows:]
+            done = hi - fresh  # groups lo .. done-1 have a target node at n
+            if done > lo:
+                cut = (done - lo) * rows
+                held = [a[lo * rows : done * rows] for a in anchor]
+                now = [a[:cut] for a in slots]
+
+                def grouped(a):
+                    return a.reshape((done - lo, p_count, n_inner) + a.shape[1:])
+
+                inc = rough.increment(np.asarray(anchors[lo:done]), n)
+                for t, (i, j) in targets.items():
+                    tables[t][:, lo:done, n] = ct.node_moments(
+                        grouped(held[i]), grouped(held[j]),
+                        grouped(now[i]), grouped(now[j]), inc, m, n_mode,
+                    )
+            first = lo  # groups first .. hi-1 step on from n
+            while first < hi and stops[first] == n:
+                first += 1
+            if first == hi:
+                continue
+            run = slice((first - lo) * rows, None)
+            xs = xa[run]
+            cloud = self.flow.cloud(n)
+            weights = _mixture_weights(self.policy, n, xs, coeffs.n_actions)
+            drift = _drift_mixture(coeffs, nodes[n], xs, cloud, weights)
+            dw_n = np.concatenate([dw[g][:, n - w_node] for g in range(first, hi)])
+            rough_terms = [] if cvf is None else [slots[1][run], slots[2][run]]
+            nxt = _step(coeffs, nodes, n, xs, cloud, drift, dw_n, db, bb, *rough_terms)
+            bad = _blowup_row(nxt)
+            if bad is not None:
+                g, r = divmod(bad, rows)
+                raise DivergedError(n, r // n_inner, float(np.abs(nxt[bad]).max()),
+                                    anchor=anchors[first + g])
+            x[first * rows : hi * rows] = nxt
+        return {
+            t: ct.ConditionalMoments(anchors, stops, *tables[t], m=m,
+                                     n_mode=n_mode, inner_samples=n_inner)
+            for t in targets
+        }
+
 
 def _mixture_weights(policy, n, x, n_actions) -> np.ndarray:
     if policy is None:
@@ -225,6 +356,19 @@ def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
     return out
 
 
+def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db, bb, f_n=None, fhat_n=None):
+    """One Euler-Davie step of the states xn (P, d) from node n: the drift
+    (P, d), the idiosyncratic increments dw_n (P, l) and, with a rough
+    coefficient, f_n dB + fhat_n BB from the pair evaluated at node n."""
+    t = nodes[n]
+    nxt = xn + drift * (nodes[n + 1] - t)
+    nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xn, cloud), dw_n)
+    if f_n is not None:
+        nxt = nxt + f_n @ db[n]
+        nxt = nxt + np.einsum("pdij,ij->pd", fhat_n, bb[n])
+    return nxt
+
+
 def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             record=None, causal=None):
     """Run the recursion from node `start` over dW.shape[1] steps.
@@ -244,10 +388,10 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
     x = np.empty((p_count, steps + 1, d))
     x[:, 0] = x0
     fx = np.zeros((p_count, steps + 1, d, rough.dim))
-    fhat = None
+    fhat = f_n = fhat_n = None
+    db = np.diff(rough.first_level, axis=0)
+    bb = rough.step_second()
     if cvf is not None:
-        db = np.diff(rough.first_level, axis=0)
-        bb = rough.step_second()
         fhat = np.empty(fx.shape + (rough.dim,))
     for i in range(steps + 1):
         n = start + i
@@ -260,7 +404,6 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
         if i == steps:
             break
         cloud = flow.cloud(n) if flow is not None else xn
-        t = nodes[n]
         if causal is not None:
             exo_rng, audit = causal
             view = WPrefixView(dW, limit=n)
@@ -272,19 +415,13 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             for a in range(coeffs.n_actions):
                 mask = actions == a
                 if np.any(mask):
-                    drift[mask] = coeffs.b(t, xn[mask], cloud, coeffs.actions[a])
+                    drift[mask] = coeffs.b(nodes[n], xn[mask], cloud, coeffs.actions[a])
         else:
             weights = _mixture_weights(policy, n, xn, coeffs.n_actions)
             if record is not None:
                 record.setdefault("mixture_weights", []).append(weights)
-            drift = _drift_mixture(coeffs, t, xn, cloud, weights)
-        nxt = xn + drift * (nodes[n + 1] - nodes[n])
-        nxt = nxt + np.einsum(
-            "pdl,pl->pd", coeffs.sigma(t, xn, cloud), dW[:, i]
-        )
-        if cvf is not None:
-            nxt = nxt + f_n @ db[n]
-            nxt = nxt + np.einsum("pdij,ij->pd", fhat_n, bb[n])
+            drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
+        nxt = _step(coeffs, nodes, n, xn, cloud, drift, dW[:, i], db, bb, f_n, fhat_n)
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x, fx, fhat
@@ -768,7 +905,10 @@ def apriori_monitor(sol: RsdeSolution, idx: ct.IndexPair, m: int = 4,
                     probes: np.ndarray | None = None,
                     inner_samples: int = 4,
                     anchor_stride: int | None = None) -> AprioriSnapshot:
-    """Estimate the solved-pair norms and compare them to the envelope."""
+    """Estimate the solved-pair norms and compare them to the envelope.
+
+    Both estimates, of (X, f(X)) and of (f(X), fhat(X)), read their
+    conditional moments from one grouped continuation pass."""
     if sol.cvf is None:
         raise InputError("monitor needs a rough coefficient")
     if probes is None:
@@ -776,24 +916,13 @@ def apriori_monitor(sol: RsdeSolution, idx: ct.IndexPair, m: int = 4,
         lo, hi = float(xs.min()), float(xs.max())
         probes = np.linspace(lo - 0.5, hi + 0.5, 17)[:, None]
     field = vf.cvf_norm(sol.cvf, sol.rough, idx, probes).total
-    state = ct.estimate_norm(
-        sol.ensemble,
-        sol.rough,
-        idx,
-        m=m,
-        resampler=sol.make_resampler("state"),
-        inner_samples=inner_samples,
-        anchor_stride=anchor_stride,
-    )
-    coeff = ct.estimate_norm(
-        sol.sigma0_ensemble(),
-        sol.rough,
-        idx,
-        m=m,
-        resampler=sol.make_resampler("sigma0"),
-        inner_samples=inner_samples,
-        anchor_stride=anchor_stride,
-    )
+    anchors, stop = ct.anchor_nodes(sol.grid, None, anchor_stride)
+    moments = sol.continuation_moments(anchors, [stop] * len(anchors),
+                                       inner_samples, m)
+    state = ct.estimate_norm(sol.ensemble, sol.rough, idx, m=m,
+                             moments=moments["state"], anchor_stride=anchor_stride)
+    coeff = ct.estimate_norm(sol.sigma0_ensemble(), sol.rough, idx, m=m,
+                             moments=moments["sigma0"], anchor_stride=anchor_stride)
     envelope = const * max(1.0, field) ** exponent
     flagged = state.combined > envelope or coeff.combined > envelope
     snap = AprioriSnapshot(state, coeff, field, envelope, const, exponent, flagged)

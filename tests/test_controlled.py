@@ -152,6 +152,25 @@ def deterministic_resampler(ce):
     return resample
 
 
+def moments_of(resampler, ce, p, n_inner=8, m=4, n_mode=ct.N_INFTY,
+               anchor_stride=None):
+    """Conditional-moment tables of per-anchor futures, built node by node
+    with ct.node_moments, the per-node function of the grouped pass."""
+    anchors, end = ct.anchor_nodes(ce.grid, None, anchor_stride)
+    tables = np.full((3, len(anchors), ce.grid.steps + 1), np.nan)
+    for g, s in enumerate(anchors):
+        zc, zpc = resampler(s, n_inner)
+        for t in range(s + 1, end + 1):
+            stats = ct.node_moments(
+                zc[None, :, :, s], zpc[None, :, :, s],
+                zc[None, :, :, t], zpc[None, :, :, t],
+                p.increment(np.array([s]), t), m, n_mode,
+            )
+            tables[:, g, t] = [v[0] for v in stats]
+    return ct.ConditionalMoments(anchors, [end] * len(anchors), *tables, m=m,
+                                 n_mode=n_mode, inner_samples=n_inner)
+
+
 class TestEstimateNorm:
     def test_deterministic_drift_norm(self):
         # Z_t = t, Z' = 0: delta component is max (t-s)^(1-beta) = T^(1-beta)
@@ -159,9 +178,8 @@ class TestEstimateNorm:
         z = np.broadcast_to(p.grid.nodes[:, None], (5, 17, 1)).copy()
         ce = ct.ControlledEnsemble(p.grid, z, np.zeros((5, 17, 1, 1)))
         idx = ct.IndexPair()
-        est = ct.estimate_norm(
-            ce, p, idx, m=4, resampler=deterministic_resampler(ce), anchor_stride=1
-        )
+        moments = moments_of(deterministic_resampler(ce), ce, p, anchor_stride=1)
+        est = ct.estimate_norm(ce, p, idx, m=4, moments=moments, anchor_stride=1)
         assert est.delta_z_norm == pytest.approx(2.0 ** (1 - idx.beta), rel=1e-12)
         assert est.zp_norm == 0.0
         assert est.mode == "two_level"
@@ -169,7 +187,8 @@ class TestEstimateNorm:
     def test_constant_z_all_zero(self):
         p = brownian_lift(13, n=8)
         ce = ct.ControlledEnsemble(p.grid, np.full((3, 9, 1), 2.5), np.zeros((3, 9, 1, 1)))
-        est = ct.estimate_norm(ce, p, ct.IndexPair(), resampler=deterministic_resampler(ce))
+        moments = moments_of(deterministic_resampler(ce), ce, p)
+        est = ct.estimate_norm(ce, p, ct.IndexPair(), moments=moments)
         assert (est.delta_z_norm, est.zp_norm, est.remainder_norm) == (0.0, 0.0, 0.0)
         assert est.combined == 0.0
 
@@ -210,13 +229,14 @@ class TestEstimateNorm:
 
         z0, zp0 = resample(0, n_inner)
         ce = ct.ControlledEnsemble(grid, z0[:, 0], zp0[:, 0])
+        moments = moments_of(resample, ce, p, m=2, anchor_stride=1)
         two = ct.estimate_norm(
-            ce, p, ct.IndexPair(), m=2, resampler=resample, anchor_stride=1
+            ce, p, ct.IndexPair(), m=2, moments=moments, anchor_stride=1
         )
         pooled = ct.ControlledEnsemble(
             grid, z0.reshape(-1, grid.steps + 1, 1), zp0.reshape(-1, grid.steps + 1, 1, 1)
         )
-        low = ct.estimate_norm(pooled, p, ct.IndexPair(), m=2, resampler=None)
+        low = ct.estimate_norm(pooled, p, ct.IndexPair(), m=2, moments=None)
         assert low.mode == "lower_bound"
         assert low.delta_z_norm <= two.delta_z_norm + 1e-12
 
@@ -227,8 +247,10 @@ class TestEstimateNorm:
             p.grid, rng.normal(size=(8, 11, 1)), rng.normal(size=(8, 11, 1, 1))
         )
         res = deterministic_resampler(ce)
-        hi = ct.estimate_norm(ce, p, ct.IndexPair(), n_mode=ct.N_INFTY, resampler=res)
-        lo = ct.estimate_norm(ce, p, ct.IndexPair(), n_mode=ct.N_EQ_M, resampler=res)
+        hi = ct.estimate_norm(ce, p, ct.IndexPair(), n_mode=ct.N_INFTY,
+                              moments=moments_of(res, ce, p, n_mode=ct.N_INFTY))
+        lo = ct.estimate_norm(ce, p, ct.IndexPair(), n_mode=ct.N_EQ_M,
+                              moments=moments_of(res, ce, p, n_mode=ct.N_EQ_M))
         assert lo.delta_z_norm <= hi.delta_z_norm + 1e-12
 
     def test_power_mean_combination(self):

@@ -46,6 +46,35 @@ class TestRelaxedPolicy:
             pol.mixture(0, x), [[1, 0], [0, 1], [1, 0]]
         )
 
+    def test_node_lookup_agrees_with_argmin(self):
+        # bracketing-pair lookup against the full argmin it replaced, ties
+        # (every midpoint) to the lower node included
+        lattice = np.linspace(-4.0, 4.0, 81)
+        table = np.full((1, 81, 1), 1.0)
+        pol = mfg.RelaxedPolicy(np.array([[0.0]]), lattice=lattice, table=table)
+        mids = 0.5 * (lattice[1:] + lattice[:-1])
+        x = np.concatenate([
+            substream(3, "mg", "lookup").normal(0.0, 2.0, size=200_000),
+            lattice, mids, [-10.0, 10.0],
+        ])[:, None]
+        argmin = np.abs(x[..., 0][:, None] - lattice[None, :]).argmin(axis=-1)
+        np.testing.assert_array_equal(pol._node_index(x), argmin)
+
+    def test_one_node_lattice(self):
+        pol = mfg.RelaxedPolicy.constant(np.array([[0.0], [1.0]]), 2)
+        x = np.array([[-3.0], [0.0], [5.0]])
+        np.testing.assert_array_equal(pol._node_index(x), [0, 0, 0])
+        np.testing.assert_array_equal(pol.mixture(1, x), [[1, 0]] * 3)
+
+    @pytest.mark.parametrize("lattice", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
+                                         [0.0, np.nan, 1.0]])
+    def test_lattice_must_increase(self, lattice):
+        table = np.zeros((2, 3, 2))
+        table[..., 0] = 1.0
+        with pytest.raises(rp.InputError, match="strictly increasing"):
+            mfg.RelaxedPolicy(np.array([[0.0], [1.0]]), lattice=np.array(lattice),
+                              table=table)
+
     def test_short_table_raises_instead_of_reusing_last_row(self):
         model = models.make_model("lq")
         p = brownian_lift(0, n=8)

@@ -324,9 +324,10 @@ class TestAprioriMonitor:
             rsde.InitialLaw("constant", 0.0), 8, 0,
         )
         idx = ct.IndexPair()
+        anchors, end = ct.anchor_nodes(p.grid, None, 1)
+        moments = sol.continuation_moments(anchors, [end] * len(anchors), 8, 4)
         est = ct.estimate_norm(
-            sol.ensemble, p, idx, m=4,
-            resampler=sol.make_resampler("state"), anchor_stride=1,
+            sol.ensemble, p, idx, m=4, moments=moments["state"], anchor_stride=1,
         )
         expect = c * rp.holder_report(p, idx.beta).first_seminorm
         assert est.delta_z_norm == pytest.approx(expect, rel=1e-10)
@@ -345,6 +346,62 @@ class TestAprioriMonitor:
         )
         snap = rsde.apriori_monitor(sol, ct.IndexPair(), m=4, const=1.0, exponent=1.0)
         assert snap.flagged
+
+    def test_continuation_blowup_names_particle_and_anchor(self):
+        # 4 inner samples per particle: the spiked particle 3 is rows 12..15
+        # of the continuation block
+        model = models.make_model("tanh-interaction")
+        p = brownian_lift(10, n=16)
+        flow = still_flow(p.grid, seed=6)
+        sol = rsde.solve(
+            model, flow, p, delta_policy(model, 16), rsde.InitialLaw(), 8, 1
+        )
+        corrupted = sol.ensemble.Z.copy()
+        corrupted[3, 8] = 2e6
+        sol.ensemble = ct.ControlledEnsemble(
+            sol.grid, corrupted, sol.ensemble.Zp.copy()
+        )
+        with pytest.raises(rsde.DivergedError) as err:
+            rsde.apriori_monitor(sol, ct.IndexPair(), m=4, inner_samples=4)
+        assert (err.value.step, err.value.particle, err.value.anchor) == (8, 3, 8)
+        assert "step 8, particle 3 in the continuation from anchor node 8" in str(
+            err.value
+        )
+
+    def test_forward_blowup_has_no_anchor(self):
+        model = models.make_model("lq", sigma0=None, mean_coupling=0.0)
+        model.b = lambda t, x, mu, u: 100.0 * x
+        p = brownian_lift(7, n=64)
+        with pytest.raises(rsde.DivergedError) as err:
+            rsde.solve(model, still_flow(p.grid), p, delta_policy(model, 64),
+                       rsde.InitialLaw("constant", 1.0), 4, 0)
+        assert err.value.anchor is None
+        assert "anchor" not in str(err.value)
+
+    def test_monitor_memory_stays_bounded(self):
+        # the CLI's tanh-interaction solve at N=512, P=64: the pass keeps the
+        # current rows, the anchor values, the tables and the increments not
+        # yet consumed, never the continued paths
+        import tracemalloc
+
+        from roughmfg import cli
+        from roughmfg import config as cfgmod
+
+        cfg = cfgmod.ExperimentConfig(model_name="tanh-interaction", steps=512,
+                                      rsde_particles=64, seed=3)
+        model = models.make_model(cfg.model_name)
+        p = cfgmod.build_rough(cfg, model.k)
+        cloud = rsde.draw_initial(cfg.seed, cfg.init, cfg.rsde_particles, model.d)
+        flow = mf.constant_flow(cfg.grid(), cloud, model.k)
+        sol = rsde.solve(model, flow, p, cli._default_policy(model, cfg.steps),
+                         cfg.init, cfg.rsde_particles, cfg.seed)
+        tracemalloc.start()
+        try:
+            rsde.apriori_monitor(sol, cfg.indices, m=cfg.m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_refinement_stability(self):
         model = models.make_model("tanh-interaction")

@@ -515,3 +515,187 @@ class TestSolvedSlots:
         sol = solved(models.make_model("tanh-interaction"), steps=16)
         assert sol.cvf.grad is not None  # no difference quotient calls f
         assert calls == {"f": 17, "correction": 17}
+
+
+def reference_estimate_norm(ce, p, idx, m=4, n_mode=ct.N_INFTY, window=None,
+                            inner_samples=8, resampler=None, anchor_stride=None,
+                            combine="sum"):
+    """Slow reference for the two-level estimator: one resampler call per
+    anchor and whole-window statistics, as estimate_norm computed them
+    before the grouped pass."""
+    i0, i1 = ct._window_nodes(ce.grid, window)
+    nz = len(ce.vshape)
+    nodes = ce.grid.nodes
+    zp_abs = ct._vec_abs(ce.Zp[:, i0 : i1 + 1], nz + 1)
+    zp_static = float(ct._reduce(zp_abs, m, n_mode).max())
+    dz_best = dzp_best = rem_best = 0.0
+    if anchor_stride is None:
+        anchor_stride = max(1, int(np.ceil((i1 - i0) / 32)))
+    for s in range(i0, i1, anchor_stride):
+        t_idx = np.arange(s + 1, i1 + 1)
+        zc, zpc = resampler(s, inner_samples)
+        gaps = nodes[t_idx] - nodes[s]
+        dz = zc[:, :, t_idx] - zc[:, :, s : s + 1]
+        dz_m = np.mean(ct._vec_abs(dz, nz) ** m, axis=1) ** (1.0 / m)
+        dz_best = max(dz_best, float((ct._reduce(dz_m, m, n_mode) / gaps**idx.beta).max()))
+        dzp = zpc[:, :, t_idx] - zpc[:, :, s : s + 1]
+        dzp_m = np.mean(ct._vec_abs(dzp, nz + 1) ** m, axis=1) ** (1.0 / m)
+        dzp_best = max(
+            dzp_best, float((ct._reduce(dzp_m, m, n_mode) / gaps**idx.beta_p).max())
+        )
+        zp_s = zpc[:, 0, s]
+        lin = np.einsum("p...k,tk->pt...", zp_s, p.increment(s, t_idx))
+        rem_abs = ct._vec_abs(dz.mean(axis=1) - lin, nz)
+        rem_best = max(
+            rem_best,
+            float((rem_abs.max(axis=0) / gaps ** (idx.beta + idx.beta_p)).max()),
+        )
+    zp_norm = zp_static + dzp_best
+    parts = (dz_best, zp_norm, rem_best)
+    return ct.NormEstimate(
+        beta=idx.beta, beta_p=idx.beta_p, m=m, n_mode=n_mode,
+        delta_z_norm=dz_best, zp_norm=zp_norm, remainder_norm=rem_best,
+        combined=float(ct._combine(parts, m, combine)),
+        inner_samples=inner_samples, mode="two_level", combine=combine,
+        window=window,
+    )
+
+
+def assert_estimates_close(got, want, rtol):
+    for name in ("delta_z_norm", "zp_norm", "remainder_norm", "combined"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rtol)
+    for name in ("m", "n_mode", "inner_samples", "mode", "combine", "window"):
+        assert getattr(got, name) == getattr(want, name)
+
+
+class TestContinuationMoments:
+    """The grouped continuation pass against per-anchor continuations and
+    the whole-window estimator they fed."""
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("n_inner", [2, 4])
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_apriori_monitor_matches_reference(self, name, n_inner, stride):
+        # stride 1 includes anchor 11 of 12, whose only target node is 12
+        sol = solved(SLOT_MODELS[name]())
+        idx = ct.IndexPair()
+        probes = np.linspace(-2.0, 2.0, 5)[:, None] * np.ones(sol.coeffs.d)
+        snap = rsde.apriori_monitor(sol, idx, m=4, probes=probes,
+                                    inner_samples=n_inner, anchor_stride=stride)
+        pairs = [(snap.state_norm, sol.ensemble, "state"),
+                 (snap.coeff_norm, sol.sigma0_ensemble(), "sigma0")]
+        for est, ce, which in pairs:
+            ref = reference_estimate_norm(
+                ce, sol.rough, idx, m=4, inner_samples=n_inner,
+                resampler=sol.make_resampler(which), anchor_stride=stride,
+            )
+            assert est == ref
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    @pytest.mark.parametrize("n_inner", [2, 4])
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_check_domain_matches_reference(self, name, n_inner, stride):
+        # windows of 5 steps starting at 0, 2, 4, 6; stride 2 leaves anchors
+        # with a single target node, stride 3 needs the running-max stops
+        sol = solved(SLOT_MODELS[name]())
+        flow = mf.from_solution(sol)
+        idx = ct.IndexPair()
+        cert = mf.check_domain(flow, sol.rough, idx, m=4, M_bound=1e9,
+                               epsilon=0.5, solution=sol, inner_samples=n_inner,
+                               max_windows=4, anchor_stride=stride)
+        assert [w for w, _ in cert.window_norms] == [
+            (sol.grid.nodes[s], sol.grid.nodes[s + 5]) for s in (0, 2, 4, 6)
+        ]
+        for window, value in cert.window_norms:
+            ref = reference_estimate_norm(
+                flow.ensemble(), sol.rough, idx, m=4, n_mode=ct.N_INFTY,
+                window=window, inner_samples=n_inner,
+                resampler=sol.make_resampler("state"), anchor_stride=stride,
+                combine="power_mean",
+            )
+            assert value == ref.combined
+
+    @pytest.mark.parametrize("n_mode, n_inner", [(ct.N_EQ_M, 4), (ct.N_INFTY, 8)])
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_pairwise_sums_within_round_off(self, name, n_mode, n_inner):
+        # numpy sums a contiguous axis pairwise: the per-node reductions may
+        # differ from the whole-window ones by round-off
+        sol = solved(SLOT_MODELS[name](), particles=10)
+        idx = ct.IndexPair()
+        anchors, end = ct.anchor_nodes(sol.grid, None, 2)
+        moments = sol.continuation_moments(anchors, [end] * len(anchors),
+                                           n_inner, 3, n_mode)
+        pairs = [(sol.ensemble, "state"), (sol.sigma0_ensemble(), "sigma0")]
+        for ce, which in pairs:
+            got = ct.estimate_norm(ce, sol.rough, idx, m=3, n_mode=n_mode,
+                                   moments=moments[which], anchor_stride=2)
+            ref = reference_estimate_norm(
+                ce, sol.rough, idx, m=3, n_mode=n_mode, inner_samples=n_inner,
+                resampler=sol.make_resampler(which), anchor_stride=2,
+            )
+            assert_estimates_close(got, ref, rtol=1e-12)
+
+    def test_stops_short_of_the_grid(self):
+        # a continuation stopped at its window end has the statistics of the
+        # full-length one up to that node
+        sol = solved(models.make_model("tanh-interaction"))
+        short = sol.continuation_moments([1, 3, 4], [5, 5, 9], 3, 4)["state"]
+        full = sol.continuation_moments([1, 3, 4], [12, 12, 12], 3, 4)["state"]
+        for g, (s, e) in enumerate(zip(short.anchors, short.stops)):
+            for table in ("delta_z", "delta_zp", "remainder"):
+                got, want = getattr(short, table)[g], getattr(full, table)[g]
+                np.testing.assert_array_equal(got[s + 1 : e + 1], want[s + 1 : e + 1])
+                assert np.isnan(got[: s + 1]).all() and np.isnan(got[e + 1 :]).all()
+
+    @pytest.mark.parametrize("anchors, stops", [
+        ([], []), ([2, 1], [5, 5]), ([1, 2], [6, 5]), ([3], [3]),
+        ([0, 2], [4, 13]), ([1, 2], [5]),
+    ])
+    def test_rejects_bad_requests(self, anchors, stops):
+        sol = solved(models.make_model("tanh-interaction"))
+        with pytest.raises(rp.InputError):
+            sol.continuation_moments(anchors, stops, 2, 4)
+
+    def test_rejects_zero_inner_samples(self):
+        sol = solved(models.make_model("tanh-interaction"))
+        with pytest.raises(rp.InputError, match="inner sample"):
+            sol.continuation_moments([0], [12], 0, 4)
+
+    def test_estimate_needs_matching_moments(self):
+        sol = solved(models.make_model("tanh-interaction"))
+        idx = ct.IndexPair()
+        moments = sol.continuation_moments([0, 6], [12, 12], 2, 4)["state"]
+        with pytest.raises(rp.InputError, match="order"):
+            ct.estimate_norm(sol.ensemble, sol.rough, idx, m=2, moments=moments,
+                             anchor_stride=6)
+        with pytest.raises(rp.InputError, match="node 4"):
+            ct.estimate_norm(sol.ensemble, sol.rough, idx, m=4, moments=moments,
+                             anchor_stride=4)
+        short = sol.continuation_moments([0, 6], [6, 8], 2, 4)["state"]
+        with pytest.raises(rp.InputError, match="node 0 to 12"):
+            ct.estimate_norm(sol.ensemble, sol.rough, idx, m=4, moments=short,
+                             anchor_stride=6)
+
+    def test_one_coefficient_call_per_node(self):
+        # anchors 0..15 all run to node 16: one f and one correction call
+        # per node of the pass, not one per (anchor, node)
+        sol = solved(models.make_model("tanh-interaction"), steps=16)
+        rows = sol.ensemble.particles * 4
+        calls = []
+        f, correction = sol.cvf.f, sol.correction
+
+        def counted_f(n, x):
+            calls.append(("f", n, x.shape[0]))
+            return f(n, x)
+
+        def counted_correction(n, x, fx):
+            calls.append(("correction", n, x.shape[0]))
+            return correction(n, x, fx)
+
+        sol.cvf.f = counted_f
+        sol.correction = counted_correction
+        rsde.apriori_monitor(sol, ct.IndexPair(), m=4, inner_samples=4)
+        for kind in ("f", "correction"):
+            pass_calls = [(n, size) for what, n, size in calls
+                          if what == kind and size % rows == 0]
+            assert pass_calls == [(n, rows * min(n + 1, 16)) for n in range(17)]
