@@ -5,13 +5,15 @@ overrides), [grid], [rough], [init], [policy], [indices], [fixedpoint],
 [domain], [randomize], [rsde].  Environment variables with the prefix
 ROUGHMFG_SECTION__KEY override file values (CI hook).  The effective
 key-value map is hashed so identical effective configs produce identical
-manifests.
+manifests.  An unknown section or key, in the file or the environment, is a
+ConfigError.
 """
 
 from __future__ import annotations
 
 import ast
 import configparser
+import difflib
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -89,6 +91,22 @@ _KNOWN_SECTIONS = {
     "experiment", "model", "grid", "rough", "init", "policy", "indices",
     "fixedpoint", "domain", "randomize", "rsde",
 }
+# the [rough] keys build_rough reads besides source
+_ROUGH_PARAMS = ("seed_salt", "amplitude", "cycles")
+
+
+def _reject_unknown(flat: dict, read: set) -> None:
+    """Every effective key must be one load_config reads; [model] keys are
+    the model's parameters, which models.make_model checks."""
+    for key in sorted(flat):
+        section = key.split(".", 1)[0]
+        if section == "model" or key in read:
+            continue
+        if section not in _KNOWN_SECTIONS:
+            raise ConfigError(f"unknown config section [{section}] (key {key!r})")
+        close = difflib.get_close_matches(key, read, n=1)
+        hint = f"; did you mean {close[0]!r}?" if close else ""
+        raise ConfigError(f"unknown config key {key!r}{hint}")
 
 
 def _collect(parser: configparser.ConfigParser, env) -> dict:
@@ -126,8 +144,10 @@ def load_config(path, env=None, seed_override=None) -> ExperimentConfig:
         flat["experiment.seed"] = str(int(seed_override))
 
     cfg = ExperimentConfig()
+    read = {"model.name", "rough.source"} | {f"rough.{k}" for k in _ROUGH_PARAMS}
 
     def get(key, default, cast):
+        read.add(key)
         if key in flat:
             try:
                 return cast(flat[key])
@@ -188,6 +208,7 @@ def load_config(path, env=None, seed_override=None) -> ExperimentConfig:
     cfg.rz_mode = get("randomize.mode", cfg.rz_mode, str)
     cfg.rz_inner_refine = get("randomize.inner_refine", cfg.rz_inner_refine, int)
     cfg.rsde_particles = get("rsde.particles", cfg.rsde_particles, int)
+    _reject_unknown(flat, read)
     cfg.effective = flat
     return cfg
 

@@ -48,15 +48,12 @@ class IndexPair:
 class ControlledEnsemble:
     """P particles of (Z, Z') sampled on a TimeGrid.
 
-    Z: (P, N+1, *vshape); Zp: (P, N+1, *vshape, k).  generation_record keeps
-    the RNG provenance (seed path, branch node) when the ensemble came out of
-    a simulator, so conditional futures can be regenerated.
+    Z: (P, N+1, *vshape); Zp: (P, N+1, *vshape, k).
     """
 
     grid: TimeGrid
     Z: np.ndarray
     Zp: np.ndarray
-    generation_record: dict | None = None
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z, dtype=float)

@@ -234,4 +234,10 @@ def make_model(name: str, **overrides) -> CoefficientSet:
         close = difflib.get_close_matches(name, _REGISTRY.keys(), n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise UnknownModelError(f"unknown model {name!r}{hint}")
+    known = _REGISTRY[name]({}).params
+    for key in overrides:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValueError(f"model {name!r} has no parameter {key!r}{hint}")
     return _REGISTRY[name](overrides)

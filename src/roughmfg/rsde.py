@@ -465,12 +465,7 @@ def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
     record = {}
     x, fx, fhat = _evolve(coeffs, flow, p, policy, x0, dw, cvf, correction,
                           record=record, causal=causal)
-    ensemble = ct.ControlledEnsemble(
-        p.grid,
-        x,
-        fx,
-        generation_record={"seed": seed, "path": ("rsde", "W"), "branch": None},
-    )
+    ensemble = ct.ControlledEnsemble(p.grid, x, fx)
     for key, rows in record.items():
         record[key] = np.stack(rows, axis=1)
     return RsdeSolution(
@@ -517,158 +512,62 @@ def _bump3(u):
     return val, d1, d2
 
 
-@dataclass
+def _factor(spec, u):
+    """Bump, polynomial, first and second derivative of one factor
+    bump(u/r)·(u - center)^power; spec None is the constant factor 1."""
+    if spec is None:
+        zero = np.zeros(np.shape(u))
+        return 1.0, 1.0, zero, zero
+    radius, center, power = spec
+    c, c1, c2 = _bump3(u / radius)
+    if power == 0:
+        return c, 1.0, c1 / radius, c2 / radius**2
+    v = u - center
+    if power == 1:
+        return c, v, c + v * c1 / radius, 2.0 * c1 / radius + v * c2 / radius**2
+    return (c, v**2, 2.0 * v * c + v**2 * c1 / radius,
+            2.0 * c + 4.0 * v * c1 / radius + v**2 * c2 / radius**2)
+
+
+@dataclass(frozen=True)
 class TestFunction:
-    """Scalar test function of (x, w) for d = l = 1, with derivatives."""
+    """Scalar test function phi(x, w) = x_factor(x)·w_factor(w) for
+    d = l = 1.  A factor is a spec (radius, center, power) for
+    bump(u/radius)·(u - center)^power with power 0, 1 or 2, or None for
+    the constant 1."""
 
     name: str
-    value: object
-    grad_x: object
-    grad_w: object
-    hess_xx: object
-    hess_xw: object
-    hess_ww: object
-    depends_x: bool
-    depends_w: bool
+    x_factor: tuple | None
+    w_factor: tuple | None
 
+    @property
+    def depends_x(self) -> bool:
+        return self.x_factor is not None
 
-def _fn_constant():
-    zero = lambda x, w: np.zeros(np.shape(x))
-    return TestFunction(
-        "constant", lambda x, w: np.ones(np.shape(x)), zero, zero, zero, zero,
-        zero, False, False,
-    )
+    @property
+    def depends_w(self) -> bool:
+        return self.w_factor is not None
 
-
-def _fn_x_bump(radius):
-    def parts(x):
-        return _bump3(x / radius)
-
-    def value(x, w):
-        c, _, _ = parts(x)
-        return c * x
-
-    def grad_x(x, w):
-        c, c1, _ = parts(x)
-        return c + x * c1 / radius
-
-    def hess_xx(x, w):
-        _, c1, c2 = parts(x)
-        return 2.0 * c1 / radius + x * c2 / radius**2
-
-    zero = lambda x, w: np.zeros(np.shape(x))
-    return TestFunction("x_bump", value, grad_x, zero, hess_xx, zero, zero, True, False)
-
-
-def _fn_x_quad(radius, center=-2.0):
-    # the quadratic is offset so its curvature-to-slope ratio stays small on
-    # the bulk of the state distribution; otherwise the O(dt) discretization
-    # bias of the realized quadratic variation dominates the Monte Carlo
-    # error at large particle counts and the level-0.01 test loses its size
-    def value(x, w):
-        c, _, _ = _bump3(x / radius)
-        return c * (x - center) ** 2
-
-    def grad_x(x, w):
-        c, c1, _ = _bump3(x / radius)
-        return 2.0 * (x - center) * c + (x - center) ** 2 * c1 / radius
-
-    def hess_xx(x, w):
-        c, c1, c2 = _bump3(x / radius)
-        return (
-            2.0 * c
-            + 4.0 * (x - center) * c1 / radius
-            + (x - center) ** 2 * c2 / radius**2
-        )
-
-    zero = lambda x, w: np.zeros(np.shape(x))
-    return TestFunction("x_quad", value, grad_x, zero, hess_xx, zero, zero, True, False)
-
-
-def _fn_w_bump(radius):
-    # bump times w, so the loading is order one near the origin
-    def value(x, w):
-        c, _, _ = _bump3(w / radius)
-        return c * w
-
-    def grad_w(x, w):
-        c, c1, _ = _bump3(w / radius)
-        return c + w * c1 / radius
-
-    def hess_ww(x, w):
-        _, c1, c2 = _bump3(w / radius)
-        return 2.0 * c1 / radius + w * c2 / radius**2
-
-    zero = lambda x, w: np.zeros(np.shape(x))
-    return TestFunction("w_bump", value, zero, grad_w, zero, zero, hess_ww, False, True)
+    def parts(self, x, w):
+        """(value, grad_x, grad_w, hess_xx, hess_xw, hess_ww) on arrays of
+        any shape."""
+        bx, px, gx, hx = _factor(self.x_factor, x)
+        bw, pw, gw, hw = _factor(self.w_factor, w)
+        zero = np.zeros(np.shape(x))
+        # left to right: grouping (bx·px)·(bw·pw) moves the last bits
+        value = np.ones(np.shape(x)) * bx * px * bw * pw
+        if not self.depends_w:
+            return value, gx, zero, hx, zero, zero
+        if not self.depends_x:
+            return value, zero, gw, zero, zero, hw
+        vx, vw = bx * px, bw * pw
+        return value, gx * vw, vx * gw, hx * vw, gx * gw, vx * hw
 
 
 def pure_w_bump(radius=3.0):
     """Plain compact bump in w alone (no polynomial): the refinement rate
     check of the Brownian characterization uses this one."""
-
-    def value(x, w):
-        c, _, _ = _bump3(w / radius)
-        return c
-
-    def grad_w(x, w):
-        _, c1, _ = _bump3(w / radius)
-        return c1 / radius
-
-    def hess_ww(x, w):
-        _, _, c2 = _bump3(w / radius)
-        return c2 / radius**2
-
-    zero = lambda x, w: np.zeros(np.shape(x))
-    return TestFunction("pure_w_bump", value, zero, grad_w, zero, zero,
-                        hess_ww, False, True)
-
-
-def _fn_xw(radius_x, radius_w, cx=-2.0, cw=-2.0):
-    def value(x, w):
-        bx, _, _ = _bump3(x / radius_x)
-        bw, _, _ = _bump3(w / radius_w)
-        return bx * (x - cx) * bw * (w - cw)
-
-    def _gx(x):
-        bx, bx1, bx2 = _bump3(x / radius_x)
-        g = bx + (x - cx) * bx1 / radius_x
-        h = 2.0 * bx1 / radius_x + (x - cx) * bx2 / radius_x**2
-        return bx * (x - cx), g, h
-
-    def _gw(w):
-        bw, bw1, bw2 = _bump3(w / radius_w)
-        g = bw + (w - cw) * bw1 / radius_w
-        h = 2.0 * bw1 / radius_w + (w - cw) * bw2 / radius_w**2
-        return bw * (w - cw), g, h
-
-    def grad_x(x, w):
-        _, gx, _ = _gx(x)
-        vw, _, _ = _gw(w)
-        return gx * vw
-
-    def grad_w(x, w):
-        vx, _, _ = _gx(x)
-        _, gw, _ = _gw(w)
-        return vx * gw
-
-    def hess_xx(x, w):
-        _, _, hx = _gx(x)
-        vw, _, _ = _gw(w)
-        return hx * vw
-
-    def hess_xw(x, w):
-        _, gx, _ = _gx(x)
-        _, gw, _ = _gw(w)
-        return gx * gw
-
-    def hess_ww(x, w):
-        vx, _, _ = _gx(x)
-        _, _, hw = _gw(w)
-        return vx * hw
-
-    return TestFunction("xw_mixed", value, grad_x, grad_w, hess_xx, hess_xw,
-                        hess_ww, True, True)
+    return TestFunction("pure_w_bump", None, (radius, 0.0, 0))
 
 
 def default_battery(radius_x=6.0, radius_w=14.0):
@@ -679,14 +578,17 @@ def default_battery(radius_x=6.0, radius_w=14.0):
     derivative enters the quadratic-variation bias of the discretized
     process with the noise loading, and tight bumps push the level-0.01
     tests off size once the Monte Carlo error drops below that bias
-    (bias/error grows like sqrt(particles * dt)).
+    (bias/error grows like sqrt(particles * dt)).  The quadratic is offset
+    so its curvature-to-slope ratio stays small on the bulk of the state
+    distribution; otherwise the O(dt) bias of the realized quadratic
+    variation dominates the Monte Carlo error at large particle counts.
     """
     return [
-        _fn_constant(),
-        _fn_x_bump(radius_x),
-        _fn_x_quad(radius_x),
-        _fn_w_bump(radius_w),
-        _fn_xw(radius_x, radius_w),
+        TestFunction("constant", None, None),
+        TestFunction("x_bump", (radius_x, 0.0, 1), None),
+        TestFunction("x_quad", (radius_x, -2.0, 2), None),
+        TestFunction("w_bump", None, (radius_w, 0.0, 1)),
+        TestFunction("xw_mixed", (radius_x, -2.0, 1), (radius_w, -2.0, 1)),
     ]
 
 
@@ -738,59 +640,44 @@ def _martingale_paths(sol):
     return x, wpath, sig, drift
 
 
-def _increments_of_martingale(sol, phi, paths):
-    """Per-step increments of the compensated process for one test function."""
-    grid = sol.grid
-    dt = grid.dt
-    x, wpath, sig, drifts = paths
-    n_steps = grid.steps
-    db = np.diff(sol.rough.first_level[:, 0]) if sol.cvf is not None else None
-    bb = sol.rough.step_second()[:, 0, 0] if sol.cvf is not None else None
-    brackets = sol.rough.step_brackets()[:, 0, 0] if sol.cvf is not None else None
-
-    if drifts is None and phi.depends_x:
+def _compensated(sol, phi, paths):
+    """Increments of the compensated process of one test function and its
+    noise loadings grad_x·sigma and grad_w, each (P, N), from one
+    evaluation of phi on the whole (P, N+1) grid."""
+    x, wpath, sig, drift = paths
+    if drift is None and phi.depends_x:
         raise InputError("diagnostics need the mixture control record")
-    vals = phi.value(x, wpath)
-    dm = np.empty((x.shape[0], n_steps))
-    for n in range(n_steps):
-        xn, wn, sn = x[:, n], wpath[:, n], sig[:, n]
-        gx = phi.grad_x(xn, wn)
-        gw = phi.grad_w(xn, wn)
-        hxx = phi.hess_xx(xn, wn)
-        hxw = phi.hess_xw(xn, wn)
-        hww = phi.hess_ww(xn, wn)
-        drift = drifts[:, n] if phi.depends_x else np.zeros_like(xn)
-        gen = drift * gx + 0.5 * (sn**2 * hxx + hww) + sn * hxw
-        comp = gen * dt
-        if sol.cvf is not None and phi.depends_x:
-            s0 = sol.ensemble.Zp[:, n, 0, 0]
-            shat = sol.fhat[:, n, 0, 0, 0]
-            t_phi = gx * s0
-            tp_phi = hxx * s0**2 + gx * shat
-            comp += t_phi * db[n] + tp_phi * bb[n]
-            # second-order bracket correction of the rough term
-            comp += 0.5 * hxx * s0**2 * brackets[n]
-        dm[:, n] = vals[:, n + 1] - vals[:, n] - comp
-    return dm
+    val, *derivs = phi.parts(x, wpath)
+    gx, gw, hxx, hxw, hww = (a[:, :-1] for a in derivs)
+    if not phi.depends_x:
+        drift = np.zeros_like(sig)
+    comp = (drift * gx + 0.5 * (sig**2 * hxx + hww) + sig * hxw) * sol.grid.dt
+    if sol.cvf is not None and phi.depends_x:
+        db = np.diff(sol.rough.first_level[:, 0])
+        bb = sol.rough.step_second()[:, 0, 0]
+        brackets = sol.rough.step_brackets()[:, 0, 0]
+        s0 = sol.ensemble.Zp[:, :-1, 0, 0]
+        shat = sol.fhat[:, :-1, 0, 0, 0]
+        comp += gx * s0 * db + (hxx * s0**2 + gx * shat) * bb
+        # second-order bracket correction of the rough term
+        comp += 0.5 * hxx * s0**2 * brackets
+    return val[:, 1:] - val[:, :-1] - comp, gx * sig, gw
 
 
-def _qv_target(sol, phi, paths):
-    x, wpath, sig, _ = paths
-    out = np.zeros(sig.shape)
-    for n in range(sol.grid.steps):
-        xn, wn = x[:, n], wpath[:, n]
-        load = phi.grad_x(xn, wn) * sig[:, n] + phi.grad_w(xn, wn)
-        out[:, n] = load**2 * sol.grid.dt
-    return out
+def _qv_gap(dm, load_x, load_w, dt):
+    return (dm**2).sum(axis=1) - ((load_x + load_w) ** 2 * dt).sum(axis=1)
+
+
+def _tstat(sample):
+    sd = sample.std(ddof=1)
+    return 0.0 if sd == 0.0 else float(sample.mean() / (sd / math.sqrt(len(sample))))
 
 
 def qv_gap(sol: RsdeSolution, phi: TestFunction) -> np.ndarray:
     """Per-particle gap between the realized quadratic variation of the
     compensated process and the integrated squared loading.  Under grid
     refinement its spread shrinks like sqrt(dt)."""
-    paths = _martingale_paths(sol)
-    dm = _increments_of_martingale(sol, phi, paths)
-    return (dm**2).sum(axis=1) - _qv_target(sol, phi, paths).sum(axis=1)
+    return _qv_gap(*_compensated(sol, phi, _martingale_paths(sol)), sol.grid.dt)
 
 
 def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
@@ -810,18 +697,17 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
         phis = default_battery()
     grid = sol.grid
     p_count = sol.ensemble.particles
-    low_power = p_count < 100
     paths = _martingale_paths(sol)
-    x, wpath, sig, _ = paths
+    x, wpath = paths[0], paths[1]
+    t_crit = stats.t.ppf(1.0 - 0.5 * level, df=p_count - 1)
 
     anchors = sorted({int(a) for a in np.linspace(0, grid.steps // 2, n_anchor_pairs)})
     spans = [max(1, grid.steps // 4), max(1, grid.steps // 2)]
 
     per_phi = []
-    dms = {}
+    compensated = {}
     for phi in phis:
-        dm = _increments_of_martingale(sol, phi, paths)
-        dms[phi.name] = dm
+        dm, load_x, load_w = compensated[phi.name] = _compensated(sol, phi, paths)
         if np.all(dm == 0.0):
             per_phi.append(
                 PhiDiagnostics(phi.name, True, [0.0], True, 0.0, True)
@@ -833,54 +719,41 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
         # (a) orthogonality to frozen-time features
         tstats = []
         for s in anchors:
+            bump_s, _, _ = _bump3(x[:, s] / 3.0)
             for span in spans:
                 t_end = min(grid.steps, s + span)
                 if t_end <= s:
                     continue
                 window = m_cum[:, t_end] - m_cum[:, s]
-                bump_s, _, _ = _bump3(x[:, s] / 3.0)
                 for feat in (np.ones(p_count), x[:, s], wpath[:, s], bump_s):
                     prod = window * feat
-                    sd = prod.std(ddof=1)
-                    if sd == 0.0:
-                        continue
-                    tstats.append(float(prod.mean() / (sd / math.sqrt(p_count))))
+                    if prod.std(ddof=1) != 0.0:
+                        tstats.append(_tstat(prod))
         n_tests = max(1, len(tstats))
         crit = stats.norm.ppf(1.0 - 0.5 * level / n_tests)
         residual_pass = all(abs(t) < crit for t in tstats)
         # (b) realized quadratic variation vs integrated loading
-        gap = (dm**2).sum(axis=1) - _qv_target(sol, phi, paths).sum(axis=1)
-        sd = gap.std(ddof=1)
-        qv_t = 0.0 if sd == 0.0 else float(gap.mean() / (sd / math.sqrt(p_count)))
-        qv_crit = stats.t.ppf(1.0 - 0.5 * level, df=p_count - 1)
+        qv_t = _tstat(_qv_gap(dm, load_x, load_w, grid.dt))
         per_phi.append(
             PhiDiagnostics(
-                phi.name, False, tstats, residual_pass, qv_t, abs(qv_t) < qv_crit
+                phi.name, False, tstats, residual_pass, qv_t, abs(qv_t) < t_crit
             )
         )
 
-    # (c) cross variation between x-only and w-only test functions
+    # (c) cross variation between x-only and w-only test functions; the
+    # target is summed in grid order
     cross = []
     x_phis = [f for f in phis if f.depends_x and not f.depends_w]
     w_phis = [f for f in phis if f.depends_w and not f.depends_x]
     for fx in x_phis:
         for fw in w_phis:
-            realized = (dms[fx.name] * dms[fw.name]).sum(axis=1)
-            target = np.zeros(p_count)
-            for n in range(grid.steps):
-                target += (
-                    fx.grad_x(x[:, n], wpath[:, n])
-                    * sig[:, n]
-                    * fw.grad_w(x[:, n], wpath[:, n])
-                    * grid.dt
-                )
-            gap = realized - target
-            sd = gap.std(ddof=1)
-            t = 0.0 if sd == 0.0 else float(gap.mean() / (sd / math.sqrt(p_count)))
-            crit = stats.t.ppf(1.0 - 0.5 * level, df=p_count - 1)
-            cross.append((fx.name, fw.name, t, bool(abs(t) < crit)))
+            (dm_x, load_x, _), (dm_w, _, load_w) = compensated[fx.name], compensated[fw.name]
+            realized = (dm_x * dm_w).sum(axis=1)
+            target = np.cumsum(load_x * load_w * grid.dt, axis=1)[:, -1]
+            t = _tstat(realized - target)
+            cross.append((fx.name, fw.name, t, bool(abs(t) < t_crit)))
 
-    return MartingaleDiagnostics(level, p_count, low_power, per_phi, cross)
+    return MartingaleDiagnostics(level, p_count, p_count < 100, per_phi, cross)
 
 
 # -- a priori monitor ---------------------------------------------------------
@@ -912,9 +785,8 @@ def apriori_monitor(sol: RsdeSolution, idx: ct.IndexPair, m: int = 4,
     if sol.cvf is None:
         raise InputError("monitor needs a rough coefficient")
     if probes is None:
-        xs = sol.ensemble.Z[..., 0]
-        lo, hi = float(xs.min()), float(xs.max())
-        probes = np.linspace(lo - 0.5, hi + 0.5, 17)[:, None]
+        z = sol.ensemble.Z
+        probes = np.linspace(z.min(axis=(0, 1)) - 0.5, z.max(axis=(0, 1)) + 0.5, 17)
     field = vf.cvf_norm(sol.cvf, sol.rough, idx, probes).total
     anchors, stop = ct.anchor_nodes(sol.grid, None, anchor_stride)
     moments = sol.continuation_moments(anchors, [stop] * len(anchors),

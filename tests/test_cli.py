@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roughmfg import cli
 from roughmfg import config as cfgmod
+from roughmfg import models
 
 
 MINIMAL = """\
@@ -77,6 +79,16 @@ class TestConfig:
         cfg = cfgmod.load_config(write_config(tmp_path))
         assert cfgmod.validate(cfg) == []
 
+    def test_misspelled_key_suggests(self, tmp_path):
+        text = MINIMAL.replace("max_iters", "max_iter")
+        with pytest.raises(cfgmod.ConfigError, match="did you mean 'fixedpoint.max_iters'"):
+            cfgmod.load_config(write_config(tmp_path, text))
+
+    def test_make_model_rejects_unknown_parameter(self):
+        with pytest.raises(ValueError, match="'mean_couplng'; did you mean 'mean_coupling'"):
+            models.make_model("no-interaction", mean_couplng=0.2)
+        assert models.make_model("lq", mean_coupling=0.3).params["mean_coupling"] == 0.3
+
     def test_config_hash_stable(self, tmp_path):
         a = cfgmod.load_config(write_config(tmp_path))
         b = cfgmod.load_config(write_config(tmp_path, name="other.ini"))
@@ -106,6 +118,33 @@ class TestCli:
         text = MINIMAL.replace("no-interaction", "nope")
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text, env, key", [
+        (MINIMAL + "\n[fixedpont]\nparticles = 64\n", {}, "fixedpont"),
+        (MINIMAL.replace("particles = 64", "partcles = 64"), {}, "fixedpoint.partcles"),
+        (MINIMAL, {"ROUGHMFG_FIXEDPOINT__PARTCLES": "64"}, "fixedpoint.partcles"),
+        (MINIMAL.replace("name = no-interaction",
+                         "name = no-interaction\nmean_couplng = 0.2"), {}, "mean_couplng"),
+    ], ids=["section", "file-key", "env-key", "model-param"])
+    def test_unknown_input_is_validation_error(self, tmp_path, capsys, monkeypatch,
+                                               command, text, env, key):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [command, "--config", str(write_config(tmp_path, text))]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert key in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_validates(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = write_config(tmp_path, text)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_run_minimal_converges(self, tmp_path, capsys):
         path = write_config(tmp_path)

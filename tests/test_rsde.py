@@ -1,5 +1,10 @@
+import dataclasses
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
@@ -517,3 +522,318 @@ class TestMartingaleDiagnostics:
             sds.append(rsde.qv_gap(sol, phi).std(ddof=1))
         slope = np.polyfit(np.log(sizes), np.log(sds), 1)[0]
         assert -0.7 <= slope <= -0.3
+
+
+# -- slow reference for the martingale battery ----------------------------------
+# Closure test functions with one callable per derivative, and the per-node
+# loops that evaluated them; the factor specs evaluated once on the whole grid
+# must reproduce them bit for bit.
+
+
+@dataclass
+class ClosureFunction:
+    name: str
+    value: object
+    grad_x: object
+    grad_w: object
+    hess_xx: object
+    hess_xw: object
+    hess_ww: object
+    depends_x: bool
+    depends_w: bool
+
+
+def _zero(x, w):
+    return np.zeros(np.shape(x))
+
+
+def ref_constant():
+    return ClosureFunction("constant", lambda x, w: np.ones(np.shape(x)), _zero,
+                           _zero, _zero, _zero, _zero, False, False)
+
+
+def ref_x_bump(radius):
+    def value(x, w):
+        c, _, _ = rsde._bump3(x / radius)
+        return c * x
+
+    def grad_x(x, w):
+        c, c1, _ = rsde._bump3(x / radius)
+        return c + x * c1 / radius
+
+    def hess_xx(x, w):
+        _, c1, c2 = rsde._bump3(x / radius)
+        return 2.0 * c1 / radius + x * c2 / radius**2
+
+    return ClosureFunction("x_bump", value, grad_x, _zero, hess_xx, _zero,
+                           _zero, True, False)
+
+
+def ref_x_quad(radius, center=-2.0):
+    def value(x, w):
+        c, _, _ = rsde._bump3(x / radius)
+        return c * (x - center) ** 2
+
+    def grad_x(x, w):
+        c, c1, _ = rsde._bump3(x / radius)
+        return 2.0 * (x - center) * c + (x - center) ** 2 * c1 / radius
+
+    def hess_xx(x, w):
+        c, c1, c2 = rsde._bump3(x / radius)
+        return (2.0 * c + 4.0 * (x - center) * c1 / radius
+                + (x - center) ** 2 * c2 / radius**2)
+
+    return ClosureFunction("x_quad", value, grad_x, _zero, hess_xx, _zero,
+                           _zero, True, False)
+
+
+def ref_w_bump(radius):
+    def value(x, w):
+        c, _, _ = rsde._bump3(w / radius)
+        return c * w
+
+    def grad_w(x, w):
+        c, c1, _ = rsde._bump3(w / radius)
+        return c + w * c1 / radius
+
+    def hess_ww(x, w):
+        _, c1, c2 = rsde._bump3(w / radius)
+        return 2.0 * c1 / radius + w * c2 / radius**2
+
+    return ClosureFunction("w_bump", value, _zero, grad_w, _zero, _zero,
+                           hess_ww, False, True)
+
+
+def ref_pure_w_bump(radius=3.0):
+    def value(x, w):
+        return rsde._bump3(w / radius)[0]
+
+    def grad_w(x, w):
+        return rsde._bump3(w / radius)[1] / radius
+
+    def hess_ww(x, w):
+        return rsde._bump3(w / radius)[2] / radius**2
+
+    return ClosureFunction("pure_w_bump", value, _zero, grad_w, _zero, _zero,
+                           hess_ww, False, True)
+
+
+def ref_xw(radius_x, radius_w, cx=-2.0, cw=-2.0):
+    def value(x, w):
+        bx, _, _ = rsde._bump3(x / radius_x)
+        bw, _, _ = rsde._bump3(w / radius_w)
+        return bx * (x - cx) * bw * (w - cw)
+
+    def factor(u, radius, center):
+        b, b1, b2 = rsde._bump3(u / radius)
+        g = b + (u - center) * b1 / radius
+        h = 2.0 * b1 / radius + (u - center) * b2 / radius**2
+        return b * (u - center), g, h
+
+    def grad_x(x, w):
+        return factor(x, radius_x, cx)[1] * factor(w, radius_w, cw)[0]
+
+    def grad_w(x, w):
+        return factor(x, radius_x, cx)[0] * factor(w, radius_w, cw)[1]
+
+    def hess_xx(x, w):
+        return factor(x, radius_x, cx)[2] * factor(w, radius_w, cw)[0]
+
+    def hess_xw(x, w):
+        return factor(x, radius_x, cx)[1] * factor(w, radius_w, cw)[1]
+
+    def hess_ww(x, w):
+        return factor(x, radius_x, cx)[0] * factor(w, radius_w, cw)[2]
+
+    return ClosureFunction("xw_mixed", value, grad_x, grad_w, hess_xx, hess_xw,
+                           hess_ww, True, True)
+
+
+def ref_battery():
+    """(closure reference, factor spec) pairs: the default battery and the
+    pure W bump."""
+    closures = [ref_constant(), ref_x_bump(6.0), ref_x_quad(6.0),
+                ref_w_bump(14.0), ref_xw(6.0, 14.0), ref_pure_w_bump(3.0)]
+    return list(zip(closures, rsde.default_battery() + [rsde.pure_w_bump(3.0)]))
+
+
+def ref_increments(sol, phi, paths):
+    grid = sol.grid
+    x, wpath, sig, drifts = paths
+    rough = sol.cvf is not None
+    db = np.diff(sol.rough.first_level[:, 0]) if rough else None
+    bb = sol.rough.step_second()[:, 0, 0] if rough else None
+    brackets = sol.rough.step_brackets()[:, 0, 0] if rough else None
+    vals = phi.value(x, wpath)
+    dm = np.empty((x.shape[0], grid.steps))
+    for n in range(grid.steps):
+        xn, wn, sn = x[:, n], wpath[:, n], sig[:, n]
+        gx = phi.grad_x(xn, wn)
+        gw = phi.grad_w(xn, wn)
+        hxx = phi.hess_xx(xn, wn)
+        hxw = phi.hess_xw(xn, wn)
+        hww = phi.hess_ww(xn, wn)
+        drift = drifts[:, n] if phi.depends_x else np.zeros_like(xn)
+        gen = drift * gx + 0.5 * (sn**2 * hxx + hww) + sn * hxw
+        comp = gen * grid.dt
+        if rough and phi.depends_x:
+            s0 = sol.ensemble.Zp[:, n, 0, 0]
+            shat = sol.fhat[:, n, 0, 0, 0]
+            comp += gx * s0 * db[n] + (hxx * s0**2 + gx * shat) * bb[n]
+            comp += 0.5 * hxx * s0**2 * brackets[n]
+        dm[:, n] = vals[:, n + 1] - vals[:, n] - comp
+    return dm
+
+
+def ref_qv_target(sol, phi, paths):
+    x, wpath, sig, _ = paths
+    out = np.zeros(sig.shape)
+    for n in range(sol.grid.steps):
+        xn, wn = x[:, n], wpath[:, n]
+        load = phi.grad_x(xn, wn) * sig[:, n] + phi.grad_w(xn, wn)
+        out[:, n] = load**2 * sol.grid.dt
+    return out
+
+
+def ref_cross_target(sol, fx, fw, paths):
+    x, wpath, sig, _ = paths
+    target = np.zeros(x.shape[0])
+    for n in range(sol.grid.steps):
+        target += (fx.grad_x(x[:, n], wpath[:, n]) * sig[:, n]
+                   * fw.grad_w(x[:, n], wpath[:, n]) * sol.grid.dt)
+    return target
+
+
+def _tstat(v):
+    sd = v.std(ddof=1)
+    return 0.0 if sd == 0.0 else float(v.mean() / (sd / math.sqrt(len(v))))
+
+
+def ref_martingale_diagnostics(sol, phis, level=0.01, n_anchor_pairs=4):
+    grid = sol.grid
+    p_count = sol.ensemble.particles
+    paths = rsde._martingale_paths(sol)
+    x, wpath = paths[0], paths[1]
+    anchors = sorted({int(a) for a in np.linspace(0, grid.steps // 2, n_anchor_pairs)})
+    spans = [max(1, grid.steps // 4), max(1, grid.steps // 2)]
+    t_crit = stats.t.ppf(1.0 - 0.5 * level, df=p_count - 1)
+    per_phi, dms = [], {}
+    for phi in phis:
+        dm = dms[phi.name] = ref_increments(sol, phi, paths)
+        if np.all(dm == 0.0):
+            per_phi.append(rsde.PhiDiagnostics(phi.name, True, [0.0], True, 0.0, True))
+            continue
+        m_cum = np.concatenate([np.zeros((p_count, 1)), np.cumsum(dm, axis=1)], axis=1)
+        tstats = []
+        for s in anchors:
+            for span in spans:
+                t_end = min(grid.steps, s + span)
+                if t_end <= s:
+                    continue
+                window = m_cum[:, t_end] - m_cum[:, s]
+                bump_s = rsde._bump3(x[:, s] / 3.0)[0]
+                for feat in (np.ones(p_count), x[:, s], wpath[:, s], bump_s):
+                    prod = window * feat
+                    if prod.std(ddof=1) != 0.0:
+                        tstats.append(_tstat(prod))
+        crit = stats.norm.ppf(1.0 - 0.5 * level / max(1, len(tstats)))
+        gap = (dm**2).sum(axis=1) - ref_qv_target(sol, phi, paths).sum(axis=1)
+        qv_t = _tstat(gap)
+        per_phi.append(rsde.PhiDiagnostics(
+            phi.name, False, tstats, all(abs(t) < crit for t in tstats),
+            qv_t, abs(qv_t) < t_crit,
+        ))
+    cross = []
+    for fx in [f for f in phis if f.depends_x and not f.depends_w]:
+        for fw in [f for f in phis if f.depends_w and not f.depends_x]:
+            gap = ((dms[fx.name] * dms[fw.name]).sum(axis=1)
+                   - ref_cross_target(sol, fx, fw, paths))
+            t = _tstat(gap)
+            cross.append((fx.name, fw.name, t, bool(abs(t) < t_crit)))
+    return rsde.MartingaleDiagnostics(level, p_count, p_count < 100, per_phi, cross)
+
+
+def battery_solution(rough):
+    """A tanh-interaction solve under a random action mixture (rough terms
+    on), or lq without a rough coefficient (rough terms off)."""
+    n, particles = 24, 150
+    if rough:
+        model = models.make_model("tanh-interaction")
+    else:
+        model = models.make_model("lq", sigma0=None)
+    lattice = np.linspace(-3.0, 3.0, 13)
+    table = substream(8, "rs", "battery").uniform(size=(n, 13, model.n_actions))
+    policy = mfg.RelaxedPolicy(
+        model.actions, lattice=lattice, table=table / table.sum(axis=2, keepdims=True)
+    )
+    p = brownian_lift(6, n=n)
+    sol = rsde.solve(model, still_flow(p.grid, seed=2), p, policy,
+                     rsde.InitialLaw("normal", 0.0, 1.5), particles, 6)
+    assert (sol.cvf is not None) == rough
+    return sol
+
+
+class TestBatteryMatchesClosureReference:
+    def test_parts_match_closures(self):
+        grid = np.linspace(-20.0, 20.0, 161)
+        x, w = np.meshgrid(grid, grid[::-1] * 1.3)
+        for ref, phi in ref_battery():
+            assert phi.name == ref.name
+            assert (phi.depends_x, phi.depends_w) == (ref.depends_x, ref.depends_w)
+            want = [ref.value, ref.grad_x, ref.grad_w, ref.hess_xx, ref.hess_xw,
+                    ref.hess_ww]
+            for got, fn in zip(phi.parts(x, w), want):
+                np.testing.assert_array_equal(got, fn(x, w))
+
+    @pytest.mark.parametrize("rough", [True, False])
+    def test_increments_and_targets(self, rough):
+        sol = battery_solution(rough)
+        paths = rsde._martingale_paths(sol)
+        dt = sol.grid.dt
+        loads = {}
+        for ref, phi in ref_battery():
+            dm, load_x, load_w = rsde._compensated(sol, phi, paths)
+            loads[phi.name] = (load_x, load_w)
+            np.testing.assert_array_equal(dm, ref_increments(sol, ref, paths))
+            want_gap = ((ref_increments(sol, ref, paths) ** 2).sum(axis=1)
+                        - ref_qv_target(sol, ref, paths).sum(axis=1))
+            np.testing.assert_array_equal(rsde.qv_gap(sol, phi), want_gap)
+        refs = dict((r.name, r) for r, _ in ref_battery())
+        for fx in ("x_bump", "x_quad"):
+            for fw in ("w_bump", "pure_w_bump"):
+                got = np.cumsum(loads[fx][0] * loads[fw][1] * dt, axis=1)[:, -1]
+                want = ref_cross_target(sol, refs[fx], refs[fw], paths)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("with_pure", [False, True])
+    @pytest.mark.parametrize("rough", [True, False])
+    def test_diagnostics_fields(self, rough, with_pure):
+        sol = battery_solution(rough)
+        pairs = ref_battery()[: 6 if with_pure else 5]
+        got = rsde.martingale_diagnostics(sol, [phi for _, phi in pairs])
+        want = ref_martingale_diagnostics(sol, [ref for ref, _ in pairs])
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        if not with_pure:
+            assert rsde.martingale_diagnostics(sol) == got
+
+    def test_bump_calls_independent_of_grid(self, monkeypatch):
+        calls = []
+        bump = rsde._bump3
+
+        def counted(u):
+            calls.append(np.shape(u))
+            return bump(u)
+
+        monkeypatch.setattr(rsde, "_bump3", counted)
+        counts = []
+        for n in (16, 64):
+            model = models.make_model("tanh-interaction")
+            p = brownian_lift(3, n=n)
+            policy = mfg.RelaxedPolicy.constant(model.actions, n, action_index=1)
+            sol = rsde.solve(model, still_flow(p.grid), p, policy,
+                             rsde.InitialLaw(), 40, 3)
+            calls.clear()
+            rsde.martingale_diagnostics(sol)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

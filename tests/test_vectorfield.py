@@ -591,6 +591,18 @@ class TestContinuationMoments:
             )
             assert est == ref
 
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_apriori_monitor_default_probes(self, name):
+        # 17 probes per state coordinate spanning the solved states padded
+        # by 0.5; for d = 1 the single column the monitor always used
+        sol = solved(SLOT_MODELS[name]())
+        idx = ct.IndexPair()
+        snap = rsde.apriori_monitor(sol, idx, m=4, inner_samples=2)
+        z = sol.ensemble.Z
+        probes = np.stack([np.linspace(z[..., a].min() - 0.5, z[..., a].max() + 0.5, 17)
+                           for a in range(sol.coeffs.d)], axis=1)
+        assert snap.field_norm == vf.cvf_norm(sol.cvf, sol.rough, idx, probes).total
+
     @pytest.mark.parametrize("stride", [2, 3])
     @pytest.mark.parametrize("n_inner", [2, 4])
     @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
