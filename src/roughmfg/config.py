@@ -5,8 +5,9 @@ overrides), [grid], [rough], [init], [policy], [indices], [fixedpoint],
 [domain], [randomize], [rsde].  Environment variables with the prefix
 ROUGHMFG_SECTION__KEY override file values (CI hook).  The effective
 key-value map is hashed so identical effective configs produce identical
-manifests.  An unknown section or key, in the file or the environment, is a
-ConfigError.
+manifests.  An unknown section or key, in the file or the environment, and a
+ROUGHMFG_ variable that names no key are a ConfigError; a [rough] key the
+chosen source does not read is a validation issue.
 """
 
 from __future__ import annotations
@@ -91,8 +92,12 @@ _KNOWN_SECTIONS = {
     "experiment", "model", "grid", "rough", "init", "policy", "indices",
     "fixedpoint", "domain", "randomize", "rsde",
 }
-# the [rough] keys build_rough reads besides source
-_ROUGH_PARAMS = ("seed_salt", "amplitude", "cycles")
+# the [rough] keys build_rough reads besides source, by source
+_ROUGH_PARAMS = {
+    "sample": {"seed_salt"},
+    "smooth:linear": {"amplitude"},
+    "smooth:sin": {"amplitude", "cycles"},
+}
 
 
 def _reject_unknown(flat: dict, read: set) -> None:
@@ -119,7 +124,10 @@ def _collect(parser: configparser.ConfigParser, env) -> dict:
             continue
         rest = name[len(ENV_PREFIX):]
         if "__" not in rest:
-            continue
+            raise ConfigError(
+                f"environment variable {name} names no key; use"
+                f" {ENV_PREFIX}SECTION__KEY"
+            )
         section, key = rest.split("__", 1)
         flat[f"{section.lower()}.{key.lower()}"] = value
     return flat
@@ -144,7 +152,9 @@ def load_config(path, env=None, seed_override=None) -> ExperimentConfig:
         flat["experiment.seed"] = str(int(seed_override))
 
     cfg = ExperimentConfig()
-    read = {"model.name", "rough.source"} | {f"rough.{k}" for k in _ROUGH_PARAMS}
+    read = {"model.name", "rough.source"} | {
+        f"rough.{k}" for keys in _ROUGH_PARAMS.values() for k in keys
+    }
 
     def get(key, default, cast):
         read.add(key)
@@ -240,6 +250,8 @@ def validate(cfg: ExperimentConfig) -> list:
         issues.append(f"rough path container {src[5:]!r} does not exist")
     if src.startswith("smooth:") and src[7:] not in ("linear", "sin"):
         issues.append(f"unknown smooth path {src[7:]!r} (linear | sin)")
+    for key in sorted(set(cfg.rough_params) - _ROUGH_PARAMS.get(src, set())):
+        issues.append(f"[rough] {key} is not read by source {src!r}")
     if cfg.rz_mode not in ("frozen-flow", "per-sample-fixedpoint"):
         issues.append(f"unknown randomize mode {cfg.rz_mode!r}")
     if not (0.0 <= cfg.lambda_mix <= 1.0):

@@ -24,6 +24,9 @@ from .roughpath import InputError, RoughPath, TimeGrid, ito_lift
 
 FROZEN_FLOW = "frozen-flow"
 PER_SAMPLE_FIXEDPOINT = "per-sample-fixedpoint"
+# particle rows the frozen-flow pass advances together: bounds its (rows, N, l)
+# block of idiosyncratic increments (16 MiB at N = 64, l = 1)
+GROUP_ROWS = 1 << 15
 
 
 def common_increments(grid: TimeGrid, k: int, seed, sample: int) -> np.ndarray:
@@ -83,33 +86,34 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
 
     The interaction measure is the within-sample empirical cloud (the
     conditional particle system) unless an external flow is supplied.
+    Samples run one after another over the whole grid, each drawing its
+    idiosyncratic increments in turn from one stream, so a blow-up raises
+    DivergedError naming the step, the sample and the particle within the
+    sample of the first blow-up in sample order.
     """
     d, l, k = coeffs.d, coeffs.l, coeffs.k
     nodes = grid.nodes
     x = rsde.draw_initial(seed, init, samples * particles, d).reshape(
         samples, particles, d
     )
-    dw = substream(seed, "randomize", "joint-W").normal(
-        0.0, math.sqrt(grid.dt), size=(samples, particles, grid.steps, l)
-    )
-    db0 = np.stack(
-        [common_increments(grid, k, seed, s) for s in range(samples)]
-    )  # (S, N, k)
+    w_rng = substream(seed, "randomize", "joint-W")
     external = flow is not None
-    for n in range(grid.steps):
-        t = nodes[n]
-        dtn = nodes[n + 1] - nodes[n]
-        for s in range(samples):
-            xs = x[s]
+    for s in range(samples):
+        dw = w_rng.normal(0.0, math.sqrt(grid.dt), size=(particles, grid.steps, l))
+        db0 = common_increments(grid, k, seed, s)
+        xs = x[s]
+        for n in range(grid.steps):
+            t = nodes[n]
             cloud = flow.cloud(n) if external else xs
             weights = rsde._mixture_weights(policy, n, xs, coeffs.n_actions)
             drift = rsde._drift_mixture(coeffs, t, xs, cloud, weights)
-            nxt = xs + drift * dtn
-            nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[s, :, n])
+            nxt = xs + drift * (nodes[n + 1] - t)
+            nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[:, n])
             if coeffs.sigma0 is not None:
-                nxt = nxt + coeffs.sigma0(t, xs, cloud) @ db0[s, n]
-            rsde.check_blowup(nxt, n, first_particle=s * particles)
-            x[s] = nxt
+                nxt = nxt + coeffs.sigma0(t, xs, cloud) @ db0[n]
+            rsde.check_blowup(nxt, n, sample=s)
+            xs = nxt
+        x[s] = xs
     cond_means = x.mean(axis=1)
     cond_second = np.einsum("spa,spb->sab", x, x) / particles
     return JointSummary(
@@ -122,13 +126,70 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     )
 
 
+def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
+                           flow, w_salt, inner_refine):
+    """Terminal states of the per-sample solves under one frozen flow, from
+    a grouped terminal-only pass; equal bitwise to one rsde.solve per sample.
+
+    Blocks of max(1, GROUP_ROWS // particles) samples advance together.  A
+    block stacks, one sample at a time, the initial states and idiosyncratic
+    increments rsde.solve draws from the sample's seed, and the rough
+    increments of the sample's lift; each sample's rows step with its own
+    lift.  Per node the block makes one coefficient, correction, policy and
+    drift call on all its rows and keeps only the current states.  A
+    blow-up raises DivergedError naming the step, the sample and the
+    particle within the sample.
+    """
+    if flow.grid != grid:  # every sample's lift lives on grid
+        raise InputError("flow and rough path live on different grids")
+    d, l, k = coeffs.d, coeffs.l, coeffs.k
+    cvf, correction = rsde._rough_coefficient(coeffs, flow)
+    f_n = fhat_n = None
+    nodes, steps = grid.nodes, grid.steps
+    per_block = min(samples, max(1, GROUP_ROWS // particles))
+    # allocated once, so one block's increments are live at a time; a shorter
+    # last block uses the leading rows
+    dw = np.empty((per_block * particles, steps, l))
+    db = np.empty((per_block, steps, k))
+    bb = np.empty((per_block, steps, k, k))
+    out = np.empty((samples, particles, d))
+    for first in range(0, samples, per_block):
+        count = min(per_block, samples - first)
+        x = np.empty((count * particles, d))
+        for g in range(count):
+            lift = sample_lift(grid, k, seed, first + g, inner_refine)
+            sample_seed = derive_seed(seed, "randomize", "pathwise", first + g, w_salt)
+            rows = slice(g * particles, (g + 1) * particles)
+            x[rows] = rsde.draw_initial(sample_seed, init, particles, d)
+            dw[rows] = rsde.draw_wiener(sample_seed, particles, steps, l, grid.dt)
+            db[g] = np.diff(lift.first_level, axis=0)
+            bb[g] = lift.step_second()
+        for n in range(steps):
+            if cvf is not None:
+                f_n = cvf.f(n, x)
+                fhat_n = correction(n, x, f_n)
+            cloud = flow.cloud(n)
+            weights = rsde._mixture_weights(policy, n, x, coeffs.n_actions)
+            drift = rsde._drift_mixture(coeffs, nodes[n], x, cloud, weights)
+            x = rsde._step(coeffs, nodes, n, x, cloud, drift, dw[: len(x), n],
+                           db[:count, n], bb[:count, n], f_n, fhat_n)
+            bad = rsde._blowup_row(x)
+            if bad is not None:
+                g, particle = divmod(bad, particles)
+                raise rsde.DivergedError(n, particle, float(np.abs(x[bad]).max()),
+                                         sample=first + g)
+        out[first : first + count] = x.reshape(count, particles, d)
+    return out
+
+
 def pathwise_terminals(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
                        particles: int, samples: int, seed, mode: str = FROZEN_FLOW,
                        flow=None, w_salt: int = 0, consistency_sweeps: int = 3,
                        inner_refine: int = 1):
     """Terminal states of the per-sample fixed-lift solves, shape (S, P, d).
 
-    frozen-flow keeps the supplied (or initial-cloud) flow for every sample;
+    frozen-flow keeps the supplied (or initial-cloud) flow for every sample
+    and runs the samples in grouped blocks (_frozen_flow_terminals);
     per-sample-fixedpoint iterates the consistency map flow -> law(solution)
     at the given policy a few sweeps per sample before the recorded solve.
     """
@@ -138,19 +199,21 @@ def pathwise_terminals(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     if base_flow is None:
         cloud = rsde.draw_initial(seed, init, particles, coeffs.d)
         base_flow = mf.constant_flow(grid, cloud, coeffs.k)
+    if mode == FROZEN_FLOW:
+        return _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples,
+                                      seed, base_flow, w_salt, inner_refine)
     out = np.empty((samples, particles, coeffs.d))
+    inner = max(32, particles // 4)
     for s in range(samples):
         lift = sample_lift(grid, coeffs.k, seed, s, inner_refine)
         sample_seed = derive_seed(seed, "randomize", "pathwise", s, w_salt)
         flow_s = base_flow
-        if mode == PER_SAMPLE_FIXEDPOINT:
-            inner = max(32, particles // 4)
-            for sweep in range(consistency_sweeps):
-                sol = rsde.solve(
-                    coeffs, flow_s, lift, policy, init, inner,
-                    derive_seed(sample_seed, "inner", sweep),
-                )
-                flow_s = mf.from_solution(sol)
+        for sweep in range(consistency_sweeps):
+            sol = rsde.solve(
+                coeffs, flow_s, lift, policy, init, inner,
+                derive_seed(sample_seed, "inner", sweep),
+            )
+            flow_s = mf.from_solution(sol)
         sol = rsde.solve(coeffs, flow_s, lift, policy, init, particles, sample_seed)
         out[s] = sol.ensemble.Z[:, grid.steps]
     return out

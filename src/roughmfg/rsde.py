@@ -29,17 +29,21 @@ BLOWUP_THRESHOLD = 1e6
 
 class DivergedError(RuntimeError):
     """A state left the blow-up threshold.  anchor is the node a two-level
-    continuation started from, None in a forward solve."""
+    continuation started from and sample the common-noise sample of a
+    bridge pipeline, each None elsewhere; particle counts within the
+    sample."""
 
-    def __init__(self, step, particle, worst, anchor=None):
+    def __init__(self, step, particle, worst, anchor=None, sample=None):
+        which = "" if sample is None else f"sample {sample}, "
         where = "" if anchor is None else f" in the continuation from anchor node {anchor}"
         super().__init__(
-            f"state blew up at step {step}, particle {particle}{where}"
+            f"state blew up at step {step}, {which}particle {particle}{where}"
             f" (|X| = {worst:.3g})"
         )
         self.step = step
         self.particle = particle
         self.anchor = anchor
+        self.sample = sample
 
 
 def _blowup_row(x):
@@ -50,13 +54,12 @@ def _blowup_row(x):
     return int((~(np.abs(x) <= BLOWUP_THRESHOLD).all(axis=-1)).argmax())
 
 
-def check_blowup(x, step, first_particle=0):
+def check_blowup(x, step, sample=None):
     """Raise DivergedError when a state in x (P, d) is NaN or beyond the
-    blow-up threshold, naming the first such particle (numbered from
-    first_particle)."""
+    blow-up threshold, naming the first such particle (and the sample)."""
     i = _blowup_row(x)
     if i is not None:
-        raise DivergedError(step, first_particle + i, float(np.abs(x[i]).max()))
+        raise DivergedError(step, i, float(np.abs(x[i]).max()), sample=sample)
 
 
 class CausalityViolationError(RuntimeError):
@@ -321,7 +324,8 @@ class RsdeSolution:
             drift = _drift_mixture(coeffs, nodes[n], xs, cloud, weights)
             dw_n = np.concatenate([dw[g][:, n - w_node] for g in range(first, hi)])
             rough_terms = [] if cvf is None else [slots[1][run], slots[2][run]]
-            nxt = _step(coeffs, nodes, n, xs, cloud, drift, dw_n, db, bb, *rough_terms)
+            nxt = _step(coeffs, nodes, n, xs, cloud, drift, dw_n, db[n], bb[n],
+                        *rough_terms)
             bad = _blowup_row(nxt)
             if bad is not None:
                 g, r = divmod(bad, rows)
@@ -356,16 +360,28 @@ def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
     return out
 
 
-def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db, bb, f_n=None, fhat_n=None):
+def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
+          fhat_n=None):
     """One Euler-Davie step of the states xn (P, d) from node n: the drift
     (P, d), the idiosyncratic increments dw_n (P, l) and, with a rough
-    coefficient, f_n dB + fhat_n BB from the pair evaluated at node n."""
+    coefficient, f_n dB + fhat_n BB from the pair evaluated at node n.
+
+    The node's rough increments are shared by all rows, db_n (k,) and bb_n
+    (k, k), or one pair per group, (G, k) and (G, k, k), for rows grouped
+    contiguously into G equal blocks."""
     t = nodes[n]
     nxt = xn + drift * (nodes[n + 1] - t)
     nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xn, cloud), dw_n)
-    if f_n is not None:
-        nxt = nxt + f_n @ db[n]
-        nxt = nxt + np.einsum("pdij,ij->pd", fhat_n, bb[n])
+    if f_n is not None and db_n.ndim == 1:
+        nxt = nxt + f_n @ db_n
+        nxt = nxt + np.einsum("pdij,ij->pd", fhat_n, bb_n)
+    elif f_n is not None:
+        # one pair per group: on each group's rows, bitwise the shared form
+        groups, k = db_n.shape
+        f_g = f_n.reshape((groups, -1) + f_n.shape[1:])
+        fhat_g = fhat_n.reshape((groups, -1) + fhat_n.shape[1:])
+        nxt = nxt + (f_g @ db_n.reshape(groups, 1, k, 1)).reshape(nxt.shape)
+        nxt = nxt + np.einsum("gpdij,gij->gpd", fhat_g, bb_n).reshape(nxt.shape)
     return nxt
 
 
@@ -421,7 +437,8 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             if record is not None:
                 record.setdefault("mixture_weights", []).append(weights)
             drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
-        nxt = _step(coeffs, nodes, n, xn, cloud, drift, dW[:, i], db, bb, f_n, fhat_n)
+        nxt = _step(coeffs, nodes, n, xn, cloud, drift, dW[:, i], db[n], bb[n],
+                    f_n, fhat_n)
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x, fx, fhat
@@ -450,15 +467,21 @@ def realize_from_measure(coeffs, flow, p, policy, init: InitialLaw,
     return sol
 
 
+def _rough_coefficient(coeffs, flow):
+    """(cvf, correction): the interaction coefficient along the frozen flow
+    and its second-level correction, or (None, None) without a rough term."""
+    if coeffs.sigma0 is None:
+        return None, None
+    cvf = vf.build_cvf_from_flow(coeffs, flow)
+    return cvf, vf.gubinelli_correction(cvf)
+
+
 def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
     """Shared body of solve and realize_from_measure; a list `audit` switches
     to sampled causal actions and receives the access log."""
     if flow.grid != p.grid:
         raise InputError("flow and rough path live on different grids")
-    cvf = correction = None
-    if coeffs.sigma0 is not None:
-        cvf = vf.build_cvf_from_flow(coeffs, flow)
-        correction = vf.gubinelli_correction(cvf)
+    cvf, correction = _rough_coefficient(coeffs, flow)
     x0 = draw_initial(seed, init, particles, coeffs.d)
     dw = draw_wiener(seed, particles, p.grid.steps, coeffs.l, p.grid.dt)
     causal = None if audit is None else (substream(seed, "rsde", "exo"), audit)

@@ -84,6 +84,30 @@ class TestConfig:
         with pytest.raises(cfgmod.ConfigError, match="did you mean 'fixedpoint.max_iters'"):
             cfgmod.load_config(write_config(tmp_path, text))
 
+    def test_env_variable_without_key_is_error(self, tmp_path):
+        # ROUGHMFG_SEED is not ROUGHMFG_EXPERIMENT__SEED: it must not be
+        # skipped, leaving seed 5 in force
+        with pytest.raises(cfgmod.ConfigError, match="ROUGHMFG_SEED"):
+            cfgmod.load_config(write_config(tmp_path), env={"ROUGHMFG_SEED": "9"})
+        cfg = cfgmod.load_config(write_config(tmp_path),
+                                 env={"ROUGHMFG_EXPERIMENT__SEED": "9", "OTHER_SEED": "1"})
+        assert cfg.seed == 9
+
+    @pytest.mark.parametrize("rough, unread", [
+        ("source = sample\nseed_salt = 2", []),
+        ("source = smooth:linear\namplitude = 0.5", []),
+        ("source = smooth:sin\namplitude = 0.5\ncycles = 2", []),
+        ("source = sample\namplitude = 3.0\ncycles = 2", ["amplitude", "cycles"]),
+        ("source = smooth:linear\ncycles = 2\nseed_salt = 1", ["cycles", "seed_salt"]),
+        ("source = smooth:sin\nseed_salt = 1", ["seed_salt"]),
+    ])
+    def test_rough_keys_the_source_does_not_read(self, tmp_path, rough, unread):
+        text = MINIMAL + "\n[rough]\n" + rough + "\n"
+        issues = cfgmod.validate(cfgmod.load_config(write_config(tmp_path, text)))
+        source = rough.split("\n")[0].split(" = ")[1]
+        assert issues == [f"[rough] {key} is not read by source {source!r}"
+                          for key in unread]
+
     def test_make_model_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="'mean_couplng'; did you mean 'mean_coupling'"):
             models.make_model("no-interaction", mean_couplng=0.2)
@@ -126,7 +150,10 @@ class TestCli:
         (MINIMAL, {"ROUGHMFG_FIXEDPOINT__PARTCLES": "64"}, "fixedpoint.partcles"),
         (MINIMAL.replace("name = no-interaction",
                          "name = no-interaction\nmean_couplng = 0.2"), {}, "mean_couplng"),
-    ], ids=["section", "file-key", "env-key", "model-param"])
+        (MINIMAL, {"ROUGHMFG_SEED": "9"}, "ROUGHMFG_SEED"),
+        (MINIMAL + "\n[rough]\nsource = sample\namplitude = 3.0\n", {}, "amplitude"),
+    ], ids=["section", "file-key", "env-key", "model-param", "env-no-key",
+            "unread-rough-key"])
     def test_unknown_input_is_validation_error(self, tmp_path, capsys, monkeypatch,
                                                command, text, env, key):
         for name, value in env.items():
@@ -138,6 +165,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert key in captured.out + captured.err
         assert not (tmp_path / "out").exists()
+
+    def test_acceptance_config_validates(self, tmp_path, capsys):
+        # the config criterion 10 runs, as the acceptance suite writes it
+        text = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+        text = text.split('ACCEPTANCE_CONFIG = """\\\n', 1)[1].split('"""', 1)[0]
+        assert "[experiment]" in text
+        assert cli.main(["validate", "--config", str(write_config(tmp_path, text))]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_readme_config_validates(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from roughmfg import models
 from roughmfg import randomize as rz
 from roughmfg import roughpath as rp
 from roughmfg import rsde
-from roughmfg.rng import substream
+from roughmfg.rng import derive_seed, substream
 
 
 def gaussian_model(c=0.6, sigma=0.0):
@@ -20,6 +22,76 @@ def gaussian_model(c=0.6, sigma=0.0):
 
 def null_policy(model, steps):
     return mfg.RelaxedPolicy.constant(model.actions, steps, action_index=0)
+
+
+def delta_policy(model, steps):
+    return mfg.RelaxedPolicy.constant(model.actions, steps, action_index=1)
+
+
+def sin_mean_model():
+    """d = k = 2 model whose rough loading tanh(x_a) tanh(mean_p sin(w_b . y_p))
+    depends on the state and the cloud, with no sigma0_dmu."""
+    w = np.array([[1.3, -0.4], [0.6, 0.9]])
+    base = models.make_model("lq")
+
+    def sigma0(t, x, mu):
+        return np.tanh(x)[..., :, None] * np.tanh(np.sin(mu @ w.T).mean(axis=0))
+
+    return models.CoefficientSet(
+        name="sin-mean", d=2, l=1, k=2, actions=base.actions, b=base.b,
+        sigma=base.sigma, f=base.f, g=base.g, sigma0=sigma0,
+    )
+
+
+def random_flow(seed, grid, particles=48, d=1, k=1):
+    rng = substream(seed, "rz", "flow")
+    y = rng.normal(size=(particles, grid.steps + 1, d)) * 0.5
+    yp = rng.normal(size=(particles, grid.steps + 1, d, k)) * 0.3
+    return mf.MeasureFlow(grid, y, yp)
+
+
+def ref_pathwise_terminals(coeffs, policy, init, grid, particles, samples, seed,
+                           flow=None, w_salt=0, inner_refine=1):
+    """Slow reference of the frozen-flow pass: one rsde.solve per sample."""
+    if flow is None:
+        cloud = rsde.draw_initial(seed, init, particles, coeffs.d)
+        flow = mf.constant_flow(grid, cloud, coeffs.k)
+    out = np.empty((samples, particles, coeffs.d))
+    for s in range(samples):
+        lift = rz.sample_lift(grid, coeffs.k, seed, s, inner_refine)
+        sample_seed = derive_seed(seed, "randomize", "pathwise", s, w_salt)
+        sol = rsde.solve(coeffs, flow, lift, policy, init, particles, sample_seed)
+        out[s] = sol.ensemble.Z[:, grid.steps]
+    return out
+
+
+def ref_joint_terminals(coeffs, policy, init, grid, particles, samples, seed,
+                        flow=None):
+    """Slow reference of joint_simulate: nodes outer, samples inner, and one
+    (S, P, N, l) draw of the idiosyncratic increments."""
+    d, l, k = coeffs.d, coeffs.l, coeffs.k
+    nodes = grid.nodes
+    x = rsde.draw_initial(seed, init, samples * particles, d).reshape(
+        samples, particles, d
+    )
+    dw = substream(seed, "randomize", "joint-W").normal(
+        0.0, np.sqrt(grid.dt), size=(samples, particles, grid.steps, l)
+    )
+    db0 = np.stack([rz.common_increments(grid, k, seed, s) for s in range(samples)])
+    for n in range(grid.steps):
+        t = nodes[n]
+        for s in range(samples):
+            xs = x[s]
+            cloud = flow.cloud(n) if flow is not None else xs
+            weights = rsde._mixture_weights(policy, n, xs, coeffs.n_actions)
+            drift = rsde._drift_mixture(coeffs, t, xs, cloud, weights)
+            nxt = xs + drift * (nodes[n + 1] - t)
+            nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[s, :, n])
+            if coeffs.sigma0 is not None:
+                nxt = nxt + coeffs.sigma0(t, xs, cloud) @ db0[s, n]
+            rsde.check_blowup(nxt, n)
+            x[s] = nxt
+    return x
 
 
 class TestSampleLift:
@@ -128,6 +200,196 @@ class TestJointSimulate:
         with pytest.raises(rp.InputError, match=f"mixes {n_actions} actions, model has 3"):
             rz.joint_simulate(model, policy, rsde.InitialLaw(), rp.TimeGrid(1.0, 8),
                               particles=8, samples=2, seed=0)
+
+    @pytest.mark.parametrize("case", ["conditional", "external", "sin-mean"])
+    def test_matches_node_outer_reference(self, case):
+        grid = rp.TimeGrid(1.0, 12)
+        model = models.make_model("tanh-interaction")
+        flow = None
+        if case == "external":
+            flow = random_flow(2, grid)
+        elif case == "sin-mean":
+            model = sin_mean_model()
+        policy = mfg.RelaxedPolicy.constant(model.actions, 12, action_index=2)
+        init = rsde.InitialLaw("normal", 0.2, 0.6)
+        args = (model, policy, init, grid, 40, 5, 6)
+        out = rz.joint_simulate(*args, flow=flow)
+        np.testing.assert_array_equal(out.terminal, ref_joint_terminals(*args, flow=flow))
+        assert out.mode == ("external" if case == "external" else "conditional")
+
+    def test_sample_draws_equal_one_block_draw(self):
+        # S draws of (P, N, l) in sample order are the one (S, P, N, l) draw
+        one = substream(3, "randomize", "joint-W").normal(0.0, 0.2, size=(4, 7, 5, 2))
+        rng = substream(3, "randomize", "joint-W")
+        each = np.stack([rng.normal(0.0, 0.2, size=(7, 5, 2)) for _ in range(4)])
+        np.testing.assert_array_equal(each, one)
+
+
+def traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestFrozenFlowPass:
+    """The grouped terminal-only pass against the per-sample solves."""
+
+    @pytest.mark.parametrize("case, kwargs", [
+        ("lq", {}),
+        ("lq-no-rough", {}),
+        ("tanh", {}),
+        ("lq", {"inner_refine": 2}),
+        ("lq", {"w_salt": 1}),
+        ("tanh", {"flow": "random"}),
+        ("sin-mean", {}),
+    ], ids=["lq", "lq-no-rough", "tanh", "inner-refine", "w-salt", "flow", "sin-mean"])
+    def test_matches_per_sample_solves(self, case, kwargs):
+        grid = rp.TimeGrid(1.0, 16)
+        model = {
+            "lq": lambda: gaussian_model(c=0.6, sigma=0.3),
+            "lq-no-rough": lambda: models.make_model(
+                "lq", actions=(0.0,), sigma=0.5, mean_coupling=0.0, sigma0=None),
+            "tanh": lambda: models.make_model("tanh-interaction"),
+            "sin-mean": sin_mean_model,
+        }[case]()
+        if kwargs.get("flow") == "random":
+            kwargs = dict(kwargs, flow=random_flow(4, grid))
+        policy = mfg.RelaxedPolicy.constant(model.actions, 16,
+                                            action_index=model.n_actions - 1)
+        args = (model, policy, rsde.InitialLaw("normal", 0.1, 0.5), grid, 64, 6, 8)
+        got = rz.pathwise_terminals(*args, **kwargs)
+        np.testing.assert_array_equal(got, ref_pathwise_terminals(*args, **kwargs))
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (1, 3), (3, 2)])
+    def test_step_per_group_equals_shared(self, d, k):
+        rng = substream(d * 10 + k, "rz", "step")
+        groups, rows = 5, 37
+        model = models.CoefficientSet(
+            name="step", d=d, l=2, k=k, actions=np.zeros((1, 1)),
+            b=None, f=None, g=None, sigma=lambda t, x, mu: np.full(x.shape + (2,), 0.3),
+        )
+        x, drift = rng.normal(size=(2, groups * rows, d))
+        dw = rng.normal(size=(groups * rows, 2))
+        f = rng.normal(size=(groups * rows, d, k))
+        fhat = rng.normal(size=(groups * rows, d, k, k))
+        db, bb = rng.normal(size=(groups, k)), rng.normal(size=(groups, k, k))
+        nodes = np.linspace(0.0, 1.0, 5)
+        got = rsde._step(model, nodes, 2, x, None, drift, dw, db, bb, f, fhat)
+        for g in range(groups):
+            r = slice(g * rows, (g + 1) * rows)
+            want = rsde._step(model, nodes, 2, x[r], None, drift[r], dw[r], db[g],
+                              bb[g], f[r], fhat[r])
+            np.testing.assert_array_equal(got[r], want)
+
+    @pytest.mark.parametrize("group_rows", [3 * 50 + 7, 49])
+    def test_blocks_that_do_not_divide_the_samples(self, monkeypatch, group_rows):
+        # 7 samples in blocks of 3, 3, 1; and rows beyond the budget, one
+        # sample per block
+        model = models.make_model("tanh-interaction")
+        grid = rp.TimeGrid(1.0, 8)
+        args = (model, null_policy(model, 8), rsde.InitialLaw(), grid, 50, 7, 2)
+        want = ref_pathwise_terminals(*args)
+        monkeypatch.setattr(rz, "GROUP_ROWS", group_rows)
+        np.testing.assert_array_equal(rz.pathwise_terminals(*args), want)
+
+    def test_makes_no_solve_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rsde.solve called")
+
+        monkeypatch.setattr(rsde, "solve", forbidden)
+        model = gaussian_model()
+        grid = rp.TimeGrid(1.0, 8)
+        out = rz.pathwise_terminals(model, null_policy(model, 8), rsde.InitialLaw(),
+                                    grid, 16, 3, 1)
+        assert out.shape == (3, 16, 1)
+
+    def test_memory_bounded_by_one_block(self):
+        # bridge size: N = 64, P = 1000; the (rows, N, l) increments of one
+        # 32-sample block (16 MiB) dominate, whatever the sample count
+        model = gaussian_model(c=0.6, sigma=0.3)
+        grid = rp.TimeGrid(1.0, 64)
+        policy = null_policy(model, 64)
+        init = rsde.InitialLaw("normal", 0.0, 0.5)
+
+        def peak(samples):
+            return traced_peak_mib(lambda: rz.pathwise_terminals(
+                model, policy, init, grid, 1000, samples, 7))
+
+        one_block, hundred = peak(32), peak(100)
+        assert hundred <= 24.0
+        # beyond one block only the (S, P, d) output grows: 0.52 MiB more
+        assert hundred <= one_block + 1.0
+
+    def test_joint_memory_bounded_by_one_sample(self):
+        model = gaussian_model(c=0.6, sigma=0.3)
+        grid = rp.TimeGrid(1.0, 64)
+        peak = traced_peak_mib(lambda: rz.joint_simulate(
+            model, null_policy(model, 64), rsde.InitialLaw("normal", 0.0, 0.5),
+            grid, 1000, 100, 7))
+        assert peak <= 4.0
+
+
+def nan_drift_at(model, t_star, threshold):
+    # zero drift, NaN at time t_star for the states above the threshold
+    def b(t, x, mu, u):
+        x = np.asarray(x, dtype=float)
+        if t == t_star:
+            return np.where(x > threshold, np.nan, 0.0)
+        return np.zeros_like(x)
+
+    model.b = b
+
+
+def states_seen(model, t_star, run):
+    """Run with zero drift; the states the drift saw at time t_star, in call
+    order."""
+    seen = []
+
+    def b(t, x, mu, u):
+        x = np.asarray(x, dtype=float)
+        if t == t_star:
+            seen.append(x.copy())
+        return np.zeros_like(x)
+
+    model.b = b
+    run()
+    return np.concatenate(seen)
+
+
+class TestBridgeBlowups:
+    """Both bridge pipelines name the step, the sample and the particle
+    within the sample."""
+
+    @pytest.mark.parametrize("pipeline, group_rows", [
+        ("pathwise", rz.GROUP_ROWS), ("pathwise", 8), ("joint", rz.GROUP_ROWS),
+    ], ids=["pathwise", "pathwise-blocks-of-one", "joint"])
+    def test_nan_drift_names_sample_and_particle(self, monkeypatch, pipeline,
+                                                 group_rows):
+        monkeypatch.setattr(rz, "GROUP_ROWS", group_rows)
+        particles, samples = 8, 6
+        model = models.make_model("tanh-interaction")
+        grid = rp.TimeGrid(1.0, 8)
+        t_star = grid.nodes[5]
+        args = (model, delta_policy(model, 8), rsde.InitialLaw(), grid,
+                particles, samples, 6)
+        reference = {"pathwise": ref_pathwise_terminals,
+                     "joint": ref_joint_terminals}[pipeline]
+        seen = states_seen(model, t_star, lambda: reference(*args))
+        seen = seen.reshape(samples, particles)  # node 5, one row per sample
+        threshold = seen[0].max()  # sample 0 stays below it
+        sample = int(np.argmax((seen > threshold).any(axis=1)))
+        particle = int(np.argmax(seen[sample] > threshold))
+        assert sample > 0
+        nan_drift_at(model, t_star, threshold)
+        call = {"pathwise": rz.pathwise_terminals, "joint": rz.joint_simulate}[pipeline]
+        with pytest.raises(rsde.DivergedError) as err:
+            call(*args)
+        assert (err.value.step, err.value.sample, err.value.particle) == (
+            5, sample, particle)
+        assert f"step 5, sample {sample}, particle {particle}" in str(err.value)
 
 
 class TestEnergyDistance:
