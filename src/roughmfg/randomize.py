@@ -138,7 +138,8 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
     lift.  Per node the block makes one coefficient, correction, policy and
     drift call on all its rows and keeps only the current states.  A
     blow-up raises DivergedError naming the step, the sample and the
-    particle within the sample.
+    particle within the sample; a non-finite coefficient pair, at any node
+    up to the terminal one, raises NumericError as in the solve.
     """
     if flow.grid != grid:  # every sample's lift lives on grid
         raise InputError("flow and rough path live on different grids")
@@ -178,6 +179,10 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
                 g, particle = divmod(bad, particles)
                 raise rsde.DivergedError(n, particle, float(np.abs(x[bad]).max()),
                                          sample=first + g)
+        if cvf is not None:
+            # no step uses the pair at the terminal node; evaluated as the
+            # solve does, so a non-finite coefficient there still raises
+            correction(steps, x, cvf.f(steps, x))
         out[first : first + count] = x.reshape(count, particles, d)
     return out
 

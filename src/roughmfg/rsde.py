@@ -324,8 +324,8 @@ class RsdeSolution:
             drift = _drift_mixture(coeffs, nodes[n], xs, cloud, weights)
             dw_n = np.concatenate([dw[g][:, n - w_node] for g in range(first, hi)])
             rough_terms = [] if cvf is None else [slots[1][run], slots[2][run]]
-            nxt = _step(coeffs, nodes, n, xs, cloud, drift, dw_n, db[n], bb[n],
-                        *rough_terms)
+            nxt = _step(coeffs, nodes, n, xs, cloud, drift, dw_n, db[n : n + 1],
+                        bb[n : n + 1], *rough_terms)
             bad = _blowup_row(nxt)
             if bad is not None:
                 g, r = divmod(bad, rows)
@@ -366,22 +366,18 @@ def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
     (P, d), the idiosyncratic increments dw_n (P, l) and, with a rough
     coefficient, f_n dB + fhat_n BB from the pair evaluated at node n.
 
-    The node's rough increments are shared by all rows, db_n (k,) and bb_n
-    (k, k), or one pair per group, (G, k) and (G, k, k), for rows grouped
-    contiguously into G equal blocks."""
+    The node's rough increments come one pair per group, db_n (G, k) and
+    bb_n (G, k, k), for rows grouped contiguously into G equal blocks; a
+    single path passes G = 1."""
     t = nodes[n]
     nxt = xn + drift * (nodes[n + 1] - t)
     nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xn, cloud), dw_n)
-    if f_n is not None and db_n.ndim == 1:
-        nxt = nxt + f_n @ db_n
-        nxt = nxt + np.einsum("pdij,ij->pd", fhat_n, bb_n)
-    elif f_n is not None:
-        # one pair per group: on each group's rows, bitwise the shared form
+    if f_n is not None:
         groups, k = db_n.shape
         f_g = f_n.reshape((groups, -1) + f_n.shape[1:])
-        fhat_g = fhat_n.reshape((groups, -1) + fhat_n.shape[1:])
+        fhat_g = fhat_n.reshape(groups, -1, k, k)
         nxt = nxt + (f_g @ db_n.reshape(groups, 1, k, 1)).reshape(nxt.shape)
-        nxt = nxt + np.einsum("gpdij,gij->gpd", fhat_g, bb_n).reshape(nxt.shape)
+        nxt = nxt + np.einsum("gqij,gij->gq", fhat_g, bb_n).reshape(nxt.shape)
     return nxt
 
 
@@ -437,8 +433,8 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             if record is not None:
                 record.setdefault("mixture_weights", []).append(weights)
             drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
-        nxt = _step(coeffs, nodes, n, xn, cloud, drift, dW[:, i], db[n], bb[n],
-                    f_n, fhat_n)
+        nxt = _step(coeffs, nodes, n, xn, cloud, drift, dW[:, i], db[n : n + 1],
+                    bb[n : n + 1], f_n, fhat_n)
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x, fx, fhat

@@ -9,6 +9,7 @@ from roughmfg import models
 from roughmfg import randomize as rz
 from roughmfg import roughpath as rp
 from roughmfg import rsde
+from roughmfg import vectorfield as vf
 from roughmfg.rng import derive_seed, substream
 
 
@@ -280,9 +281,16 @@ class TestFrozenFlowPass:
         got = rsde._step(model, nodes, 2, x, None, drift, dw, db, bb, f, fhat)
         for g in range(groups):
             r = slice(g * rows, (g + 1) * rows)
-            want = rsde._step(model, nodes, 2, x[r], None, drift[r], dw[r], db[g],
-                              bb[g], f[r], fhat[r])
+            want = rsde._step(model, nodes, 2, x[r], None, drift[r], dw[r],
+                              db[g : g + 1], bb[g : g + 1], f[r], fhat[r])
             np.testing.assert_array_equal(got[r], want)
+            # one group is the single-path step: f dB as a matrix-vector
+            # product, fhat BB as an einsum over (i, j)
+            single = x[r] + drift[r] * (nodes[3] - nodes[2])
+            single = single + np.einsum("pdl,pl->pd", np.full((rows, d, 2), 0.3), dw[r])
+            single = single + f[r] @ db[g]
+            single = single + np.einsum("pdij,ij->pd", fhat[r], bb[g])
+            np.testing.assert_array_equal(want, single)
 
     @pytest.mark.parametrize("group_rows", [3 * 50 + 7, 49])
     def test_blocks_that_do_not_divide_the_samples(self, monkeypatch, group_rows):
@@ -294,6 +302,21 @@ class TestFrozenFlowPass:
         want = ref_pathwise_terminals(*args)
         monkeypatch.setattr(rz, "GROUP_ROWS", group_rows)
         np.testing.assert_array_equal(rz.pathwise_terminals(*args), want)
+
+    @pytest.mark.parametrize("pass_", [ref_pathwise_terminals, rz.pathwise_terminals],
+                             ids=["solves", "grouped"])
+    def test_non_finite_terminal_coefficient_raises(self, pass_):
+        # finite at every node a step uses, infinite at the terminal node
+        model = gaussian_model()
+        grid = rp.TimeGrid(1.0, 8)
+        finite = model.sigma0
+
+        def sigma0(t, x, mu):
+            return finite(t, x, mu) * (np.inf if t == grid.nodes[-1] else 1.0)
+
+        model.sigma0 = sigma0
+        with pytest.raises(vf.NumericError, match="non-finite"):
+            pass_(model, null_policy(model, 8), rsde.InitialLaw(), grid, 16, 3, 1)
 
     def test_makes_no_solve_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
