@@ -4,8 +4,9 @@ Subcommands: `run` (dispatch on the config's task), `validate`,
 `list-models`, and the direct entry points `rsde solve`, `mfg solve`,
 `randomize compare`.  Every output artifact embeds the manifest hash, and a
 manifest JSON records the config hash, seed, package version and wall time.
-Exit codes: 0 ok, 2 validation, 3 runtime, 4 non-convergence under
---strict.
+Exit codes: 0 ok, 2 validation, 3 runtime, 4 under --strict: the fixed
+point did not converge (mfg) or a bridge verdict failed (randomize; rsde
+solve does not read --strict yet).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import __version__, config as cfgmod
 from . import measureflow as mf
@@ -220,8 +222,6 @@ def _run_randomize(cfg, out: Path, strict: bool) -> int:
         inner_refine=cfg.rz_inner_refine,
     )
     h = cfg.manifest_hash()
-    from scipy import stats as sstats
-
     per_sample = []
     for v in report.per_sample:
         gap = float(abs(v.pathwise_mean[0] - v.joint_mean[0]))
@@ -232,7 +232,7 @@ def _run_randomize(cfg, out: Path, strict: bool) -> int:
                 "pathwise_mean": v.pathwise_mean.tolist(),
                 "joint_mean": v.joint_mean.tolist(),
                 "combined_se": v.combined_se,
-                "p_value": float(2.0 * sstats.norm.sf(z)),
+                "p_value": float(2.0 * special.ndtr(-z)),
                 "within": v.within,
             }
         )
@@ -261,6 +261,8 @@ def _run_randomize(cfg, out: Path, strict: bool) -> int:
         },
         h,
     )
+    if strict and not report.all_ok:
+        return EXIT_NONCONVERGENCE
     return EXIT_OK
 
 

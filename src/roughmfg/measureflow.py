@@ -5,7 +5,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import controlled as ct
 from .rng import substream
@@ -88,6 +87,8 @@ def wasserstein2(a: np.ndarray, b: np.ndarray, projections: int = 32, seed: int 
     if d == 1:
         return _w2_sorted(a[:, 0], b[:, 0])
     if a.shape[0] == b.shape[0] and a.shape[0] <= EXACT_ASSIGNMENT_MAX:
+        from scipy.optimize import linear_sum_assignment  # slow to import
+
         cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
         rows, cols = linear_sum_assignment(cost)
         return math.sqrt(cost[rows, cols].mean())

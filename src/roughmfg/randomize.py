@@ -6,7 +6,8 @@ conditional statistics.  The other simulates the state directly with two
 independent Brownian drivers (idiosyncratic per particle, common per
 sample).  Both consume the same common increments per sample, so their
 conditional laws are comparable sample by sample; agreement is judged by
-moment gaps and an energy-distance permutation test.
+moment gaps and an energy-distance permutation test, whose label shuffles
+all read one pooled distance matrix through blocked matrix products.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import measureflow as mf
 from . import rsde
@@ -27,6 +27,9 @@ PER_SAMPLE_FIXEDPOINT = "per-sample-fixedpoint"
 # particle rows the frozen-flow pass advances together: bounds its (rows, N, l)
 # block of idiosyncratic increments (16 MiB at N = 64, l = 1)
 GROUP_ROWS = 1 << 15
+# rows per block of the energy test: permutation masks per matrix product,
+# and distance rows per coordinate pass
+BLOCK = 64
 
 
 def common_increments(grid: TimeGrid, k: int, seed, sample: int) -> np.ndarray:
@@ -196,7 +199,9 @@ def pathwise_terminals(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     frozen-flow keeps the supplied (or initial-cloud) flow for every sample
     and runs the samples in grouped blocks (_frozen_flow_terminals);
     per-sample-fixedpoint iterates the consistency map flow -> law(solution)
-    at the given policy a few sweeps per sample before the recorded solve.
+    at the given policy a few sweeps per sample before the recorded solve;
+    a blow-up there raises DivergedError naming the step, the sample, the
+    particle and the consistency sweep (None for the recorded solve).
     """
     if mode not in (FROZEN_FLOW, PER_SAMPLE_FIXEDPOINT):
         raise InputError(f"unknown comparison mode {mode!r}")
@@ -213,52 +218,85 @@ def pathwise_terminals(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
         lift = sample_lift(grid, coeffs.k, seed, s, inner_refine)
         sample_seed = derive_seed(seed, "randomize", "pathwise", s, w_salt)
         flow_s = base_flow
-        for sweep in range(consistency_sweeps):
-            sol = rsde.solve(
-                coeffs, flow_s, lift, policy, init, inner,
-                derive_seed(sample_seed, "inner", sweep),
-            )
-            flow_s = mf.from_solution(sol)
-        sol = rsde.solve(coeffs, flow_s, lift, policy, init, particles, sample_seed)
+        try:
+            for sweep in range(consistency_sweeps):
+                sol = rsde.solve(
+                    coeffs, flow_s, lift, policy, init, inner,
+                    derive_seed(sample_seed, "inner", sweep),
+                )
+                flow_s = mf.from_solution(sol)
+            sweep = None
+            sol = rsde.solve(coeffs, flow_s, lift, policy, init, particles, sample_seed)
+        except rsde.DivergedError as err:
+            raise rsde.DivergedError(err.step, err.particle, err.worst, sample=s,
+                                     sweep=sweep) from err
         out[s] = sol.ensemble.Z[:, grid.steps]
     return out
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and b, shape (len(a), len(b)).
+
+    Squared differences accumulate one coordinate at a time, in coordinate
+    order, into the output, BLOCK rows at a time; so no (len(a), len(b), d)
+    temporary is made, and every entry equals scipy's cdist bit for bit.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for lo in range(0, a.shape[0], BLOCK):
+        rows = out[lo : lo + BLOCK]
+        for j in range(a.shape[1]):
+            diff = a[lo : lo + BLOCK, j, None] - b[None, :, j]
+            rows += np.square(diff, out=diff)
+    return np.sqrt(out, out=out)
 
 
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample energy statistic 2 E|X-Y| - E|X-X'| - E|Y-Y'|."""
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
-    dxy = cdist(x, y).mean()
-    dxx = cdist(x, x).mean()
-    dyy = cdist(y, y).mean()
+    dxy = _distances(x, y).mean()
+    dxx = _distances(x, x).mean()
+    dyy = _distances(y, y).mean()
     return 2.0 * dxy - dxx - dyy
 
 
 def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 500,
                             seed: int = 0) -> tuple:
-    """Permutation p-value of the energy statistic (label shuffles)."""
+    """Permutation p-value of the energy statistic (label shuffles).
+
+    Székely and Rizzo (2013).  The pooled distance matrix D is built once.
+    Row 0 of the split masks is the observed split and row r > 0 the first
+    n entries of the r-th permutation drawn from the "energy-perm" stream.
+    Per block of BLOCK masks M, the within-x sums are the row sums of
+    (M @ D) * M, the cross sums M @ colsum(D) minus them, and the within-y
+    sums the rest of sum(D); the statistic is their weighted difference,
+    equal to the masked-submatrix means up to round-off.
+    """
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
-    n = x.shape[0]
+    n, m = x.shape[0], y.shape[0]
+    total = n + m
     pooled = np.vstack([x, y])
-    dist = cdist(pooled, pooled)
-    total = pooled.shape[0]
-
-    def stat(idx_x):
-        mask = np.zeros(total, dtype=bool)
-        mask[idx_x] = True
-        dxy = dist[mask][:, ~mask].mean()
-        dxx = dist[mask][:, mask].mean()
-        dyy = dist[~mask][:, ~mask].mean()
-        return 2.0 * dxy - dxx - dyy
-
-    observed = stat(np.arange(n))
+    dist = _distances(pooled, pooled)
+    col = dist.sum(axis=0)
+    grand = col.sum()
     rng = substream(seed, "randomize", "energy-perm")
-    hits = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(total)
-        if stat(perm[:n]) >= observed:
-            hits += 1
+    stats = np.empty(n_perm + 1)
+    masks = np.empty((min(BLOCK, n_perm + 1), total))
+    for first in range(0, n_perm + 1, BLOCK):
+        block = masks[: min(BLOCK, n_perm + 1 - first)]
+        block.fill(0.0)
+        for r in range(block.shape[0]):
+            split = rng.permutation(total)[:n] if first + r else slice(0, n)
+            block[r, split] = 1.0
+        sxx = np.einsum("pt,pt->p", block @ dist, block)
+        sxy = block @ col - sxx
+        syy = grand - 2.0 * sxy - sxx
+        stats[first : first + block.shape[0]] = (
+            2.0 * sxy / (n * m) - sxx / n**2 - syy / m**2
+        )
+    observed = stats[0]
+    hits = int(np.count_nonzero(stats[1:] >= observed))
     return observed, (hits + 1.0) / (n_perm + 1.0)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import controlled as ct
 from . import vectorfield as vf
@@ -29,21 +29,27 @@ BLOWUP_THRESHOLD = 1e6
 
 class DivergedError(RuntimeError):
     """A state left the blow-up threshold.  anchor is the node a two-level
-    continuation started from and sample the common-noise sample of a
-    bridge pipeline, each None elsewhere; particle counts within the
-    sample."""
+    continuation started from, sample the common-noise sample of a bridge
+    pipeline and sweep the per-sample consistency sweep whose inner solve
+    blew up, each None elsewhere; particle counts within the sample (within
+    the sweep's inner particles for a sweep)."""
 
-    def __init__(self, step, particle, worst, anchor=None, sample=None):
+    def __init__(self, step, particle, worst, anchor=None, sample=None,
+                 sweep=None):
         which = "" if sample is None else f"sample {sample}, "
         where = "" if anchor is None else f" in the continuation from anchor node {anchor}"
+        if sweep is not None:
+            where += f" in consistency sweep {sweep}"
         super().__init__(
             f"state blew up at step {step}, {which}particle {particle}{where}"
             f" (|X| = {worst:.3g})"
         )
         self.step = step
         self.particle = particle
+        self.worst = worst
         self.anchor = anchor
         self.sample = sample
+        self.sweep = sweep
 
 
 def _blowup_row(x):
@@ -718,7 +724,7 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
     p_count = sol.ensemble.particles
     paths = _martingale_paths(sol)
     x, wpath = paths[0], paths[1]
-    t_crit = stats.t.ppf(1.0 - 0.5 * level, df=p_count - 1)
+    t_crit = special.stdtrit(p_count - 1, 1.0 - 0.5 * level)
 
     anchors = sorted({int(a) for a in np.linspace(0, grid.steps // 2, n_anchor_pairs)})
     spans = [max(1, grid.steps // 4), max(1, grid.steps // 2)]
@@ -749,7 +755,7 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
                     if prod.std(ddof=1) != 0.0:
                         tstats.append(_tstat(prod))
         n_tests = max(1, len(tstats))
-        crit = stats.norm.ppf(1.0 - 0.5 * level / n_tests)
+        crit = special.ndtri(1.0 - 0.5 * level / n_tests)
         residual_pass = all(abs(t) < crit for t in tstats)
         # (b) realized quadratic variation vs integrated loading
         qv_t = _tstat(_qv_gap(dm, load_x, load_w, grid.dt))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from roughmfg import cli
 from roughmfg import config as cfgmod
@@ -31,6 +35,27 @@ particles = 64
 max_iters = 4
 tol_w2 = 1e-9
 tol_exp = 1e-2
+"""
+
+
+# a frozen initial flow is the conditional law only without mean coupling;
+# at 1.5 the energy test rejects the bridge
+RANDOMIZE = """\
+[experiment]
+task = randomize
+seed = 2
+
+[model]
+name = lq
+mean_coupling = {coupling}
+
+[grid]
+t = 1.0
+n = 16
+
+[randomize]
+samples = 8
+particles = 64
 """
 
 
@@ -333,6 +358,33 @@ class TestCli:
         assert code == 4
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
+
+    @pytest.mark.parametrize("command", [["run"], ["randomize", "compare"]],
+                             ids=["run", "randomize-compare"])
+    @pytest.mark.parametrize("coupling, strict, code", [
+        (0.0, True, 0), (1.5, True, 4), (1.5, False, 0),
+    ], ids=["agrees-strict", "rejected-strict", "rejected"])
+    def test_strict_bridge_verdict_exit_code(self, tmp_path, command, coupling,
+                                             strict, code):
+        path = write_config(tmp_path, RANDOMIZE.format(coupling=coupling))
+        out = tmp_path / "rz"
+        argv = [*command, "--config", str(path), "--out", str(out)]
+        assert cli.main(argv + ["--strict"] * strict) == code
+        report = json.loads((out / "bridge_report.json").read_text())
+        assert report["all_ok"] is (coupling == 0.0)
+
+    def test_per_sample_p_value_is_normal_tail(self):
+        z = np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-300, 1e300, np.inf]])
+        np.testing.assert_array_equal(special.ndtr(-z), stats.norm.sf(z))
+
+    def test_import_loads_no_slow_scipy_module(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys, roughmfg.cli; print(*(m for m in sys.modules if "
+                 "m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.spatial'))))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.stdout.split() == []
 
     def test_cli_seed_override(self, tmp_path):
         path = write_config(tmp_path)

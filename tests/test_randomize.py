@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from roughmfg import measureflow as mf
 from roughmfg import mfg
@@ -415,7 +416,104 @@ class TestBridgeBlowups:
         assert f"step 5, sample {sample}, particle {particle}" in str(err.value)
 
 
+    @pytest.mark.parametrize("sweeps", [3, 0], ids=["sweep", "recorded-solve"])
+    def test_per_sample_fixedpoint_names_sample_and_sweep(self, sweeps):
+        # per sample: the consistency sweeps of max(32, P // 4) = 32 inner
+        # particles, then the recorded solve of P particles; at seed 1 the
+        # first blow-up is in sweep 1 of sample 1 (inner particle 15) with
+        # three sweeps, and in the recorded solve of sample 2 with none
+        particles, samples, inner = 8, 3, 32
+        model = models.make_model("tanh-interaction")
+        grid = rp.TimeGrid(1.0, 8)
+        t_star = grid.nodes[5]
+        args = (model, delta_policy(model, 8), rsde.InitialLaw(), grid,
+                particles, samples, 1, rz.PER_SAMPLE_FIXEDPOINT)
+
+        def run():
+            return rz.pathwise_terminals(*args, consistency_sweeps=sweeps)
+
+        seen = states_seen(model, t_star, run)
+        seen = seen[:, 0].reshape(samples, sweeps * inner + particles)
+        threshold = seen[0].max()  # sample 0 stays below it
+        sample, row = divmod(int(np.argmax(seen > threshold)), seen.shape[1])
+        sweep, particle = divmod(row, inner)
+        if sweep == sweeps:
+            sweep, particle = None, row - sweeps * inner
+        assert sample > 0
+        nan_drift_at(model, t_star, threshold)
+        with pytest.raises(rsde.DivergedError) as err:
+            run()
+        got = err.value
+        assert (got.step, got.sample, got.sweep, got.particle) == (
+            5, sample, sweep, particle)
+        assert f"step 5, sample {sample}, particle {particle}" in str(got)
+        assert (f"in consistency sweep {sweep}" in str(got)) == (sweep is not None)
+
+
+def ref_energy_permutation_test(x, y, n_perm=500, seed=0):
+    """The masked-submatrix loop the blocked energy test replaced."""
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    n = x.shape[0]
+    pooled = np.vstack([x, y])
+    dist = cdist(pooled, pooled)
+    total = pooled.shape[0]
+
+    def stat(idx_x):
+        mask = np.zeros(total, dtype=bool)
+        mask[idx_x] = True
+        dxy = dist[mask][:, ~mask].mean()
+        dxx = dist[mask][:, mask].mean()
+        dyy = dist[~mask][:, ~mask].mean()
+        return 2.0 * dxy - dxx - dyy
+
+    observed = stat(np.arange(n))
+    rng = substream(seed, "randomize", "energy-perm")
+    hits = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(total)
+        if stat(perm[:n]) >= observed:
+            hits += 1
+    return observed, (hits + 1.0) / (n_perm + 1.0)
+
+
+def energy_pair(d, n, m, shift, seed=0):
+    rng = substream(seed, "rz", "pair", d, n, m)
+    return rng.normal(size=(n, d)), rng.normal(size=(m, d)) + shift
+
+
 class TestEnergyDistance:
+    # (d, n, m, n_perm, shift); n_perm + 1 masks, the first the observed split
+    @pytest.mark.parametrize("d, n, m, n_perm, shift", [
+        (1, 60, 60, 200, 0.0), (1, 60, 60, 200, 0.3),
+        (2, 60, 60, 200, 0.0), (2, 60, 60, 200, 0.3),
+        (3, 60, 60, 200, 0.0), (3, 60, 60, 200, 0.3),
+        (1, 45, 90, 200, 0.2), (2, 90, 45, 200, 0.0), (3, 31, 77, 200, 0.3),
+        (1, 50, 50, 0, 0.0),
+        (1, 50, 50, rz.BLOCK - 2, 0.2), (2, 50, 50, rz.BLOCK - 1, 0.2),
+        (1, 50, 50, rz.BLOCK, 0.2), (1, 50, 50, 500, 0.1), (2, 40, 70, 500, 0.3),
+    ])
+    def test_matches_masked_loop(self, d, n, m, n_perm, shift):
+        x, y = energy_pair(d, n, m, shift)
+        stat, p = rz.energy_permutation_test(x, y, n_perm=n_perm, seed=5)
+        want_stat, want_p = ref_energy_permutation_test(x, y, n_perm=n_perm, seed=5)
+        assert p == want_p
+        assert abs(stat - want_stat) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distances_match_cdist(self, d):
+        x, y = energy_pair(d, 70, 40, 0.3)
+        np.testing.assert_array_equal(rz._distances(x, y), cdist(x, y))
+        want = 2.0 * cdist(x, y).mean() - cdist(x, x).mean() - cdist(y, y).mean()
+        assert rz.energy_distance(x, y) == want
+
+    def test_memory_bounded_by_mask_blocks(self):
+        # the pooled distances take 4.9 MiB; all 501 masks at once and their
+        # product with the distances would take 6.1 MiB more
+        x, y = energy_pair(1, 400, 400, 0.1)
+        peak = traced_peak_mib(lambda: rz.energy_permutation_test(x, y, n_perm=500))
+        assert peak <= 10.0
+
     def test_identical_samples_zero(self):
         x = substream(0, "rz", "e").normal(size=(50, 1))
         assert rz.energy_distance(x, x) == pytest.approx(0.0, abs=1e-12)

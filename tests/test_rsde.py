@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
@@ -522,6 +522,27 @@ class TestMartingaleDiagnostics:
             sds.append(rsde.qv_gap(sol, phi).std(ddof=1))
         slope = np.polyfit(np.log(sizes), np.log(sds), 1)[0]
         assert -0.7 <= slope <= -0.3
+
+
+class TestCriticalValues:
+    """The battery's critical values, computed with scipy.special, equal
+    scipy.stats' quantiles bit for bit, one scalar call each as the battery
+    makes them."""
+
+    LEVELS = [0.05, 0.01, 1e-3, 1e-4]
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_student_t_quantile(self, level):
+        q = 1.0 - 0.5 * level
+        for df in [1, 2, 3, 7, 15, 31, 39, 63, 99, 127, 199, 255, 399, 499, 511,
+                   999, 1023, 1999, 4095, 9999, 99999]:
+            assert special.stdtrit(df, q) == stats.t.ppf(q, df=df), df
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_bonferroni_normal_quantile(self, level):
+        for n_tests in range(1, 129):
+            q = 1.0 - 0.5 * level / n_tests
+            assert special.ndtri(q) == stats.norm.ppf(q), n_tests
 
 
 # -- slow reference for the martingale battery ----------------------------------
