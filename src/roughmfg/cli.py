@@ -4,9 +4,10 @@ Subcommands: `run` (dispatch on the config's task), `validate`,
 `list-models`, and the direct entry points `rsde solve`, `mfg solve`,
 `randomize compare`.  Every output artifact embeds the manifest hash, and a
 manifest JSON records the config hash, seed, package version and wall time.
-Exit codes: 0 ok, 2 validation, 3 runtime, 4 under --strict: the fixed
-point did not converge (mfg) or a bridge verdict failed (randomize; rsde
-solve does not read --strict yet).
+Exit codes: 0 ok, 2 validation, 3 runtime (under --strict also a lattice
+escape in an mfg best response, otherwise a warning), 4 under --strict: the
+fixed point did not converge (mfg) or a bridge verdict failed (randomize;
+rsde solve does not read --strict yet).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import __version__, config as cfgmod
 from . import measureflow as mf
@@ -115,7 +115,7 @@ def _run_mfg(cfg, out: Path, strict: bool) -> int:
         max_iters=cfg.max_iters,
         tol_w2=cfg.tol_w2,
         tol_exp=cfg.tol_exp,
-        settings=cfg.dp,
+        settings=dataclasses.replace(cfg.dp, strict=True) if strict else cfg.dp,
         idx=cfg.indices,
         m=cfg.m,
         domain_bound=cfg.domain_bound,
@@ -207,6 +207,8 @@ def _run_rsde(cfg, out: Path, strict: bool) -> int:
 
 
 def _run_randomize(cfg, out: Path, strict: bool) -> int:
+    from scipy import special  # slow to import
+
     model = _build_model(cfg)
     grid = cfg.grid()
     policy = _default_policy(model, grid.steps)

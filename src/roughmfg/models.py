@@ -3,6 +3,11 @@
 Evaluator conventions: x is batched with trailing state axis d, mu is a
 particle cloud (P, d), u is a single action vector (du,).  Drift and costs
 are evaluated per action; callers average over the policy mixture.
+
+Grouped clouds: a cloud may carry leading group axes, (G, P, d) against
+states (G, P_x, d), and then each group of states interacts only with its
+own cloud.  Evaluators reduce over the particle axis -2, never axis 0, so
+a plain (P, d) cloud is the one-group case and behaves as before.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ class CoefficientSet:
     each mu[p] moves along v[p, :, j], shaped (..., d, k, k); it equals the
     particle average of the measure derivative contracted with v.  Without
     it the field builder takes a central difference along v.
+
+    b, sigma, sigma0, grad_sigma0 and sigma0_dmu also take grouped clouds:
+    mu (G, P, d) against x (G, P_x, d), and v (G, P, d, k), reducing over
+    the particle axis -2 so each group sees only its own cloud.
     """
 
     name: str
@@ -65,7 +74,11 @@ class CoefficientSet:
 
 
 def _mean(mu):
-    return np.asarray(mu).mean(axis=0)  # (d,)
+    """Particle mean of a cloud's first coordinate, the one the built-in
+    models read: a scalar for a plain (P, d) cloud, (G, 1, 1) for a grouped
+    (G, P, d) one, so it broadcasts against the group's states (G, P_x, d)."""
+    m = np.asarray(mu).mean(axis=-2)
+    return m[0] if m.ndim == 1 else m[..., None, :1]
 
 
 def _sech2(x):
@@ -84,8 +97,8 @@ def _scalarize(u):
 def _const_field(value):
     def f(t, x, mu):
         x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(value, x.shape[:-1] + value.shape)
-        return out.copy()
+        # read-only view: no caller writes into a coefficient result
+        return np.broadcast_to(value, x.shape[:-1] + value.shape)
 
     return f
 
@@ -110,7 +123,7 @@ def _build_lq(params):
 
     def b(t, x, mu, u):
         x = np.asarray(x, dtype=float)
-        return np.full_like(x, _scalarize(u) + a_mean * _mean(mu)[0])
+        return np.full_like(x, _scalarize(u) + a_mean * _mean(mu))
 
     def f(t, x, mu, u):
         x = np.asarray(x, dtype=float)
@@ -166,31 +179,34 @@ def _build_tanh(params):
     p.update(params)
     s_mat = np.full((d, l), p["sigma"])
 
+    # d = k = 1: states keep their trailing axis, so a grouped mean
+    # (G, 1, 1) broadcasts against them
     def b(t, x, mu, u):
         x = np.asarray(x, dtype=float)
         return (
             _scalarize(u)
-            - p["b_revert"] * np.tanh(x[..., 0])
-            + p["b_mean"] * np.tanh(_mean(mu)[0])
-        )[..., None]
+            - p["b_revert"] * np.tanh(x)
+            + p["b_mean"] * np.tanh(_mean(mu))
+        )
 
     def sigma0(t, x, mu):
         x = np.asarray(x, dtype=float)
-        m = np.tanh(_mean(mu)[0])
-        return (p["s_base"] + p["s_int"] * np.tanh(x[..., 0]) * m)[..., None, None]
+        m = np.tanh(_mean(mu))
+        return (p["s_base"] + p["s_int"] * np.tanh(x) * m)[..., None]
 
     def grad_sigma0(t, x, mu):
         x = np.asarray(x, dtype=float)
-        m = np.tanh(_mean(mu)[0])
-        val = p["s_int"] * m * _sech2(x[..., 0])
-        return val[..., None, None, None]
+        m = np.tanh(_mean(mu))
+        val = p["s_int"] * m * _sech2(x)
+        return val[..., None, None]
 
     def sigma0_dmu(t, x, mu, v):
         # coefficient depends on mu through its mean only: moving the
         # particles along v moves the mean along the mean of v
         x = np.asarray(x, dtype=float)
-        val = p["s_int"] * np.tanh(x[..., 0]) * _sech2(_mean(mu)[0])
-        return (val[..., None] * v[:, 0].mean(axis=0))[..., None, None, :]
+        val = p["s_int"] * np.tanh(x) * _sech2(_mean(mu))
+        v_mean = v[..., 0, :].mean(axis=-2, keepdims=True)  # (..., 1, k)
+        return (val * v_mean)[..., None, None, :]
 
     def f(t, x, mu, u):
         x = np.asarray(x, dtype=float)

@@ -30,6 +30,9 @@ GROUP_ROWS = 1 << 15
 # rows per block of the energy test: permutation masks per matrix product,
 # and distance rows per coordinate pass
 BLOCK = 64
+# idiosyncratic increments joint_simulate holds at a time: bounds its
+# (G, P, N, l) block (2 MiB; 4 samples at P = 1000, N = 64, l = 1)
+JOINT_INCREMENTS = 1 << 18
 
 
 def common_increments(grid: TimeGrid, k: int, seed, sample: int) -> np.ndarray:
@@ -89,34 +92,54 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
 
     The interaction measure is the within-sample empirical cloud (the
     conditional particle system) unless an external flow is supplied.
-    Samples run one after another over the whole grid, each drawing its
-    idiosyncratic increments in turn from one stream, so a blow-up raises
-    DivergedError naming the step, the sample and the particle within the
-    sample of the first blow-up in sample order.
+    Blocks of max(1, JOINT_INCREMENTS // (P N l)) samples advance together.
+    A block draws each sample's (P, N, l) idiosyncratic increments in turn,
+    in sample order, from one stream, and per node makes one policy, drift,
+    sigma and sigma0 call on its (G, P, d) states, each group interacting
+    with its own sample's cloud (the grouped-cloud convention of models);
+    the first grouped call is checked against sample 0 alone
+    (_check_grouped).  A blow-up raises DivergedError naming the step, the
+    sample and the particle within the sample: the first blow-up (earliest
+    step, then sample and particle) of the first block that has one.
     """
     d, l, k = coeffs.d, coeffs.l, coeffs.k
-    nodes = grid.nodes
+    nodes, steps = grid.nodes, grid.steps
     x = rsde.draw_initial(seed, init, samples * particles, d).reshape(
         samples, particles, d
     )
     w_rng = substream(seed, "randomize", "joint-W")
     external = flow is not None
-    for s in range(samples):
-        dw = w_rng.normal(0.0, math.sqrt(grid.dt), size=(particles, grid.steps, l))
-        db0 = common_increments(grid, k, seed, s)
-        xs = x[s]
-        for n in range(grid.steps):
+    per_block = min(samples, max(1, JOINT_INCREMENTS // (particles * steps * l)))
+    # allocated once; a shorter last block uses the leading samples
+    dw = np.empty((per_block, particles, steps, l))
+    db0 = np.empty((per_block, steps, k, 1))
+    for first in range(0, samples, per_block):
+        count = min(per_block, samples - first)
+        for g in range(count):
+            dw[g] = w_rng.normal(0.0, math.sqrt(grid.dt), size=(particles, steps, l))
+            db0[g, ..., 0] = common_increments(grid, k, seed, first + g)
+        xs = x[first : first + count]
+        for n in range(steps):
             t = nodes[n]
             cloud = flow.cloud(n) if external else xs
             weights = rsde._mixture_weights(policy, n, xs, coeffs.n_actions)
             drift = rsde._drift_mixture(coeffs, t, xs, cloud, weights)
+            sig = coeffs.sigma(t, xs, cloud)
+            sig0 = None if coeffs.sigma0 is None else coeffs.sigma0(t, xs, cloud)
+            if first == n == 0:
+                _check_grouped(coeffs, t, xs[0], cloud if external else xs[0],
+                               weights[0], (drift, sig, sig0))
             nxt = xs + drift * (nodes[n + 1] - t)
-            nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[:, n])
-            if coeffs.sigma0 is not None:
-                nxt = nxt + coeffs.sigma0(t, xs, cloud) @ db0[n]
-            rsde.check_blowup(nxt, n, sample=s)
+            nxt = nxt + np.einsum("gpdl,gpl->gpd", sig, dw[:count, :, n])
+            if sig0 is not None:
+                nxt = nxt + (sig0 @ db0[:count, None, n])[..., 0]
+            bad = rsde._blowup_row(nxt.reshape(-1, d))
+            if bad is not None:
+                g, particle = divmod(bad, particles)
+                worst = float(np.abs(nxt[g, particle]).max())
+                raise rsde.DivergedError(n, particle, worst, sample=first + g)
             xs = nxt
-        x[s] = xs
+        x[first : first + count] = xs
     cond_means = x.mean(axis=1)
     cond_second = np.einsum("spa,spb->sab", x, x) / particles
     return JointSummary(
@@ -127,6 +150,28 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
         terminal=x if keep_terminal else None,
         mode="external" if external else "conditional",
     )
+
+
+def _check_grouped(coeffs, t, x0, cloud0, weights0, grouped):
+    """Raise InputError unless group 0 of the grouped (drift, sigma, sigma0)
+    equals (rtol 1e-12) the same calls on sample 0 alone: a coefficient that
+    reduces a cloud over axis 0 instead of the particle axis -2 would mix
+    the samples of a block."""
+    alone = (
+        rsde._drift_mixture(coeffs, t, x0, cloud0, weights0),
+        coeffs.sigma(t, x0, cloud0),
+        None if coeffs.sigma0 is None else coeffs.sigma0(t, x0, cloud0),
+    )
+    for name, got, want in zip(("b", "sigma", "sigma0"), grouped, alone):
+        if want is None:
+            continue
+        if got[0].shape != want.shape or not np.allclose(
+                got[0], want, rtol=1e-12, atol=0.0, equal_nan=True):
+            raise InputError(
+                f"coefficient {name} of model {coeffs.name!r} differs on a grouped "
+                "(G, P, d) cloud from a call on one sample's cloud; reduce clouds "
+                "over the particle axis -2, not axis 0"
+            )
 
 
 def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,

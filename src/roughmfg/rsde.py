@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import controlled as ct
 from . import vectorfield as vf
@@ -357,12 +356,14 @@ def _mixture_weights(policy, n, x, n_actions) -> np.ndarray:
 
 
 def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
+    """Policy-averaged drift of the states x (..., d) with weights (..., K);
+    x and cloud may carry leading group axes (see models)."""
     out = np.zeros_like(x)
     for a in range(coeffs.n_actions):
-        w = weights[:, a]
+        w = weights[..., a]
         if not np.any(w):
             continue
-        out += w[:, None] * coeffs.b(t, x, cloud, coeffs.actions[a])
+        out += w[..., None] * coeffs.b(t, x, cloud, coeffs.actions[a])
     return out
 
 
@@ -716,6 +717,8 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
     the integrated product of loadings.  Pass flags compare |t| to the
     two-sided critical value at `level` (Bonferroni within each family).
     """
+    from scipy import special  # slow to import
+
     if sol.coeffs.d != 1 or sol.coeffs.l != 1:
         raise InputError("the default diagnostics battery needs d = l = 1")
     if phis is None:

@@ -359,6 +359,35 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
 
+    @pytest.mark.parametrize("command", [["run"], ["mfg", "solve"]],
+                             ids=["run", "mfg-solve"])
+    @pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)],
+                             ids=["strict", "lenient"])
+    def test_strict_lattice_escape_exit_code(self, tmp_path, capsys, command, strict,
+                                             code):
+        # a [-0.5, 0.5] lattice loses about 13 % of the quadrature mass
+        narrow = MINIMAL.replace("lattice_lo = -4.0", "lattice_lo = -0.5") \
+            .replace("lattice_hi = 4.0", "lattice_hi = 0.5")
+        path = write_config(tmp_path, narrow)
+        argv = [*command, "--config", str(path), "--out", str(tmp_path / "o")]
+        if strict:
+            assert cli.main(argv + ["--strict"]) == code
+            assert "escaped the lattice" in capsys.readouterr().err
+        else:
+            with pytest.warns(UserWarning, match="escaped the lattice"):
+                assert cli.main(argv) == code
+
+    def test_strict_leaves_config_and_outputs(self, tmp_path):
+        path = write_config(tmp_path)
+        runs = [tmp_path / "lenient", tmp_path / "strict"]
+        for out, flags in zip(runs, [[], ["--strict"]]):
+            argv = ["mfg", "solve", "--config", str(path), "--out", str(out)]
+            assert cli.main(argv + flags) == 0
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in runs]
+        assert manifests[0]["manifest_hash"] == manifests[1]["manifest_hash"]
+        reports = [(out / "report.json").read_text() for out in runs]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("command", [["run"], ["randomize", "compare"]],
                              ids=["run", "randomize-compare"])
     @pytest.mark.parametrize("coupling, strict, code", [
@@ -380,7 +409,8 @@ class TestCli:
     def test_import_loads_no_slow_scipy_module(self):
         src = Path(cli.__file__).resolve().parents[1]
         probe = ("import sys, roughmfg.cli; print(*(m for m in sys.modules if "
-                 "m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.spatial'))))")
+                 "m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.spatial', "
+                 "'scipy.special'))))")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, check=True,
                               env=dict(os.environ, PYTHONPATH=str(src)))

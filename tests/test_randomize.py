@@ -32,17 +32,36 @@ def delta_policy(model, steps):
 
 def sin_mean_model():
     """d = k = 2 model whose rough loading tanh(x_a) tanh(mean_p sin(w_b . y_p))
-    depends on the state and the cloud, with no sigma0_dmu."""
+    depends on the state and the cloud, with no sigma0_dmu; the particle mean
+    is over axis -2, so grouped clouds work."""
     w = np.array([[1.3, -0.4], [0.6, 0.9]])
     base = models.make_model("lq")
 
     def sigma0(t, x, mu):
-        return np.tanh(x)[..., :, None] * np.tanh(np.sin(mu @ w.T).mean(axis=0))
+        m = np.sin(mu @ w.T).mean(axis=-2)  # (k,), or (G, k) for a grouped cloud
+        return np.tanh(x)[..., :, None] * np.tanh(m)[..., None, None, :]
 
     return models.CoefficientSet(
         name="sin-mean", d=2, l=1, k=2, actions=base.actions, b=base.b,
         sigma=base.sigma, f=base.f, g=base.g, sigma0=sigma0,
     )
+
+
+def axis_zero_model(name):
+    """Gaussian lq model whose coefficient `name` reads the cloud mean over
+    axis 0: right for a plain (P, d) cloud, but on a grouped (G, P, d) one it
+    averages across the groups, silently."""
+    model = gaussian_model(c=0.6, sigma=0.3)
+
+    def level(mu):
+        return np.tanh(np.asarray(mu).mean(axis=0)[0])
+
+    if name == "b":
+        model.b = lambda t, x, mu, u: np.full_like(x, level(mu))
+    else:  # d = l = k = 1
+        setattr(model, name, lambda t, x, mu: np.broadcast_to(
+            0.5 + 0.1 * level(mu), np.shape(x)[:-1] + (1, 1)))
+    return model
 
 
 def random_flow(seed, grid, particles=48, d=1, k=1):
@@ -219,12 +238,71 @@ class TestJointSimulate:
         np.testing.assert_array_equal(out.terminal, ref_joint_terminals(*args, flow=flow))
         assert out.mode == ("external" if case == "external" else "conditional")
 
+    @pytest.mark.parametrize("blocks", ["3-3-1", "one"])
+    @pytest.mark.parametrize("case", ["conditional", "external", "sin-mean"])
+    def test_sample_blocks_match_node_outer_reference(self, monkeypatch, case, blocks):
+        # 40 particles x 12 steps x l = 1: 480 increments per sample
+        monkeypatch.setattr(rz, "JOINT_INCREMENTS", {"3-3-1": 3 * 480 + 479,
+                                                     "one": 1}[blocks])
+        grid = rp.TimeGrid(1.0, 12)
+        model = sin_mean_model() if case == "sin-mean" else models.make_model(
+            "tanh-interaction")
+        flow = random_flow(3, grid) if case == "external" else None
+        policy = mfg.RelaxedPolicy.constant(model.actions, 12, action_index=2)
+        args = (model, policy, rsde.InitialLaw("normal", -0.1, 0.7), grid, 40, 7, 9)
+        out = rz.joint_simulate(*args, flow=flow)
+        want = ref_joint_terminals(*args, flow=flow)
+        np.testing.assert_array_equal(out.terminal, want)
+
+    @pytest.mark.parametrize("increments", [rz.JOINT_INCREMENTS, 1],
+                             ids=["one-block", "blocks-of-one"])
+    @pytest.mark.parametrize("name", ["b", "sigma", "sigma0"])
+    def test_axis_zero_coefficient_rejected(self, monkeypatch, name, increments):
+        # a one-sample block is a (1, P, d) cloud, where axis 0 is no
+        # particle axis either
+        monkeypatch.setattr(rz, "JOINT_INCREMENTS", increments)
+        model = axis_zero_model(name)
+        with pytest.raises(rp.InputError, match=f"coefficient {name} of model"):
+            rz.joint_simulate(model, null_policy(model, 8),
+                              rsde.InitialLaw("normal", 0.0, 0.5),
+                              rp.TimeGrid(1.0, 8), 8, 3, 4)
+
     def test_sample_draws_equal_one_block_draw(self):
         # S draws of (P, N, l) in sample order are the one (S, P, N, l) draw
         one = substream(3, "randomize", "joint-W").normal(0.0, 0.2, size=(4, 7, 5, 2))
         rng = substream(3, "randomize", "joint-W")
         each = np.stack([rng.normal(0.0, 0.2, size=(7, 5, 2)) for _ in range(4)])
         np.testing.assert_array_equal(each, one)
+
+
+class TestGroupedClouds:
+    """Registry coefficients on a grouped (G, P, d) cloud equal G plain
+    calls, each group against its own cloud, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(models.list_models()))
+    def test_matches_per_group_calls(self, name):
+        model = models.make_model(name)
+        d, k = model.d, model.k
+        rng = substream(5, "grouped", name)
+        x = rng.normal(size=(3, 6, d))
+        cloud = rng.normal(size=(3, 9, d)) + np.arange(3.0)[:, None, None]
+        v = rng.normal(size=(3, 9, d, k))
+        calls = {
+            "sigma": lambda x, mu, v: model.sigma(0.3, x, mu),
+            "sigma0": lambda x, mu, v: model.sigma0(0.3, x, mu),
+            "grad_sigma0": lambda x, mu, v: model.grad_sigma0(0.3, x, mu),
+            "sigma0_dmu": lambda x, mu, v: model.sigma0_dmu(0.3, x, mu, v),
+        }
+        for a, u in enumerate(model.actions):
+            calls[f"b[{a}]"] = lambda x, mu, v, u=u: model.b(0.3, x, mu, u)
+        checked = 0
+        for label, call in calls.items():
+            if getattr(model, label.split("[")[0]) is None:
+                continue
+            per_group = np.stack([call(x[g], cloud[g], v[g]) for g in range(3)])
+            np.testing.assert_array_equal(call(x, cloud, v), per_group, err_msg=label)
+            checked += 1
+        assert checked >= 5
 
 
 def traced_peak_mib(fn):
@@ -387,12 +465,17 @@ class TestBridgeBlowups:
     """Both bridge pipelines name the step, the sample and the particle
     within the sample."""
 
-    @pytest.mark.parametrize("pipeline, group_rows", [
-        ("pathwise", rz.GROUP_ROWS), ("pathwise", 8), ("joint", rz.GROUP_ROWS),
-    ], ids=["pathwise", "pathwise-blocks-of-one", "joint"])
+    @pytest.mark.parametrize("pipeline, group_rows, joint_increments", [
+        ("pathwise", rz.GROUP_ROWS, rz.JOINT_INCREMENTS),
+        ("pathwise", 8, rz.JOINT_INCREMENTS),
+        ("joint", rz.GROUP_ROWS, rz.JOINT_INCREMENTS),
+        ("joint", rz.GROUP_ROWS, 64),
+    ], ids=["pathwise", "pathwise-blocks-of-one", "joint", "joint-blocks-of-one"])
     def test_nan_drift_names_sample_and_particle(self, monkeypatch, pipeline,
-                                                 group_rows):
+                                                 group_rows, joint_increments):
         monkeypatch.setattr(rz, "GROUP_ROWS", group_rows)
+        # 8 particles x 8 steps: 64 increments per joint sample
+        monkeypatch.setattr(rz, "JOINT_INCREMENTS", joint_increments)
         particles, samples = 8, 6
         model = models.make_model("tanh-interaction")
         grid = rp.TimeGrid(1.0, 8)
