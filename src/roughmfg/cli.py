@@ -67,7 +67,7 @@ def _open_csv(path: Path, manifest_hash: str):
     return fp
 
 
-def _write_manifest(out: Path, cfg, command: str, wall: float):
+def _write_manifest(out: Path, cfg, command: str, wall: float, **failure):
     payload = {
         "command": command,
         "config_hash": cfg.config_hash(),
@@ -75,6 +75,7 @@ def _write_manifest(out: Path, cfg, command: str, wall: float):
         "seed": cfg.seed,
         "version": __version__,
         "wall_time_s": wall,
+        **failure,
     }
     (out / "manifest.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -308,11 +309,25 @@ def _load_and_validate(args, task=None):
 
 
 def _execute(cfg, out_dir, strict, command) -> int:
+    """Run the task and write manifest.json, also when the task fails with
+    a validation or runtime error; a failed run's manifest adds "error"
+    (exception type and message) and "exit_code"."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
-    code = _TASKS[cfg.task](cfg, out, strict)
-    _write_manifest(out, cfg, command, time.monotonic() - start)
+    failure = {}
+    try:
+        code = _TASKS[cfg.task](cfg, out, strict)
+    except (InputError, cfgmod.ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_VALIDATION
+        failure = {"error": f"{type(exc).__name__}: {exc}", "exit_code": code}
+    except (rsde.DivergedError, NumericError, ConfigurationError,
+            mfg.LatticeEscapeError, FloatingPointError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        code = EXIT_RUNTIME
+        failure = {"error": f"{type(exc).__name__}: {exc}", "exit_code": code}
+    _write_manifest(out, cfg, command, time.monotonic() - start, **failure)
     return code
 
 
@@ -406,15 +421,7 @@ def main(argv=None) -> int:
             print(f"issue: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
     label = command if command == "run" else f"{command} {args.sub}"
-    try:
-        return _execute(cfg, args.out, args.strict, label)
-    except (InputError, cfgmod.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (rsde.DivergedError, NumericError, ConfigurationError,
-            mfg.LatticeEscapeError, FloatingPointError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    return _execute(cfg, args.out, args.strict, label)
 
 
 if __name__ == "__main__":

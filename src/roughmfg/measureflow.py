@@ -182,9 +182,9 @@ def check_domain(
 
     solution, the rsde solution whose state ensemble the flow represents,
     supplies the conditional moments: one continuation_moments request
-    covers the distinct anchors of all windows, each continued to the
-    furthest window end that uses it.  Without it every window gets the
-    unconditional lower-bound estimate."""
+    for the "state" target alone covers the distinct anchors of all
+    windows, each continued to the furthest window end that uses it.
+    Without it every window gets the unconditional lower-bound estimate."""
     ens = flow.ensemble()
     grid = flow.grid
     span = max(1, min(grid.steps, int(math.ceil(epsilon / grid.dt)) - 1))
@@ -207,7 +207,7 @@ def check_domain(
         # nondecreasing stops keep the pass's active rows contiguous
         stops = np.maximum.accumulate([stop_of[a] for a in anchors])
         moments = solution.continuation_moments(
-            anchors, stops, inner_samples, m, ct.N_INFTY
+            anchors, stops, inner_samples, m, ct.N_INFTY, targets=("state",)
         )["state"]
     worst = -1.0
     offender = None

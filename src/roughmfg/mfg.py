@@ -93,6 +93,14 @@ class RelaxedPolicy:
             raise InputError(f"policy table has {rows} steps, step {n} requested")
         return self.table[n, self._node_index(x)]
 
+    def same_feedback(self, other) -> bool:
+        """True when both are feedback policies with equal actions, lattice
+        and table, so that a solve under one is the solve under the other."""
+        return (self.mode == FEEDBACK and other.mode == FEEDBACK
+                and np.array_equal(self.actions, other.actions)
+                and np.array_equal(self.lattice, other.lattice)
+                and np.array_equal(self.table, other.table))
+
     def sample_causal(self, n: int, w_view, rng) -> np.ndarray:
         if self.mode != OPEN_LOOP_CAUSAL:
             raise InputError("causal sampling needs an open-loop causal policy")
@@ -261,20 +269,29 @@ class ExploitabilityReport:
     error_bar: float
     policy_cost: CostEstimate
     response_cost: CostEstimate
+    best_response: BestResponse
 
 
 def exploitability(coeffs, flow, p: RoughPath, policy, particles: int,
                    seed: int, settings: DpSettings | None = None,
                    init: rsde.InitialLaw | None = None) -> ExploitabilityReport:
     """Cost of the policy minus cost of the best response against the same
-    frozen flow, on common random numbers."""
+    frozen flow, on common random numbers.
+
+    cost is deterministic in its arguments, so when the best response has
+    the policy's actions, lattice and table (RelaxedPolicy.same_feedback)
+    its cost is the policy cost, taken without a second solve, and raw is
+    exactly zero.  The report keeps the best response it computed."""
     init = init or rsde.InitialLaw()
     c_pol = cost(coeffs, flow, p, policy, particles, seed, init)
     br = best_response(coeffs, flow, p, settings, init, seed)
-    c_br = cost(coeffs, flow, p, br.policy, particles, seed, init)
+    if br.policy.same_feedback(policy):
+        c_br = c_pol
+    else:
+        c_br = cost(coeffs, flow, p, br.policy, particles, seed, init)
     raw = c_pol.value - c_br.value
     err = math.hypot(c_pol.error_bar, c_br.error_bar)
-    return ExploitabilityReport(max(raw, 0.0), raw, err, c_pol, c_br)
+    return ExploitabilityReport(max(raw, 0.0), raw, err, c_pol, c_br, br)
 
 
 @dataclass
@@ -308,9 +325,11 @@ class FixedPointResult:
     values: np.ndarray
 
 
-def _phi_step(coeffs, flow, p, init, particles, seed, settings):
-    """One application of the equilibrium map: best response then simulate."""
-    br = best_response(coeffs, flow, p, settings, init, seed)
+def _phi_step(coeffs, flow, p, init, particles, seed, settings, br=None):
+    """One application of the equilibrium map: best response (br, when it
+    is already known for this flow) then simulate."""
+    if br is None:
+        br = best_response(coeffs, flow, p, settings, init, seed)
     sol = rsde.solve(coeffs, flow, p, br.policy, init, particles, seed)
     return br, sol, mf.from_solution(sol)
 
@@ -343,6 +362,12 @@ def fixed_point(
     the exploitability below tol_exp; non-convergence is reported, not
     raised.  The returned flow is always the undamped image of the last
     sweep, so its marginals equal the final solution's marginals exactly.
+
+    With lambda_mix == 1, mf.mix returns the candidate flow itself, and the
+    next sweep's best response is the one exploitability computed against
+    that flow with the same settings, init and seed; the sweep takes it
+    from the report instead of repeating the DP.  A damped mix makes a new
+    flow, and the next sweep runs its own DP.
     """
     settings = settings or DpSettings()
     idx = idx or ct.IndexPair()
@@ -359,10 +384,10 @@ def fixed_point(
     records = []
     converged = False
     converged_at = None
-    br = sol = flow_cand = None
+    br = sol = flow_cand = known = None
     for it in range(1, max_iters + 1):
         br, sol, flow_cand = _phi_step(
-            coeffs, flow_prev, p, init, particles, seed, settings
+            coeffs, flow_prev, p, init, particles, seed, settings, known
         )
         dist = mf.flow_distance(flow_cand, flow_prev)
         exp_rep = exploitability(
@@ -393,6 +418,7 @@ def fixed_point(
             converged_at = it
             break
         flow_prev = mf.mix(flow_cand, flow_prev, lambda_mix, seed=seed + it)
+        known = exp_rep.best_response if flow_prev is flow_cand else None
 
     report = EquilibriumReport(records, converged, converged_at, tol_w2,
                                tol_exp, seed)

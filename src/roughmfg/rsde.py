@@ -223,7 +223,7 @@ class RsdeSolution:
         return resample
 
     def continuation_moments(self, anchors, stops, n_inner: int, m: int,
-                             n_mode: str = ct.N_INFTY):
+                             n_mode: str = ct.N_INFTY, targets=None):
         """Conditional moments for the two-level norm estimators, from one
         grouped pass over the grid.
 
@@ -244,9 +244,14 @@ class RsdeSolution:
 
         Returns {"state": moments of (X, f(X)), "sigma0": moments of
         (f(X), fhat(X))}, each a ct.ConditionalMoments with (G, N+1)
-        tables; "sigma0" only with a rough coefficient.  A continuation
-        that blows up raises DivergedError naming the step, the outer
-        particle and the anchor.
+        tables, for the requested targets: by default every target the
+        solution has, "sigma0" only with a rough coefficient.  Only the
+        requested tables are built and only the slots they read are held
+        at the anchors; without "sigma0" no fhat is held (the step still
+        evaluates it).  An unknown target, or "sigma0" without a rough
+        coefficient, raises InputError.  A continuation that blows up
+        raises DivergedError naming the step, the outer particle and the
+        anchor.
         """
         self._require_feedback()
         anchors = [int(a) for a in anchors]
@@ -271,8 +276,19 @@ class RsdeSolution:
         db = np.diff(rough.first_level, axis=0)
         bb = rough.step_second()
         # slots x, f(x), fhat(x); a target is a (Z, Z') pair of slots
-        targets = {"state": (0, 1)} if cvf is None else {"state": (0, 1), "sigma0": (1, 2)}
-        shapes = [(d,), (d, k), (d, k, k)][: len(targets) + 1]
+        pairs = {"state": (0, 1)} if cvf is None else {"state": (0, 1), "sigma0": (1, 2)}
+        if targets is None:
+            targets = tuple(pairs)
+        for t in targets:
+            if t == "sigma0" and cvf is None:
+                raise InputError("solution has no rough coefficient")
+            if t not in pairs:
+                raise InputError(f"unknown continuation target {t!r}")
+        if not targets:
+            raise InputError("need at least one continuation target")
+        targets = {t: pairs[t] for t in targets}
+        held_slots = max(j for _, j in targets.values()) + 1
+        shapes = [(d,), (d, k), (d, k, k)][:held_slots]
         anchor = [np.empty((n_groups * rows,) + shape) for shape in shapes]
         tables = {t: np.full((3, n_groups, steps + 1), np.nan) for t in targets}
         x = np.empty_like(anchor[0])

@@ -377,6 +377,27 @@ class TestCli:
             with pytest.warns(UserWarning, match="escaped the lattice"):
                 assert cli.main(argv) == code
 
+    def test_failed_run_writes_manifest(self, tmp_path, capsys):
+        narrow = MINIMAL.replace("lattice_lo = -4.0", "lattice_lo = -0.5") \
+            .replace("lattice_hi = 4.0", "lattice_hi = 0.5")
+        path = write_config(tmp_path, narrow)
+        runs = [tmp_path / "lenient", tmp_path / "strict"]
+        argv = ["mfg", "solve", "--config", str(path), "--out"]
+        with pytest.warns(UserWarning, match="escaped the lattice"):
+            assert cli.main(argv + [str(runs[0])]) == 0
+        assert cli.main(argv + [str(runs[1]), "--strict"]) == 3
+        ok, failed = [json.loads((out / "manifest.json").read_text()) for out in runs]
+        assert sorted(ok) == ["command", "config_hash", "manifest_hash", "seed",
+                              "version", "wall_time_s"]
+        assert sorted(failed) == sorted([*ok, "error", "exit_code"])
+        for key in ("command", "config_hash", "manifest_hash", "seed"):
+            assert failed[key] == ok[key]
+        assert failed["command"] == "mfg solve" and failed["seed"] == 5
+        assert failed["exit_code"] == 3
+        assert failed["error"].startswith("LatticeEscapeError: ")
+        assert "escaped the lattice" in failed["error"]
+        assert not (runs[1] / "report.json").exists()
+
     def test_strict_leaves_config_and_outputs(self, tmp_path):
         path = write_config(tmp_path)
         runs = [tmp_path / "lenient", tmp_path / "strict"]

@@ -1,8 +1,11 @@
+import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
 from roughmfg import mfg
 from roughmfg import models
@@ -20,6 +23,66 @@ def brownian_lift(seed, n=16, horizon=1.0):
 def still_flow(grid, particles=16, seed=0):
     cloud = substream(seed, "mg", "cloud").normal(size=(particles, 1))
     return mf.constant_flow(grid, cloud, k=1)
+
+
+def count_calls(monkeypatch):
+    """Count mfg.best_response, mfg.cost and rsde.solve calls from here on."""
+    counts = collections.Counter()
+    for module, name in ((mfg, "best_response"), (rsde, "solve"), (mfg, "cost")):
+        def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def ref_exploitability(coeffs, flow, p, policy, particles, seed, settings=None,
+                       init=None):
+    """exploitability with a cost solve for the policy and another for the
+    best response, always.  Returns (value, raw, error_bar, policy_cost,
+    response_cost)."""
+    init = init or rsde.InitialLaw()
+    c_pol = mfg.cost(coeffs, flow, p, policy, particles, seed, init)
+    br = mfg.best_response(coeffs, flow, p, settings, init, seed)
+    c_br = mfg.cost(coeffs, flow, p, br.policy, particles, seed, init)
+    raw = c_pol.value - c_br.value
+    err = math.hypot(c_pol.error_bar, c_br.error_bar)
+    return max(raw, 0.0), raw, err, c_pol, c_br
+
+
+def ref_fixed_point(coeffs, p, init, particles, seed, lambda_mix, max_iters,
+                    settings, domain_bound, domain_epsilon, domain_windows,
+                    exploit_particles):
+    """fixed_point with a DP in every sweep and ref_exploitability, for zero
+    tolerances (no early stop) and fixed lattice bounds.  Returns the
+    records and the last sweep's flow, best response and solution."""
+    idx = ct.IndexPair()
+    boot = mf.constant_flow(
+        p.grid, rsde.draw_initial(seed, init, particles, coeffs.d), coeffs.k
+    )
+
+    def phi(flow):
+        br = mfg.best_response(coeffs, flow, p, settings, init, seed)
+        sol = rsde.solve(coeffs, flow, p, br.policy, init, particles, seed)
+        return br, sol, mf.from_solution(sol)
+
+    flow_prev = phi(boot)[2]
+    records = []
+    for it in range(1, max_iters + 1):
+        br, sol, flow_cand = phi(flow_prev)
+        dist = mf.flow_distance(flow_cand, flow_prev)
+        value, raw, err, _, _ = ref_exploitability(
+            coeffs, flow_cand, p, br.policy, exploit_particles, seed, settings, init
+        )
+        cert = mf.check_domain(
+            flow_cand, p, idx, 4, domain_bound, domain_epsilon, solution=sol,
+            inner_samples=2, max_windows=domain_windows, anchor_stride=4,
+        )
+        records.append(mfg.IterationRecord(it, dist, value, raw, err, cert.member,
+                                           cert.worst, cert.offending_window))
+        flow_prev = mf.mix(flow_cand, flow_prev, lambda_mix, seed=seed + it)
+    return records, flow_cand, br, sol
 
 
 class TestRelaxedPolicy:
@@ -65,6 +128,28 @@ class TestRelaxedPolicy:
         x = np.array([[-3.0], [0.0], [5.0]])
         np.testing.assert_array_equal(pol._node_index(x), [0, 0, 0])
         np.testing.assert_array_equal(pol.mixture(1, x), [[1, 0]] * 3)
+
+    def test_same_feedback(self):
+        actions = np.array([[0.0], [1.0]])
+        lattice = np.array([-1.0, 0.0, 1.0])
+        table = np.zeros((2, 3, 2))
+        table[..., 0] = 1.0
+        pol = mfg.RelaxedPolicy(actions, lattice=lattice, table=table)
+        assert pol.same_feedback(
+            mfg.RelaxedPolicy(actions.copy(), lattice=lattice.copy(), table=table.copy())
+        )
+        changed = table.copy()
+        changed[1, 2] = [0.0, 1.0]
+        others = [
+            mfg.RelaxedPolicy(actions, lattice=lattice, table=changed),
+            mfg.RelaxedPolicy(actions, lattice=lattice + 0.5, table=table),
+            mfg.RelaxedPolicy(actions + 1.0, lattice=lattice, table=table),
+            mfg.RelaxedPolicy(actions, lattice=lattice, table=table[:1]),
+            mfg.RelaxedPolicy.causal(actions, lambda n, w, rng: np.zeros(len(w))),
+        ]
+        for other in others:
+            assert not pol.same_feedback(other)
+            assert not other.same_feedback(pol)
 
     @pytest.mark.parametrize("lattice", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
                                          [0.0, np.nan, 1.0]])
@@ -257,6 +342,30 @@ class TestBestResponse:
 
 
 class TestExploitability:
+    @pytest.mark.parametrize("policy, solves", [("own", 1), ("one-entry-changed", 2)])
+    def test_matches_two_solve_reference(self, monkeypatch, policy, solves):
+        # the policy cost stands in for the response cost only when the best
+        # response is the policy itself
+        model = models.make_model("lq")
+        p = brownian_lift(22, n=8)
+        flow = still_flow(p.grid, seed=23)
+        settings = mfg.DpSettings(-4.0, 4.0, 41)
+        br = mfg.best_response(model, flow, p, settings, rsde.InitialLaw(), 3)
+        pol = br.policy
+        if policy == "one-entry-changed":
+            table = pol.table.copy()
+            table[0, 20] = np.roll(table[0, 20], 1)
+            pol = mfg.RelaxedPolicy(model.actions, lattice=br.lattice, table=table)
+        counts = count_calls(monkeypatch)
+        rep = mfg.exploitability(model, flow, p, pol, 64, 3, settings)
+        assert counts == {"cost": solves, "solve": solves, "best_response": 1}
+        ref = ref_exploitability(model, flow, p, pol, 64, 3, settings)
+        assert (rep.value, rep.raw, rep.error_bar, rep.policy_cost,
+                rep.response_cost) == ref
+        np.testing.assert_array_equal(rep.best_response.policy.table, br.policy.table)
+        if policy == "own":
+            assert rep.raw == 0.0 and rep.response_cost is rep.policy_cost
+
     def test_best_response_self_gap_zero(self):
         model = models.make_model("lq", mean_coupling=0.0)
         p = brownian_lift(10, n=16)
@@ -379,3 +488,47 @@ class TestFixedPoint:
         np.testing.assert_array_equal(a.flow.Y, b.flow.Y)
         for x, y in zip(a.report.iterations, b.report.iterations):
             assert x.w2_update == y.w2_update
+
+
+# mean coupling, lambda_mix, and the cost solves of the four sweeps'
+# exploitabilities: one each while the best response is the sweep's policy;
+# at coupling 1.5 it differs in three of the four sweeps
+SWEEP_CASES = {
+    "undamped": (0.1, 1.0, 4),
+    "damped": (0.1, 0.5, 4),
+    "response-differs": (1.5, 1.0, 7),
+}
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_matches_reference_loop(self, monkeypatch, case):
+        coupling, lam, cost_solves = SWEEP_CASES[case]
+        model = models.make_model("lq", mean_coupling=coupling)
+        p = brownian_lift(21, n=8)
+        sweeps = 4
+        kw = dict(
+            particles=32, seed=9, lambda_mix=lam, max_iters=sweeps,
+            settings=mfg.DpSettings(-4.0, 4.0, 41), domain_bound=50.0,
+            domain_epsilon=0.5, domain_windows=2, exploit_particles=48,
+        )
+        counts = count_calls(monkeypatch)
+        res = mfg.fixed_point(model, p, rsde.InitialLaw(), tol_w2=0.0, tol_exp=0.0,
+                              **kw)
+        got = dict(counts)
+        counts.clear()
+        records, flow, br, sol = ref_fixed_point(model, p, rsde.InitialLaw(), **kw)
+        # a DP per sweep plus one per exploitability, bootstrap included; with
+        # lambda_mix = 1 every sweep after the first takes exploitability's
+        reused = sweeps - 1 if lam == 1.0 else 0
+        assert got == {"best_response": 2 * sweeps + 1 - reused,
+                       "cost": cost_solves,
+                       "solve": 1 + sweeps + cost_solves}
+        assert counts == {"best_response": 2 * sweeps + 1, "cost": 2 * sweeps,
+                          "solve": 3 * sweeps + 1}
+        assert res.report.iterations == records
+        np.testing.assert_array_equal(res.flow.Y, flow.Y)
+        np.testing.assert_array_equal(res.flow.Yp, flow.Yp)
+        np.testing.assert_array_equal(res.policy.table, br.policy.table)
+        np.testing.assert_array_equal(res.values, br.values)
+        np.testing.assert_array_equal(res.solution.ensemble.Z, sol.ensemble.Z)

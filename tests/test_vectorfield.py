@@ -659,6 +659,52 @@ class TestContinuationMoments:
                 np.testing.assert_array_equal(got[s + 1 : e + 1], want[s + 1 : e + 1])
                 assert np.isnan(got[: s + 1]).all() and np.isnan(got[e + 1 :]).all()
 
+    @pytest.mark.parametrize("target", ["state", "sigma0"])
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_one_target_matches_full_request(self, name, target):
+        sol = solved(SLOT_MODELS[name]())
+        full = sol.continuation_moments([1, 3, 4], [5, 9, 12], 3, 4)
+        one = sol.continuation_moments([1, 3, 4], [5, 9, 12], 3, 4,
+                                       targets=(target,))
+        assert list(full) == ["state", "sigma0"] and list(one) == [target]
+        got, want = one[target], full[target]
+        for field in ("anchors", "stops", "m", "n_mode", "inner_samples"):
+            assert getattr(got, field) == getattr(want, field)
+        for table in ("delta_z", "delta_zp", "remainder"):
+            np.testing.assert_array_equal(getattr(got, table), getattr(want, table))
+
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_check_domain_requests_state_only(self, monkeypatch, name):
+        sol = solved(SLOT_MODELS[name]())
+        flow = mf.from_solution(sol)
+        kw = dict(m=4, M_bound=1e9, epsilon=0.5, solution=sol, inner_samples=2,
+                  max_windows=4, anchor_stride=3)
+        cert = mf.check_domain(flow, sol.rough, ct.IndexPair(), **kw)
+        requested = []
+        every = rsde.RsdeSolution.continuation_moments
+
+        def every_target(self, *args, targets=None, **kwargs):
+            requested.append(targets)
+            return every(self, *args, **kwargs)
+
+        monkeypatch.setattr(rsde.RsdeSolution, "continuation_moments", every_target)
+        ref = mf.check_domain(flow, sol.rough, ct.IndexPair(), **kw)
+        assert requested == [("state",)]
+        assert cert.window_norms == ref.window_norms
+        assert cert.worst == ref.worst
+
+    @pytest.mark.parametrize("model, targets, match", [
+        ("tanh-interaction", ("state", "drift"), "unknown continuation target"),
+        ("tanh-interaction", (), "at least one"),
+        ("lq-no-sigma0", ("sigma0",), "no rough coefficient"),
+    ], ids=["unknown", "none", "sigma0-without-coefficient"])
+    def test_rejects_bad_targets(self, model, targets, match):
+        coeffs = (models.make_model("lq", sigma0=None) if model == "lq-no-sigma0"
+                  else models.make_model(model))
+        sol = solved(coeffs)
+        with pytest.raises(rp.InputError, match=match):
+            sol.continuation_moments([0], [12], 2, 4, targets=targets)
+
     @pytest.mark.parametrize("anchors, stops", [
         ([], []), ([2, 1], [5, 5]), ([1, 2], [6, 5]), ([3], [3]),
         ([0, 2], [4, 13]), ([1, 2], [5]),
