@@ -274,11 +274,9 @@ _TASKS = {"mfg": _run_mfg, "rsde": _run_rsde, "randomize": _run_randomize}
 
 def _load_and_validate(args, task=None):
     if getattr(args, "config", None):
-        cfg = cfgmod.load_config(args.config, seed_override=getattr(args, "seed", None))
+        cfg = cfgmod.load_config(args.config)
     else:
         cfg = cfgmod.ExperimentConfig()
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
     # direct flags override the file
     for attr, key in [
         ("model", "model_name"),

@@ -133,7 +133,7 @@ def _collect(parser: configparser.ConfigParser, env) -> dict:
     return flat
 
 
-def load_config(path, env=None, seed_override=None) -> ExperimentConfig:
+def load_config(path, env=None) -> ExperimentConfig:
     """Parse the file, apply environment overrides, build the typed config.
 
     Parse errors surface with configparser's line numbers.
@@ -148,8 +148,6 @@ def load_config(path, env=None, seed_override=None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     flat = _collect(parser, env)
-    if seed_override is not None:
-        flat["experiment.seed"] = str(int(seed_override))
 
     cfg = ExperimentConfig()
     read = {"model.name", "rough.source"} | {

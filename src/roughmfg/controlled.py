@@ -326,29 +326,3 @@ def estimate_norm(
         combine=combine,
         window=window,
     )
-
-
-def norm_breakdown_csv(estimates, fp) -> None:
-    """One CSV row per estimate with the component breakdown."""
-    fp.write(
-        "beta,beta_p,m,n_mode,mode,combine,delta_z,zp,remainder,combined,inner\n"
-    )
-    for e in estimates:
-        fp.write(
-            ",".join(
-                [
-                    repr(e.beta),
-                    repr(e.beta_p),
-                    str(e.m),
-                    e.n_mode,
-                    e.mode,
-                    e.combine,
-                    repr(e.delta_z_norm),
-                    repr(e.zp_norm),
-                    repr(e.remainder_norm),
-                    repr(e.combined),
-                    str(e.inner_samples),
-                ]
-            )
-            + "\n"
-        )

@@ -270,21 +270,3 @@ def load(fp) -> MeasureFlow:
             read_exact(fp, 8 * p * (n + 1) * d * k, "derivatives"), dtype="<f8"
         ).reshape(p, n + 1, d, k).copy()
     return MeasureFlow(grid, y.copy(), yp)
-
-
-def flow_csv(flow: MeasureFlow, fp) -> None:
-    """Snapshot export: node, particle, state and derivative components."""
-    d = flow.dim
-    k = 0 if flow.Yp is None else flow.Yp.shape[-1]
-    cols = ["node", "t", "particle"]
-    cols += [f"y{i}" for i in range(d)]
-    cols += [f"yp{i}_{j}" for i in range(d) for j in range(k)]
-    fp.write(",".join(cols) + "\n")
-    for n in range(flow.grid.steps + 1):
-        t = flow.grid.nodes[n]
-        for i in range(flow.particles):
-            row = [str(n), repr(float(t)), str(i)]
-            row += [repr(float(v)) for v in flow.Y[i, n]]
-            if k:
-                row += [repr(float(v)) for v in flow.Yp[i, n].ravel()]
-            fp.write(",".join(row) + "\n")

@@ -23,7 +23,6 @@ import numpy as np
 from . import controlled as ct
 from . import measureflow as mf
 from . import rsde
-from . import vectorfield as vf
 from .roughpath import InputError, RoughPath
 
 FEEDBACK = "feedback"
@@ -84,13 +83,17 @@ class RelaxedPolicy:
         j = np.clip(np.searchsorted(lat, x), 1, len(lat) - 1)
         return j - (np.abs(x - lat[j - 1]) <= np.abs(x - lat[j]))
 
-    def mixture(self, n: int, x: np.ndarray) -> np.ndarray:
-        """Action mixture at step n for a batch of states, shape (P, K)."""
+    def mixture(self, n, x: np.ndarray) -> np.ndarray:
+        """Action mixture at step n for states x (P, d), shape (P, K); an
+        array of steps broadcasts against x's leading axes, so that
+        np.arange(N) with x (P, N, d) gives (P, N, K)."""
         if self.mode != FEEDBACK:
             raise InputError("mixture lookup needs a feedback policy")
         rows = self.table.shape[0]
-        if n >= rows:
-            raise InputError(f"policy table has {rows} steps, step {n} requested")
+        lo, hi = (n.min(), n.max()) if isinstance(n, np.ndarray) else (n, n)
+        if lo < 0 or hi >= rows:
+            bad = hi if hi >= rows else lo
+            raise InputError(f"policy table has {rows} steps, step {bad} requested")
         return self.table[n, self._node_index(x)]
 
     def same_feedback(self, other) -> bool:
@@ -132,21 +135,21 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
          init: rsde.InitialLaw | None = None) -> CostEstimate:
     """Monte Carlo cost: running mixture cost plus terminal cost, with the
     sample standard error of the particle mean.  The running cost weighs the
-    actions by the mixture weights the solve recorded."""
+    actions by the weights the solve stepped with, from one mixture call."""
     init = init or rsde.InitialLaw()
     sol = rsde.solve(coeffs, flow, p, policy, init, particles, seed)
     grid = sol.grid
     x = sol.ensemble.Z
-    weights = sol.control_record["mixture_weights"]  # (P, N, K)
+    weights = policy.mixture(np.arange(grid.steps), x[:, :-1])  # (P, N, K)
     totals = np.zeros(x.shape[0])
+    nodes = grid.nodes
     for n in range(grid.steps):
         cloud = flow.cloud(n)
         for a in range(coeffs.n_actions):
             w = weights[:, n, a]
             if np.any(w):
-                totals += w * coeffs.f(
-                    grid.nodes[n], x[:, n], cloud, coeffs.actions[a]
-                ) * grid.dt
+                f = coeffs.f(nodes[n], x[:, n], cloud, coeffs.actions[a])
+                totals += w * f * grid.dt
     totals += coeffs.g(x[:, grid.steps], flow.cloud(grid.steps))
     n_p = len(totals)
     return CostEstimate(float(totals.mean()),
@@ -209,12 +212,8 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     nodes_t = grid.nodes
     dt = grid.dt
 
-    cvf = correction = None
-    if coeffs.sigma0 is not None:
-        cvf = vf.build_cvf_from_flow(coeffs, flow)
-        correction = vf.gubinelli_correction(cvf)
-        db = np.diff(p.first_level[:, 0])
-        bb = p.step_second()[:, 0, 0]
+    cvf, correction = rsde._rough_coefficient(coeffs, flow)
+    db, bb = np.diff(p.first_level, axis=0), p.step_second()
 
     gh_x, gh_w = np.polynomial.hermite_e.hermegauss(settings.gh_order)
     gh_w = gh_w / gh_w.sum()
@@ -231,10 +230,9 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
         t = nodes_t[n]
         sig = coeffs.sigma(t, xcol, cloud)[:, 0, 0]
         forcing = np.zeros(n_lat)
-        if cvf is not None:
-            fx = cvf.f(n, xcol)
-            forcing = fx[:, 0, 0] * db[n]
-            forcing += correction(n, xcol, fx)[:, 0, 0, 0] * bb[n]
+        fx, fhat = rsde._pair(cvf, correction, n, xcol)
+        if fx is not None:
+            forcing = fx[:, 0, 0] * db[n, 0] + fhat[:, 0, 0, 0] * bb[n, 0, 0]
         q = np.empty((coeffs.n_actions, n_lat))
         for a in range(coeffs.n_actions):
             drift = coeffs.b(t, xcol, cloud, coeffs.actions[a])[:, 0]
@@ -369,6 +367,8 @@ def fixed_point(
     from the report instead of repeating the DP.  A damped mix makes a new
     flow, and the next sweep runs its own DP.
     """
+    if max_iters < 1:
+        raise InputError(f"need max_iters >= 1, got {max_iters}")
     settings = settings or DpSettings()
     idx = idx or ct.IndexPair()
     exploit_particles = exploit_particles or particles

@@ -183,8 +183,8 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
     block stacks, one sample at a time, the initial states and idiosyncratic
     increments rsde.solve draws from the sample's seed, and the rough
     increments of the sample's lift; each sample's rows step with its own
-    lift.  Per node the block makes one coefficient, correction, policy and
-    drift call on all its rows and keeps only the current states.  A
+    lift.  Per node the block makes one rsde._pair and one rsde._advance
+    call on all its rows and keeps only the current states.  A
     blow-up raises DivergedError naming the step, the sample and the
     particle within the sample; a non-finite coefficient pair, at any node
     up to the terminal one, raises NumericError as in the solve.
@@ -193,7 +193,6 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
         raise InputError("flow and rough path live on different grids")
     d, l, k = coeffs.d, coeffs.l, coeffs.k
     cvf, correction = rsde._rough_coefficient(coeffs, flow)
-    f_n = fhat_n = None
     nodes, steps = grid.nodes, grid.steps
     per_block = min(samples, max(1, GROUP_ROWS // particles))
     # allocated once, so one block's increments are live at a time; a shorter
@@ -214,23 +213,17 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
             db[g] = np.diff(lift.first_level, axis=0)
             bb[g] = lift.step_second()
         for n in range(steps):
-            if cvf is not None:
-                f_n = cvf.f(n, x)
-                fhat_n = correction(n, x, f_n)
-            cloud = flow.cloud(n)
-            weights = rsde._mixture_weights(policy, n, x, coeffs.n_actions)
-            drift = rsde._drift_mixture(coeffs, nodes[n], x, cloud, weights)
-            x = rsde._step(coeffs, nodes, n, x, cloud, drift, dw[: len(x), n],
-                           db[:count, n], bb[:count, n], f_n, fhat_n)
+            f_n, fhat_n = rsde._pair(cvf, correction, n, x)
+            x = rsde._advance(coeffs, flow, policy, nodes, n, x, dw[: len(x), n],
+                              db[:count, n], bb[:count, n], f_n, fhat_n)
             bad = rsde._blowup_row(x)
             if bad is not None:
                 g, particle = divmod(bad, particles)
                 raise rsde.DivergedError(n, particle, float(np.abs(x[bad]).max()),
                                          sample=first + g)
-        if cvf is not None:
-            # no step uses the pair at the terminal node; evaluated as the
-            # solve does, so a non-finite coefficient there still raises
-            correction(steps, x, cvf.f(steps, x))
+        # no step uses the pair at the terminal node; evaluated as the solve
+        # does, so a non-finite coefficient there still raises
+        rsde._pair(cvf, correction, steps, x)
         out[first : first + count] = x.reshape(count, particles, d)
     return out
 

@@ -318,11 +318,3 @@ def dump_path(p: RoughPath, path) -> None:
 def load_path(path) -> RoughPath:
     with open(path, "rb") as fp:
         return load(fp)
-
-
-def first_level_csv(p: RoughPath, fp) -> None:
-    """Plotting export: node time followed by the k components of B."""
-    header = "t," + ",".join(f"B{i}" for i in range(p.dim))
-    fp.write(header + "\n")
-    for t, row in zip(p.grid.nodes, p.first_level):
-        fp.write(",".join(repr(float(v)) for v in (t, *row)) + "\n")

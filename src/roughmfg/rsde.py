@@ -98,6 +98,8 @@ def draw_wiener(seed, count, steps, dim, dt, *extra) -> np.ndarray:
 
 
 def draw_initial(seed, init: InitialLaw, count, dim, *extra) -> np.ndarray:
+    if count < 1:
+        raise InputError(f"need at least one particle, got {count}")
     return init.sample(substream(seed, "rsde", "X0", *extra), count, dim)
 
 
@@ -138,7 +140,9 @@ class RsdeSolution:
 
     ensemble holds (X, f(X)) and fhat (P, N+1, d, k, k) the correction
     grad(f) f + f' at every node, as the step evaluated them; without a
-    rough coefficient f(X) is zero and fhat is None.
+    rough coefficient f(X) is zero and fhat is None.  sampled_actions (P, N)
+    are a causal realization's draws; a feedback policy's weights are
+    policy.mixture(np.arange(N), Z[:, :-1]).
     """
 
     ensemble: ct.ControlledEnsemble
@@ -149,7 +153,7 @@ class RsdeSolution:
     init: InitialLaw
     seed: int
     W_increments: np.ndarray
-    control_record: dict
+    sampled_actions: np.ndarray | None
     cvf: vf.ControlledVectorField | None
     correction: object | None
     fhat: np.ndarray | None
@@ -310,11 +314,8 @@ class RsdeSolution:
                 )
                 hi += 1
             xa = x[lo * rows : hi * rows]
-            if cvf is None:
-                slots = [xa, np.zeros((len(xa), d, k))]
-            else:
-                fa = cvf.f(n, xa)
-                slots = [xa, fa, self.correction(n, xa, fa)]
+            fa, fhata = _pair(cvf, self.correction, n, xa)
+            slots = [xa, np.zeros((len(xa), d, k)) if fa is None else fa, fhata]
             if fresh:
                 for held, now in zip(anchor, slots):
                     held[(hi - 1) * rows : hi * rows] = now[-rows:]
@@ -339,14 +340,10 @@ class RsdeSolution:
             if first == hi:
                 continue
             run = slice((first - lo) * rows, None)
-            xs = xa[run]
-            cloud = self.flow.cloud(n)
-            weights = _mixture_weights(self.policy, n, xs, coeffs.n_actions)
-            drift = _drift_mixture(coeffs, nodes[n], xs, cloud, weights)
             dw_n = np.concatenate([dw[g][:, n - w_node] for g in range(first, hi)])
-            rough_terms = [] if cvf is None else [slots[1][run], slots[2][run]]
-            nxt = _step(coeffs, nodes, n, xs, cloud, drift, dw_n, db[n : n + 1],
-                        bb[n : n + 1], *rough_terms)
+            rough_terms = () if fa is None else (fa[run], fhata[run])
+            nxt = _advance(coeffs, self.flow, self.policy, nodes, n, xa[run], dw_n,
+                           db[n : n + 1], bb[n : n + 1], *rough_terms)
             bad = _blowup_row(nxt)
             if bad is not None:
                 g, r = divmod(bad, rows)
@@ -404,8 +401,29 @@ def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
     return nxt
 
 
+def _pair(cvf, correction, n, x):
+    """(f(x), grad(f) f + f') at node n on the states x, or (None, None)
+    without a rough coefficient."""
+    if cvf is None:
+        return None, None
+    f = cvf.f(n, x)
+    return f, correction(n, x, f)
+
+
+def _advance(coeffs, flow, policy, nodes, n, xn, dw_n, db_n, bb_n, f_n=None,
+             fhat_n=None, drift=None):
+    """The states after node n: the flow's cloud, the policy's mixed drift
+    (unless the caller passes one) and _step, with the pair _pair evaluated
+    on xn at node n."""
+    cloud = flow.cloud(n)
+    if drift is None:
+        weights = _mixture_weights(policy, n, xn, coeffs.n_actions)
+        drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
+    return _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n, fhat_n)
+
+
 def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
-            record=None, causal=None):
+            causal=None):
     """Run the recursion from node `start` over dW.shape[1] steps.
 
     Returns (x, fx, fhat): the states (P, steps+1, d) and, at every node
@@ -413,51 +431,42 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
     fx = f(X) (P, steps+1, d, k) and fhat = grad(f) f + f' (P, steps+1, d,
     k, k).  Without a rough coefficient fx is zero and fhat is None.
 
-    record, when a dict, receives mixture weights or sampled actions.
-    causal, when set, is (exo_rng, audit_list) and switches to sampled
-    open-loop actions fed only the W prefix.
+    causal, when set, is (exo_rng, audit_list, actions_list) and switches
+    to sampled open-loop actions fed only the W prefix; each step appends
+    its access log and its actions (P,) to the lists.
     """
-    nodes = flow.grid.nodes if flow is not None else rough.grid.nodes
+    nodes = flow.grid.nodes
     steps = dW.shape[1]
     p_count, d = x0.shape
     x = np.empty((p_count, steps + 1, d))
     x[:, 0] = x0
     fx = np.zeros((p_count, steps + 1, d, rough.dim))
-    fhat = f_n = fhat_n = None
+    fhat = None if cvf is None else np.empty(fx.shape + (rough.dim,))
+    drift = None
     db = np.diff(rough.first_level, axis=0)
     bb = rough.step_second()
-    if cvf is not None:
-        fhat = np.empty(fx.shape + (rough.dim,))
     for i in range(steps + 1):
         n = start + i
         xn = x[:, i]
+        f_n, fhat_n = _pair(cvf, correction, n, xn)
         if cvf is not None:
-            f_n = cvf.f(n, xn)
-            fhat_n = correction(n, xn, f_n)
-            fx[:, i] = f_n
-            fhat[:, i] = fhat_n
+            fx[:, i], fhat[:, i] = f_n, fhat_n
         if i == steps:
             break
-        cloud = flow.cloud(n) if flow is not None else xn
         if causal is not None:
-            exo_rng, audit = causal
+            exo_rng, audit, sampled = causal
             view = WPrefixView(dW, limit=n)
             actions = policy.sample_causal(n, view, exo_rng)
             audit.append({"step": n, "max_node_accessed": view.max_accessed})
-            if record is not None:
-                record.setdefault("sampled_actions", []).append(actions)
+            sampled.append(actions)
+            cloud = flow.cloud(n)
             drift = np.zeros_like(xn)
             for a in range(coeffs.n_actions):
                 mask = actions == a
                 if np.any(mask):
                     drift[mask] = coeffs.b(nodes[n], xn[mask], cloud, coeffs.actions[a])
-        else:
-            weights = _mixture_weights(policy, n, xn, coeffs.n_actions)
-            if record is not None:
-                record.setdefault("mixture_weights", []).append(weights)
-            drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
-        nxt = _step(coeffs, nodes, n, xn, cloud, drift, dW[:, i], db[n : n + 1],
-                    bb[n : n + 1], f_n, fhat_n)
+        nxt = _advance(coeffs, flow, policy, nodes, n, xn, dW[:, i], db[n : n + 1],
+                       bb[n : n + 1], f_n, fhat_n, drift)
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x, fx, fhat
@@ -503,15 +512,11 @@ def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
     cvf, correction = _rough_coefficient(coeffs, flow)
     x0 = draw_initial(seed, init, particles, coeffs.d)
     dw = draw_wiener(seed, particles, p.grid.steps, coeffs.l, p.grid.dt)
-    causal = None if audit is None else (substream(seed, "rsde", "exo"), audit)
-    record = {}
+    causal = None if audit is None else (substream(seed, "rsde", "exo"), audit, [])
     x, fx, fhat = _evolve(coeffs, flow, p, policy, x0, dw, cvf, correction,
-                          record=record, causal=causal)
-    ensemble = ct.ControlledEnsemble(p.grid, x, fx)
-    for key, rows in record.items():
-        record[key] = np.stack(rows, axis=1)
+                          causal=causal)
     return RsdeSolution(
-        ensemble=ensemble,
+        ensemble=ct.ControlledEnsemble(p.grid, x, fx),
         coeffs=coeffs,
         flow=flow,
         rough=p,
@@ -519,7 +524,7 @@ def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
         init=init,
         seed=seed,
         W_increments=dw,
-        control_record=record,
+        sampled_actions=None if causal is None else np.stack(causal[2], axis=1),
         cvf=cvf,
         correction=correction,
         fhat=fhat,
@@ -662,20 +667,22 @@ class MartingaleDiagnostics:
 def _martingale_paths(sol):
     """Shared per-call tables for d = l = 1: states x (P, N+1), the W path
     (P, N+1), the noise loading sigma at nodes 0..N-1 (P, N), and the
-    mixed drift at nodes 0..N-1 (P, N), None when the solution recorded no
-    mixture weights (causal realizations)."""
+    mixed drift at nodes 0..N-1 (P, N), None for a causal policy; the
+    weights of all nodes come from one policy.mixture call."""
     grid = sol.grid
     x = sol.ensemble.Z[..., 0]
     wpath = np.concatenate(
         [np.zeros((x.shape[0], 1)), np.cumsum(sol.W_increments[..., 0], axis=1)],
         axis=1,
     )
-    weights = sol.control_record.get("mixture_weights")
+    weights = None
+    if sol.policy.mode == "feedback":
+        weights = sol.policy.mixture(np.arange(grid.steps), sol.ensemble.Z[:, :-1])
     sig = np.empty((x.shape[0], grid.steps))
     drift = None if weights is None else np.empty_like(sig)
+    nodes = grid.nodes
     for n in range(grid.steps):
-        t, xn = grid.nodes[n], x[:, n][:, None]
-        cloud = sol.flow.cloud(n) if sol.flow is not None else sol.ensemble.Z[:, n]
+        t, xn, cloud = nodes[n], x[:, n][:, None], sol.flow.cloud(n)
         sig[:, n] = sol.coeffs.sigma(t, xn, cloud)[:, 0, 0]
         if drift is not None:
             drift[:, n] = _drift_mixture(sol.coeffs, t, xn, cloud, weights[:, n])[:, 0]
@@ -688,7 +695,7 @@ def _compensated(sol, phi, paths):
     evaluation of phi on the whole (P, N+1) grid."""
     x, wpath, sig, drift = paths
     if drift is None and phi.depends_x:
-        raise InputError("diagnostics need the mixture control record")
+        raise InputError("diagnostics need a feedback policy, not a causal one")
     val, *derivs = phi.parts(x, wpath)
     gx, gw, hxx, hxw, hww = (a[:, :-1] for a in derivs)
     if not phi.depends_x:

@@ -65,6 +65,15 @@ def write_config(tmp_path, text=MINIMAL, name="exp.ini"):
     return path
 
 
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter, so that an uncaught exception
+    shows as a traceback on stderr and exit code 1."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys; from roughmfg.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 class TestConfig:
     def test_roundtrip_values(self, tmp_path):
         cfg = cfgmod.load_config(write_config(tmp_path))
@@ -447,3 +456,26 @@ class TestCli:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["seed"] == 9 and m2["seed"] == 10
         assert m1["manifest_hash"] != m2["manifest_hash"]
+
+    def test_malformed_file_seed_fails_even_with_seed_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.replace("seed = 5", "seed = five"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--seed", "9"]) == 2
+        assert "experiment.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("particles", ["0", "-3"])
+    def test_rsde_solve_rejects_too_few_particles(self, tmp_path, particles):
+        done = run_cli(["rsde", "solve", "--model", "lq", "--grid", "8",
+                        "--particles", particles, "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"need at least one particle, got {particles}" in done.stderr
+
+    def test_zero_fixed_point_sweeps_is_validation_error(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL.replace("max_iters = 4", "max_iters = 0"))
+        done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "need max_iters >= 1, got 0" in done.stderr

@@ -273,19 +273,3 @@ class TestEstimateNorm:
         full = ct.estimate_norm(ce, p, ct.IndexPair())
         win = ct.estimate_norm(ce, p, ct.IndexPair(), window=(0.25, 0.5))
         assert win.delta_z_norm <= full.delta_z_norm + 1e-12
-
-    def test_breakdown_csv(self):
-        import io
-
-        p = brownian_lift(24, n=8)
-        rng = substream(25, "t", "csv")
-        ce = ct.ControlledEnsemble(
-            p.grid, rng.normal(size=(4, 9, 1)), rng.normal(size=(4, 9, 1, 1))
-        )
-        est = ct.estimate_norm(ce, p, ct.IndexPair())
-        buf = io.StringIO()
-        ct.norm_breakdown_csv([est], buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0].startswith("beta,beta_p,m,")
-        assert len(lines) == 2
-        assert repr(est.combined) in lines[1]

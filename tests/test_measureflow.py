@@ -157,17 +157,6 @@ class TestFlowBasics:
         assert flow.Yp.shape == (2, 4, 1, 2)
         assert np.all(flow.cloud(2) == np.array([[1.0], [2.0]]))
 
-    def test_csv_export(self):
-        import io
-
-        grid = rp.TimeGrid(1.0, 2)
-        flow = mf.constant_flow(grid, np.array([[1.0]]), k=1)
-        buf = io.StringIO()
-        mf.flow_csv(flow, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "node,t,particle,y0,yp0_0"
-        assert len(lines) == 4
-
     def test_flow_distance(self):
         grid = rp.TimeGrid(1.0, 2)
         a = mf.constant_flow(grid, np.zeros((5, 1)), k=1)

@@ -123,6 +123,27 @@ class TestRelaxedPolicy:
         argmin = np.abs(x[..., 0][:, None] - lattice[None, :]).argmin(axis=-1)
         np.testing.assert_array_equal(pol._node_index(x), argmin)
 
+    def test_step_array_lookup_matches_per_node(self):
+        # one call on every node's states is the per-node lookups stacked
+        n_steps, lattice = 12, np.linspace(-2.0, 2.0, 9)
+        rng = substream(4, "mg", "steps")
+        table = rng.dirichlet(np.ones(3), size=(n_steps, 9))
+        pol = mfg.RelaxedPolicy(np.array([[-1.0], [0.0], [1.0]]), lattice=lattice,
+                                table=table)
+        mids = 0.5 * (lattice[1:] + lattice[:-1])
+        on_lattice = np.concatenate([lattice, mids, [-7.5, 9.0]])
+        x = np.empty((40, n_steps + 1, 1))
+        x[:20, :, 0] = rng.normal(0.0, 2.0, size=(20, n_steps + 1))
+        x[20:, :, 0] = on_lattice[rng.integers(0, len(on_lattice), (20, n_steps + 1))]
+        got = pol.mixture(np.arange(n_steps), x[:, :-1])
+        want = np.stack([pol.mixture(n, x[:, n]) for n in range(n_steps)], axis=1)
+        assert got.shape == (40, n_steps, 3)
+        np.testing.assert_array_equal(got, want)
+        with pytest.raises(rp.InputError, match="12 steps, step 12 requested"):
+            pol.mixture(np.arange(n_steps + 1), x)
+        with pytest.raises(rp.InputError, match="12 steps, step -1 requested"):
+            pol.mixture(np.arange(-1, 3), x[:, :4])
+
     def test_one_node_lattice(self):
         pol = mfg.RelaxedPolicy.constant(np.array([[0.0], [1.0]]), 2)
         x = np.array([[-3.0], [0.0], [5.0]])

@@ -225,14 +225,6 @@ class TestIO:
         with pytest.raises(rp.InputError):
             rp.load(io.BytesIO(b"XXXX" + b"\0" * 64))
 
-    def test_csv_export(self):
-        p = brownian_lift(14, n=4, k=2)
-        buf = io.StringIO()
-        rp.first_level_csv(p, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,B0,B1"
-        assert len(lines) == 6
-
     def test_dense_roundtrip_smooth_offset(self):
         # B_0 != 0: the prefix sums recovered from row 0 carry round-off
         rng = substream(15, "test", "offset")

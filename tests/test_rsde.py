@@ -243,6 +243,49 @@ class TestSolve:
         assert -slope >= 0.35
 
 
+class TestNodeBody:
+    """Every forward recursion but joint_simulate's steps through
+    rsde._advance, once per node at which some rows step."""
+
+    @pytest.fixture
+    def advanced(self, monkeypatch):
+        calls = []
+        advance = rsde._advance
+
+        def counting(coeffs, flow, policy, nodes, n, xn, *args, **kwargs):
+            calls.append((n, len(xn)))
+            return advance(coeffs, flow, policy, nodes, n, xn, *args, **kwargs)
+
+        monkeypatch.setattr(rsde, "_advance", counting)
+        return calls
+
+    def solved(self, steps=12, particles=8):
+        model = models.make_model("tanh-interaction")
+        p = brownian_lift(2, n=steps)
+        return rsde.solve(model, still_flow(p.grid), p, delta_policy(model, steps),
+                          rsde.InitialLaw(), particles, 3)
+
+    def test_solve(self, advanced):
+        self.solved()
+        assert advanced == [(n, 8) for n in range(12)]
+
+    def test_continuation_moments(self, advanced):
+        sol = self.solved()
+        advanced.clear()
+        anchors, stops, n_inner = [2, 5, 9], [8, 12, 12], 3
+        sol.continuation_moments(anchors, stops, n_inner, 4)
+        stepping = [sum(a <= n < e for a, e in zip(anchors, stops)) for n in range(12)]
+        assert advanced == [(n, 8 * n_inner * stepping[n]) for n in range(2, 12)]
+
+    def test_frozen_flow_pass(self, advanced, monkeypatch):
+        monkeypatch.setattr(rz, "GROUP_ROWS", 3 * 16)  # blocks of 3 and 2 samples
+        model = models.make_model("tanh-interaction")
+        grid = rp.TimeGrid(1.0, 8)
+        rz.pathwise_terminals(model, delta_policy(model, 8), rsde.InitialLaw(), grid,
+                              16, 5, 7)
+        assert advanced == [(n, 48) for n in range(8)] + [(n, 32) for n in range(8)]
+
+
 class TestCausalRealization:
     def make_inputs(self, seed=0, n=16):
         model = models.make_model("tanh-interaction")
@@ -259,7 +302,7 @@ class TestCausalRealization:
             model, flow, p, policy, rsde.InitialLaw(), 8, 5
         )
         assert all(e["max_node_accessed"] <= e["step"] for e in sol.audit_log)
-        assert sol.control_record["sampled_actions"].shape == (8, 16)
+        assert sol.sampled_actions.shape == (8, 16)
 
     def test_sign_of_prefix_passes(self):
         model, p, flow = self.make_inputs(seed=1)
@@ -465,7 +508,7 @@ class TestMartingaleDiagnostics:
 
     def test_drift_table_matches_per_step_mixture(self):
         # reference: the per-node action loop the increments once ran for
-        # every x-dependent test function
+        # every x-dependent test function, on per-node mixture lookups
         model = models.make_model("tanh-interaction")
         n, lattice = 12, np.linspace(-2.0, 2.0, 9)
         table = substream(3, "rs", "mix").uniform(size=(n, 9, model.n_actions))
@@ -475,14 +518,14 @@ class TestMartingaleDiagnostics:
         p = brownian_lift(4, n=n)
         sol = rsde.solve(model, still_flow(p.grid), p, policy,
                          rsde.InitialLaw("normal", 0.0, 1.0), 40, 4)
-        weights = sol.control_record["mixture_weights"]
         x = sol.ensemble.Z[..., 0]
         want = np.empty((40, n))
         for step in range(n):
+            weights = policy.mixture(step, sol.ensemble.Z[:, step])
             drift = np.zeros(40)
             for a in range(model.n_actions):
-                if np.any(weights[:, step, a]):
-                    drift += weights[:, step, a] * model.b(
+                if np.any(weights[:, a]):
+                    drift += weights[:, a] * model.b(
                         p.grid.nodes[step], x[:, step][:, None],
                         sol.flow.cloud(step), model.actions[a],
                     )[:, 0]
@@ -498,7 +541,7 @@ class TestMartingaleDiagnostics:
         sol = rsde.realize_from_measure(
             model, still_flow(p.grid), p, policy, rsde.InitialLaw(), 16, 5
         )
-        with pytest.raises(rp.InputError, match="mixture control record"):
+        with pytest.raises(rp.InputError, match="need a feedback policy, not a causal"):
             rsde.martingale_diagnostics(sol)
 
     def test_pure_bump_qv_gap_sqrt_dt_rate(self):
