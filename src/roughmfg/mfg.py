@@ -230,8 +230,8 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
         t = nodes_t[n]
         sig = coeffs.sigma(t, xcol, cloud)[:, 0, 0]
         forcing = np.zeros(n_lat)
-        fx, fhat = rsde._pair(cvf, correction, n, xcol)
-        if fx is not None:
+        if cvf is not None:
+            fx, fhat = rsde._pair(cvf, correction, n, xcol)
             forcing = fx[:, 0, 0] * db[n, 0] + fhat[:, 0, 0, 0] * bb[n, 0, 0]
         q = np.empty((coeffs.n_actions, n_lat))
         for a in range(coeffs.n_actions):

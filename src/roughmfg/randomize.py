@@ -213,9 +213,9 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
             db[g] = np.diff(lift.first_level, axis=0)
             bb[g] = lift.step_second()
         for n in range(steps):
-            f_n, fhat_n = rsde._pair(cvf, correction, n, x)
             x = rsde._advance(coeffs, flow, policy, nodes, n, x, dw[: len(x), n],
-                              db[:count, n], bb[:count, n], f_n, fhat_n)
+                              db[:count, n], bb[:count, n],
+                              *rsde._pair(cvf, correction, n, x))
             bad = rsde._blowup_row(x)
             if bad is not None:
                 g, particle = divmod(bad, particles)

@@ -314,8 +314,8 @@ class RsdeSolution:
                 )
                 hi += 1
             xa = x[lo * rows : hi * rows]
-            fa, fhata = _pair(cvf, self.correction, n, xa)
-            slots = [xa, np.zeros((len(xa), d, k)) if fa is None else fa, fhata]
+            pair = _pair(cvf, self.correction, n, xa)
+            slots = [xa, *pair] if pair else [xa, np.zeros((len(xa), d, k))]
             if fresh:
                 for held, now in zip(anchor, slots):
                     held[(hi - 1) * rows : hi * rows] = now[-rows:]
@@ -341,9 +341,8 @@ class RsdeSolution:
                 continue
             run = slice((first - lo) * rows, None)
             dw_n = np.concatenate([dw[g][:, n - w_node] for g in range(first, hi)])
-            rough_terms = () if fa is None else (fa[run], fhata[run])
             nxt = _advance(coeffs, self.flow, self.policy, nodes, n, xa[run], dw_n,
-                           db[n : n + 1], bb[n : n + 1], *rough_terms)
+                           db[n : n + 1], bb[n : n + 1], *(a[run] for a in pair))
             bad = _blowup_row(nxt)
             if bad is not None:
                 g, r = divmod(bad, rows)
@@ -402,23 +401,30 @@ def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
 
 
 def _pair(cvf, correction, n, x):
-    """(f(x), grad(f) f + f') at node n on the states x, or (None, None)
-    without a rough coefficient."""
+    """The rough terms _advance takes at node n on the states x: (f(x),
+    grad(f) f + f'), or () without a rough coefficient."""
     if cvf is None:
-        return None, None
+        return ()
     f = cvf.f(n, x)
     return f, correction(n, x, f)
 
 
 def _advance(coeffs, flow, policy, nodes, n, xn, dw_n, db_n, bb_n, f_n=None,
-             fhat_n=None, drift=None):
-    """The states after node n: the flow's cloud, the policy's mixed drift
-    (unless the caller passes one) and _step, with the pair _pair evaluated
-    on xn at node n."""
+             fhat_n=None, actions=None):
+    """The states after node n: the flow's cloud, the drift and _step, with
+    the pair _pair evaluated on xn at node n.  The drift mixes the actions
+    by the policy's weights or, given sampled actions (P,), takes each
+    row's own action."""
     cloud = flow.cloud(n)
-    if drift is None:
+    if actions is None:
         weights = _mixture_weights(policy, n, xn, coeffs.n_actions)
         drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
+    else:
+        drift = np.zeros_like(xn)
+        for a in range(coeffs.n_actions):
+            mask = actions == a
+            if np.any(mask):
+                drift[mask] = coeffs.b(nodes[n], xn[mask], cloud, coeffs.actions[a])
     return _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n, fhat_n)
 
 
@@ -442,15 +448,15 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
     x[:, 0] = x0
     fx = np.zeros((p_count, steps + 1, d, rough.dim))
     fhat = None if cvf is None else np.empty(fx.shape + (rough.dim,))
-    drift = None
     db = np.diff(rough.first_level, axis=0)
     bb = rough.step_second()
+    actions = None
     for i in range(steps + 1):
         n = start + i
         xn = x[:, i]
-        f_n, fhat_n = _pair(cvf, correction, n, xn)
-        if cvf is not None:
-            fx[:, i], fhat[:, i] = f_n, fhat_n
+        pair = _pair(cvf, correction, n, xn)
+        if pair:
+            fx[:, i], fhat[:, i] = pair
         if i == steps:
             break
         if causal is not None:
@@ -459,14 +465,8 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             actions = policy.sample_causal(n, view, exo_rng)
             audit.append({"step": n, "max_node_accessed": view.max_accessed})
             sampled.append(actions)
-            cloud = flow.cloud(n)
-            drift = np.zeros_like(xn)
-            for a in range(coeffs.n_actions):
-                mask = actions == a
-                if np.any(mask):
-                    drift[mask] = coeffs.b(nodes[n], xn[mask], cloud, coeffs.actions[a])
         nxt = _advance(coeffs, flow, policy, nodes, n, xn, dW[:, i], db[n : n + 1],
-                       bb[n : n + 1], f_n, fhat_n, drift)
+                       bb[n : n + 1], *pair, actions=actions)
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x, fx, fhat

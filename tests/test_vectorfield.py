@@ -460,6 +460,8 @@ SLOT_MODELS = {
     "tanh-interaction": lambda: models.make_model("tanh-interaction"),
     "sin-mean": lambda: measure_dependent_model()[0],
 }
+# the "state" target alone also serves a model without a rough coefficient
+STATE_MODELS = {**SLOT_MODELS, "lq-no-sigma0": lambda: models.make_model("lq", sigma0=None)}
 
 
 class TestSolvedSlots:
@@ -605,11 +607,11 @@ class TestContinuationMoments:
 
     @pytest.mark.parametrize("stride", [2, 3])
     @pytest.mark.parametrize("n_inner", [2, 4])
-    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    @pytest.mark.parametrize("name", sorted(STATE_MODELS))
     def test_check_domain_matches_reference(self, name, n_inner, stride):
         # windows of 5 steps starting at 0, 2, 4, 6; stride 2 leaves anchors
         # with a single target node, stride 3 needs the running-max stops
-        sol = solved(SLOT_MODELS[name]())
+        sol = solved(STATE_MODELS[name]())
         flow = mf.from_solution(sol)
         idx = ct.IndexPair()
         cert = mf.check_domain(flow, sol.rough, idx, m=4, M_bound=1e9,
