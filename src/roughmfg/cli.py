@@ -162,10 +162,10 @@ def _run_mfg(cfg, out: Path, strict: bool) -> int:
                 fp.write(f"{n},{i},{_cells([x])},{_cells(pol.table[n, i])}\n")
     with _open_csv(out / "flow_summary.csv", h) as fp:
         fp.write("node,t,mean,std\n")
-        grid = result.flow.grid
-        for n in range(grid.steps + 1):
+        nodes = result.flow.grid.nodes
+        for n, t in enumerate(nodes):
             cloud = result.flow.cloud(n)[:, 0]
-            values = (grid.nodes[n], cloud.mean(), cloud.std(ddof=0))
+            values = (t, cloud.mean(), cloud.std(ddof=0))
             fp.write(f"{n},{_cells(values)}\n")
     if strict and not rep.converged:
         return EXIT_NONCONVERGENCE
@@ -184,10 +184,9 @@ def _run_rsde(cfg, out: Path, strict: bool) -> int:
     with _open_csv(out / "trajectory_summary.csv", h) as fp:
         fp.write("node,t,mean,std,min,max\n")
         x = sol.ensemble.Z[..., 0]
-        for n in range(grid.steps + 1):
+        for n, t in enumerate(grid.nodes):
             col = x[:, n]
-            values = (grid.nodes[n], col.mean(), col.std(ddof=0), col.min(),
-                      col.max())
+            values = (t, col.mean(), col.std(ddof=0), col.min(), col.max())
             fp.write(f"{n},{_cells(values)}\n")
     payload = {"seed": cfg.seed, "model": cfg.model_name}
     if model.d == 1 and model.l == 1:

@@ -176,6 +176,7 @@ def check_domain(
     inner_samples: int = 4,
     max_windows: int = 16,
     anchor_stride: int | None = None,
+    draws: dict | None = None,
 ) -> DomainCertificate:
     """Evaluate the windowed controlled-path norm of the flow representation
     on windows of width < epsilon and compare against M_bound.
@@ -184,7 +185,13 @@ def check_domain(
     supplies the conditional moments: one continuation_moments request
     for the "state" target alone covers the distinct anchors of all
     windows, each continued to the furthest window end that uses it.
-    Without it every window gets the unconditional lower-bound estimate."""
+    Without it every window gets the unconditional lower-bound estimate.
+    draws, a dict the caller owns, is handed to continuation_moments: it
+    keeps the continuations' increments, so that checks of solutions with
+    one seed, particle count and grid draw them once; the certificate is
+    bitwise the one without it."""
+    if max_windows < 1:
+        raise InputError(f"need max_windows >= 1, got {max_windows}")
     ens = flow.ensemble()
     grid = flow.grid
     span = max(1, min(grid.steps, int(math.ceil(epsilon / grid.dt)) - 1))
@@ -207,7 +214,8 @@ def check_domain(
         # nondecreasing stops keep the pass's active rows contiguous
         stops = np.maximum.accumulate([stop_of[a] for a in anchors])
         moments = solution.continuation_moments(
-            anchors, stops, inner_samples, m, ct.N_INFTY, targets=("state",)
+            anchors, stops, inner_samples, m, ct.N_INFTY, targets=("state",),
+            draws=draws,
         )["state"]
     worst = -1.0
     offender = None

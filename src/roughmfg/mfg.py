@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,7 @@ class RelaxedPolicy:
             rowsum = self.table.sum(axis=2)
             if np.abs(rowsum - 1.0).max() > 1e-12:
                 raise InputError("policy rows must sum to one within 1e-12")
+            self._spacing = _uniform_spacing(self.lattice)
         elif mode == OPEN_LOOP_CAUSAL:
             if sampler is None:
                 raise InputError("causal policy needs a sampler")
@@ -75,18 +76,36 @@ class RelaxedPolicy:
         return self.actions.shape[0]
 
     def _node_index(self, x) -> np.ndarray:
-        """Nearest lattice node, the lower one on a tie."""
+        """Nearest lattice node, the lower one on a tie; NaN maps to the
+        last node.
+
+        The nodes j - 1 and j compared are the bracket that holds x, the
+        first or the last bracket for x off the lattice (searchsorted).  On
+        a uniform lattice j comes from the spacing instead.  Its rounding
+        error is below 2**-10 of a spacing (see _uniform_spacing), so it
+        picks a neighbouring bracket only for x that close to the node the
+        two brackets share, and both comparisons then return that node."""
         x = np.asarray(x)[..., 0]
         lat = self.lattice
-        if len(lat) == 1:
+        last = len(lat) - 1
+        if last == 0:
             return np.zeros(x.shape, dtype=np.intp)
-        j = np.clip(np.searchsorted(lat, x), 1, len(lat) - 1)
+        if self._spacing is None:
+            j = np.clip(np.searchsorted(lat, x), 1, last)
+        else:
+            # fmin before fmax sends NaN to the last bracket
+            guess = np.floor((x - lat[0]) / self._spacing) + 1.0
+            j = np.fmax(np.fmin(guess, last), 1.0).astype(np.intp)
         return j - (np.abs(x - lat[j - 1]) <= np.abs(x - lat[j]))
 
     def mixture(self, n, x: np.ndarray) -> np.ndarray:
         """Action mixture at step n for states x (P, d), shape (P, K); an
         array of steps broadcasts against x's leading axes, so that
-        np.arange(N) with x (P, N, d) gives (P, N, K)."""
+        np.arange(N) with x (P, N, d) gives (P, N, K).
+
+        The rows are gathered with take, from the step's table row for one
+        step and from the flattened table for an array of steps: the same
+        values as table[n, nodes], several times faster on large clouds."""
         if self.mode != FEEDBACK:
             raise InputError("mixture lookup needs a feedback policy")
         rows = self.table.shape[0]
@@ -94,7 +113,11 @@ class RelaxedPolicy:
         if lo < 0 or hi >= rows:
             bad = hi if hi >= rows else lo
             raise InputError(f"policy table has {rows} steps, step {bad} requested")
-        return self.table[n, self._node_index(x)]
+        idx = self._node_index(x)
+        if not isinstance(n, np.ndarray):
+            return self.table[n].take(idx, axis=0)
+        flat = self.table.reshape(-1, self.n_actions)
+        return flat.take(n * self.table.shape[1] + idx, axis=0)
 
     def same_feedback(self, other) -> bool:
         """True when both are feedback policies with equal actions, lattice
@@ -124,18 +147,40 @@ class RelaxedPolicy:
         return cls(actions, OPEN_LOOP_CAUSAL, sampler=sampler)
 
 
+def _uniform_spacing(lattice) -> float | None:
+    """The node spacing of a lattice equal to
+    np.linspace(lattice[0], lattice[-1], len(lattice)), or None.  None as
+    well for one node, and for nodes above 2**40 spacings in magnitude:
+    below that, (x - lattice[0]) / spacing for x on the lattice is within
+    2**-10 of x's position in spacings, node rounding included."""
+    last = len(lattice) - 1
+    if last == 0:
+        return None
+    lo, hi = lattice[0], lattice[-1]
+    spacing = (hi - lo) / last
+    if not max(abs(lo), abs(hi)) <= 2.0**40 * spacing < np.inf:
+        return None
+    if not np.array_equal(lattice, np.linspace(lo, hi, last + 1)):
+        return None
+    return spacing
+
+
 @dataclass
 class CostEstimate:
     value: float
     error_bar: float
     particles: int
+    # the solve the estimate averages over; not part of equality
+    solution: rsde.RsdeSolution | None = field(default=None, repr=False,
+                                               compare=False)
 
 
 def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
          init: rsde.InitialLaw | None = None) -> CostEstimate:
     """Monte Carlo cost: running mixture cost plus terminal cost, with the
     sample standard error of the particle mean.  The running cost weighs the
-    actions by the weights the solve stepped with, from one mixture call."""
+    actions by the weights the solve stepped with, from one mixture call.
+    The estimate carries that solve."""
     init = init or rsde.InitialLaw()
     sol = rsde.solve(coeffs, flow, p, policy, init, particles, seed)
     grid = sol.grid
@@ -153,7 +198,7 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
     totals += coeffs.g(x[:, grid.steps], flow.cloud(grid.steps))
     n_p = len(totals)
     return CostEstimate(float(totals.mean()),
-                        float(totals.std(ddof=1) / math.sqrt(n_p)), n_p)
+                        float(totals.std(ddof=1) / math.sqrt(n_p)), n_p, sol)
 
 
 @dataclass
@@ -202,6 +247,9 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     if coeffs.d != 1 or coeffs.l != 1:
         raise InputError("the lattice solver handles scalar state and noise")
     settings = settings or DpSettings()
+    for name in ("lattice_nodes", "gh_order"):
+        if getattr(settings, name) < 1:
+            raise InputError(f"need {name} >= 1, got {getattr(settings, name)}")
     init = init or rsde.InitialLaw()
     if settings.lattice_lo is None or settings.lattice_hi is None:
         lo, hi = _auto_bounds(coeffs, flow, p, init, seed, settings)
@@ -279,7 +327,10 @@ def exploitability(coeffs, flow, p: RoughPath, policy, particles: int,
     cost is deterministic in its arguments, so when the best response has
     the policy's actions, lattice and table (RelaxedPolicy.same_feedback)
     its cost is the policy cost, taken without a second solve, and raw is
-    exactly zero.  The report keeps the best response it computed."""
+    exactly zero.  The report keeps the best response it computed, and
+    response_cost.solution is the solve of the best response's policy
+    against this flow: the policy cost's solve when the two are the same
+    feedback."""
     init = init or rsde.InitialLaw()
     c_pol = cost(coeffs, flow, p, policy, particles, seed, init)
     br = best_response(coeffs, flow, p, settings, init, seed)
@@ -323,12 +374,15 @@ class FixedPointResult:
     values: np.ndarray
 
 
-def _phi_step(coeffs, flow, p, init, particles, seed, settings, br=None):
+def _phi_step(coeffs, flow, p, init, particles, seed, settings, br=None,
+              sol=None):
     """One application of the equilibrium map: best response (br, when it
-    is already known for this flow) then simulate."""
+    is already known for this flow) then simulate (sol, when the solve of
+    br's policy against this flow is already known)."""
     if br is None:
         br = best_response(coeffs, flow, p, settings, init, seed)
-    sol = rsde.solve(coeffs, flow, p, br.policy, init, particles, seed)
+    if sol is None:
+        sol = rsde.solve(coeffs, flow, p, br.policy, init, particles, seed)
     return br, sol, mf.from_solution(sol)
 
 
@@ -364,8 +418,15 @@ def fixed_point(
     With lambda_mix == 1, mf.mix returns the candidate flow itself, and the
     next sweep's best response is the one exploitability computed against
     that flow with the same settings, init and seed; the sweep takes it
-    from the report instead of repeating the DP.  A damped mix makes a new
-    flow, and the next sweep runs its own DP.
+    from the report instead of repeating the DP.  With exploit_particles >=
+    particles it takes the solve too: the first `particles` rows of the
+    response cost's solve (RsdeSolution.first_rows), bitwise the solve it
+    would make.  A damped mix makes a new flow, and the next sweep runs its
+    own DP and solve.
+
+    Every sweep solves with the same seed (common random numbers), so the
+    domain checks share one dict of continuation increments
+    (mf.check_domain's draws) and draw each anchor's block once per call.
     """
     if max_iters < 1:
         raise InputError(f"need max_iters >= 1, got {max_iters}")
@@ -384,20 +445,31 @@ def fixed_point(
     records = []
     converged = False
     converged_at = None
-    br = sol = flow_cand = known = None
+    br = sol = flow_cand = known_br = known_sol = None
+    draws = {}
     for it in range(1, max_iters + 1):
         br, sol, flow_cand = _phi_step(
-            coeffs, flow_prev, p, init, particles, seed, settings, known
+            coeffs, flow_prev, p, init, particles, seed, settings, known_br,
+            known_sol,
         )
         dist = mf.flow_distance(flow_cand, flow_prev)
         exp_rep = exploitability(
             coeffs, flow_cand, p, br.policy, exploit_particles, seed, settings, init
         )
+        exp_value, exp_raw, exp_err = exp_rep.value, exp_rep.raw, exp_rep.error_bar
+        # with lambda_mix == 1 the next sweep maps flow_cand itself (mf.mix
+        # returns it); of the report's solves only the reused rows are kept
+        known_br = known_sol = None
+        if lambda_mix == 1.0:
+            known_br = exp_rep.best_response
+            if exploit_particles >= particles:
+                known_sol = exp_rep.response_cost.solution.first_rows(particles)
+        del exp_rep
         if domain_bound is not None:
             eps = domain_epsilon if domain_epsilon is not None else grid.horizon / 4
             cert = mf.check_domain(
                 flow_cand, p, idx, m, domain_bound, eps,
-                solution=sol,
+                solution=sol, draws=draws,
                 inner_samples=domain_inner, max_windows=domain_windows,
                 anchor_stride=domain_anchor_stride,
             )
@@ -410,15 +482,14 @@ def fixed_point(
         else:
             member, worst, offend = True, math.nan, None
         records.append(
-            IterationRecord(it, dist, exp_rep.value, exp_rep.raw,
-                            exp_rep.error_bar, member, worst, offend)
+            IterationRecord(it, dist, exp_value, exp_raw, exp_err, member,
+                            worst, offend)
         )
-        if dist < tol_w2 and exp_rep.value < tol_exp:
+        if dist < tol_w2 and exp_value < tol_exp:
             converged = True
             converged_at = it
             break
         flow_prev = mf.mix(flow_cand, flow_prev, lambda_mix, seed=seed + it)
-        known = exp_rep.best_response if flow_prev is flow_cand else None
 
     report = EquilibriumReport(records, converged, converged_at, tol_w2,
                                tol_exp, seed)

@@ -14,7 +14,7 @@ conditional continuations that feed the norm estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,11 +171,55 @@ class RsdeSolution:
             raise InputError("solution has no rough coefficient")
         return ct.ControlledEnsemble(self.grid, self.ensemble.Zp, self.fhat)
 
-    def _inner_increments(self, rows, s_idx, salt=1):
+    def first_rows(self, count: int) -> "RsdeSolution":
+        """The solve of the same inputs with the first `count` particles.
+
+        draw_initial and draw_wiener fill rows in C order, and each row's
+        recursion reads only its own row, the flow and the policy, so the
+        first rows of a solve are bitwise the solve with fewer particles.
+        Z, Zp, fhat and W are copied, so this solution holds none of the
+        rows after them.  Not for a causal realization, whose action draws
+        share one exogenous stream."""
+        if self.sampled_actions is not None:
+            raise InputError("a causal realization has no row slice")
+        if not 1 <= count <= self.ensemble.particles:
+            raise InputError(
+                f"need 1 to {self.ensemble.particles} rows, got {count}"
+            )
+
+        def head(a):
+            return None if a is None else a[:count].copy()
+
+        ens = self.ensemble
+        return replace(
+            self,
+            ensemble=ct.ControlledEnsemble(ens.grid, head(ens.Z), head(ens.Zp)),
+            W_increments=head(self.W_increments),
+            fhat=head(self.fhat),
+            monitors=[],
+        )
+
+    def _inner_increments(self, rows, s_idx, salt=1, stop=None, draws=None):
         """Idiosyncratic increments of the continuations from node s_idx,
-        drawn at full length to the end of the grid."""
-        return draw_wiener(self.seed, rows, self.grid.steps - s_idx, self.coeffs.l,
-                           self.grid.dt, "inner", salt, s_idx)
+        drawn to the end of the grid and returned up to node stop (by
+        default the end).
+
+        draws, a dict the caller owns, keeps each block it is handed up to
+        its stop, read-only, under everything draw_wiener reads plus the
+        stop; a later request for the same key takes the kept block instead
+        of drawing it again."""
+        args = (self.seed, rows, self.grid.steps - s_idx, self.coeffs.l,
+                self.grid.dt, "inner", salt, s_idx)
+        stop = self.grid.steps if stop is None else stop
+        key = args + (stop,)
+        if draws is not None and key in draws:
+            return draws[key]
+        block = draw_wiener(*args)[:, : stop - s_idx]
+        if draws is not None:
+            block = block.copy()
+            block.flags.writeable = False
+            draws[key] = block
+        return block
 
     def _require_feedback(self):
         if self.policy is not None and getattr(self.policy, "mode", "feedback") != "feedback":
@@ -227,7 +271,8 @@ class RsdeSolution:
         return resample
 
     def continuation_moments(self, anchors, stops, n_inner: int, m: int,
-                             n_mode: str = ct.N_INFTY, targets=None):
+                             n_mode: str = ct.N_INFTY, targets=None,
+                             draws=None):
         """Conditional moments for the two-level norm estimators, from one
         grouped pass over the grid.
 
@@ -235,9 +280,12 @@ class RsdeSolution:
         n_inner times with fresh idiosyncratic noise to node stops[g]; flow,
         lift and policy stay frozen.  These are make_resampler's
         continuations (default salt), on the same random numbers: the
-        "inner" block keyed
-        by the anchor is drawn at full length, and only its columns up to
-        the stop are used.  At node n the active groups, those with
+        "inner" block keyed by the anchor is drawn at full length, and only
+        its columns up to the stop are used.  draws, a dict the caller
+        owns, keeps those columns of each block, so that passes over
+        solutions of one seed, particle count and grid draw each anchor's
+        block once (common random numbers); without it nothing is kept
+        past the pass.  At node n the active groups, those with
         anchors[g] <= n <= stops[g], advance together: one coefficient,
         correction, policy and drift call per node on all their rows.  The
         estimator's per-node statistics (ct.node_moments) are folded into
@@ -308,7 +356,7 @@ class RsdeSolution:
                 for g in range(lo, hi):
                     dw[g] = dw[g][:, n - w_node :].copy()
                 w_node = n
-                dw[hi] = self._inner_increments(rows, n)[:, : stops[hi] - n]
+                dw[hi] = self._inner_increments(rows, n, stop=stops[hi], draws=draws)
                 x[hi * rows : (hi + 1) * rows] = np.repeat(
                     self.ensemble.Z[:, n], n_inner, axis=0
                 )

@@ -473,6 +473,21 @@ class TestCli:
         assert "Traceback" not in done.stderr
         assert f"need at least one particle, got {particles}" in done.stderr
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("lattice_nodes = 31", "lattice_nodes = 0", "need lattice_nodes >= 1, got 0"),
+        ("lattice_nodes = 31", "lattice_nodes = 31\ngh_order = 0",
+         "need gh_order >= 1, got 0"),
+        ("tol_exp = 1e-2", "tol_exp = 1e-2\n\n[domain]\nm_bound = 50.0\nmax_windows = 0",
+         "need max_windows >= 1, got 0"),
+    ], ids=["lattice-nodes", "gh-order", "max-windows"])
+    def test_mfg_setting_below_domain_is_validation_error(self, tmp_path, old, new,
+                                                          message):
+        path = write_config(tmp_path, MINIMAL.replace(old, new))
+        done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+
     def test_zero_fixed_point_sweeps_is_validation_error(self, tmp_path):
         path = write_config(tmp_path, MINIMAL.replace("max_iters = 4", "max_iters = 0"))
         done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])

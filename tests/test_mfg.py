@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,30 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def ref_node_index(lattice, x):
+    """Nearest node by binary search, the lower one on a tie: the lookup of
+    non-uniform lattices, and the reference for the uniform one."""
+    x = np.asarray(x)[..., 0]
+    if len(lattice) == 1:
+        return np.zeros(x.shape, dtype=np.intp)
+    j = np.clip(np.searchsorted(lattice, x), 1, len(lattice) - 1)
+    return j - (np.abs(x - lattice[j - 1]) <= np.abs(x - lattice[j]))
+
+
+def lookup_states(lattice, seed):
+    """Random states, the nodes, the midpoints, their floating-point
+    neighbours on both sides, and states far off or not numbers."""
+    mids = 0.5 * (lattice[1:] + lattice[:-1])
+    marks = np.concatenate([lattice, mids])
+    width = lattice[-1] - lattice[0]
+    return np.concatenate([
+        substream(seed, "mg", "lookup").uniform(lattice[0] - width, lattice[-1] + width,
+                                                size=20_000),
+        marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+        [-np.inf, np.inf, np.nan, -1e300, 1e300],
+    ])[:, None]
 
 
 def ref_exploitability(coeffs, flow, p, policy, particles, seed, settings=None,
@@ -122,6 +147,52 @@ class TestRelaxedPolicy:
         ])[:, None]
         argmin = np.abs(x[..., 0][:, None] - lattice[None, :]).argmin(axis=-1)
         np.testing.assert_array_equal(pol._node_index(x), argmin)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 81])
+    @pytest.mark.parametrize("lo, hi", [(-4.0, 4.0), (0.3, 7.1)])
+    def test_uniform_lookup_matches_binary_search(self, monkeypatch, nodes, lo, hi):
+        lattice = np.linspace(lo, hi, nodes)
+        pol = mfg.RelaxedPolicy(np.array([[0.0]]), lattice=lattice,
+                                table=np.ones((1, nodes, 1)))
+        x = lookup_states(lattice, nodes)
+        want = ref_node_index(lattice, x)
+        assert want[-3] == nodes - 1  # NaN goes to the last node
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a uniform lattice needs no binary search")
+
+        monkeypatch.setattr(np, "searchsorted", no_search)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pol._node_index(x)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("lattice", [
+        [-1.0, 0.0, 0.5, 2.0],
+        np.nextafter(np.linspace(-4.0, 4.0, 81), np.inf),
+        np.linspace(1e15, 1e15 + 4.0, 5),
+    ])
+    def test_other_lattices_keep_binary_search(self, lattice):
+        # not uniform, uniform only up to the last bit, or nodes too large
+        # against their spacing for a guess from the spacing
+        lattice = np.asarray(lattice)
+        pol = mfg.RelaxedPolicy(np.array([[0.0]]), lattice=lattice,
+                                table=np.ones((1, len(lattice), 1)))
+        assert pol._spacing is None
+        x = lookup_states(lattice, 5)
+        np.testing.assert_array_equal(pol._node_index(x), ref_node_index(lattice, x))
+
+    def test_take_gather_matches_fancy_index(self):
+        n_steps, lattice = 6, np.linspace(-2.0, 2.0, 9)
+        rng = substream(6, "mg", "gather")
+        table = rng.dirichlet(np.ones(3), size=(n_steps, 9))
+        pol = mfg.RelaxedPolicy(np.array([[-1.0], [0.0], [1.0]]), lattice=lattice,
+                                table=table)
+        x = rng.normal(0.0, 2.0, size=(50, n_steps, 1))
+        idx = ref_node_index(lattice, x)
+        np.testing.assert_array_equal(pol.mixture(4, x[:, 4]), table[4, idx[:, 4]])
+        steps = np.arange(n_steps)
+        np.testing.assert_array_equal(pol.mixture(steps, x), table[steps, idx])
 
     def test_step_array_lookup_matches_per_node(self):
         # one call on every node's states is the per-node lookups stacked
@@ -539,12 +610,14 @@ class TestSweepReuse:
         got = dict(counts)
         counts.clear()
         records, flow, br, sol = ref_fixed_point(model, p, rsde.InitialLaw(), **kw)
-        # a DP per sweep plus one per exploitability, bootstrap included; with
-        # lambda_mix = 1 every sweep after the first takes exploitability's
+        # a DP and a solve per sweep plus those of each exploitability,
+        # bootstrap included; with lambda_mix = 1 every sweep after the first
+        # takes exploitability's best response and, as exploit_particles >=
+        # particles, the first rows of its response solve
         reused = sweeps - 1 if lam == 1.0 else 0
         assert got == {"best_response": 2 * sweeps + 1 - reused,
                        "cost": cost_solves,
-                       "solve": 1 + sweeps + cost_solves}
+                       "solve": 1 + sweeps + cost_solves - reused}
         assert counts == {"best_response": 2 * sweeps + 1, "cost": 2 * sweeps,
                           "solve": 3 * sweeps + 1}
         assert res.report.iterations == records
@@ -553,3 +626,58 @@ class TestSweepReuse:
         np.testing.assert_array_equal(res.policy.table, br.policy.table)
         np.testing.assert_array_equal(res.values, br.values)
         np.testing.assert_array_equal(res.solution.ensemble.Z, sol.ensemble.Z)
+
+    def test_fewer_exploitability_particles_solve_afresh(self, monkeypatch):
+        # exploitability's solve has fewer rows than a sweep needs: sweeps
+        # take its best response but make their own solve
+        model = models.make_model("lq")
+        p = brownian_lift(21, n=8)
+        sweeps = 3
+        kw = dict(
+            particles=32, seed=9, lambda_mix=1.0, max_iters=sweeps,
+            settings=mfg.DpSettings(-4.0, 4.0, 41), domain_bound=50.0,
+            domain_epsilon=0.5, domain_windows=2, exploit_particles=24,
+        )
+        counts = count_calls(monkeypatch)
+        res = mfg.fixed_point(model, p, rsde.InitialLaw(), tol_w2=0.0, tol_exp=0.0,
+                              **kw)
+        assert dict(counts) == {"best_response": sweeps + 2, "cost": sweeps,
+                                "solve": 1 + 2 * sweeps}
+        records, flow, br, sol = ref_fixed_point(model, p, rsde.InitialLaw(), **kw)
+        assert res.report.iterations == records
+        np.testing.assert_array_equal(res.flow.Y, flow.Y)
+        np.testing.assert_array_equal(res.solution.ensemble.Z, sol.ensemble.Z)
+
+    def test_benchmark_shape_reuses_solves_and_draws(self, monkeypatch):
+        # the fixed-point benchmark's call: lq, N = 64, P = 1000, five sweeps
+        # against a 2000-particle exploitability, domain windows of 16 anchors.
+        # Each exploitability makes one cost solve (the best response is the
+        # sweep's policy); sweeps 2-5 take their DP and their solve from it, and
+        # the five domain checks draw each anchor's increments once
+        seed, sweeps = 11, 5
+        grid = rp.TimeGrid(1.0, 64)
+        dw = substream(seed, "acc7", "bm").normal(0.0, np.sqrt(grid.dt), size=(64, 1))
+        counts = count_calls(monkeypatch)
+        inner = []
+        draw = rsde.draw_wiener
+
+        def counted_draw(*args):
+            if args[5:6] == ("inner",):
+                inner.append(args[-1])
+            return draw(*args)
+
+        monkeypatch.setattr(rsde, "draw_wiener", counted_draw)
+        res = mfg.fixed_point(
+            models.make_model("lq"), rp.ito_lift(dw, grid), rsde.InitialLaw(),
+            particles=1000, seed=seed, max_iters=sweeps, tol_w2=0.0, tol_exp=0.0,
+            settings=mfg.DpSettings(-4.0, 4.0, 81), domain_bound=12.0,
+            domain_epsilon=0.25, domain_inner=2, domain_windows=6,
+            exploit_particles=2000,
+        )
+        assert len(res.report.iterations) == sweeps
+        reused = sweeps - 1
+        assert dict(counts) == {"best_response": 2 * sweeps + 1 - reused,
+                                "cost": sweeps,
+                                "solve": 1 + sweeps + sweeps - reused}
+        assert counts["solve"] == 7 and counts["best_response"] == 7
+        assert len(inner) == len(set(inner)) == 16

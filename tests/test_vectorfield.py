@@ -759,3 +759,130 @@ class TestContinuationMoments:
             pass_calls = [(n, size) for what, n, size in calls
                           if what == kind and size % rows == 0]
             assert pass_calls == [(n, rows * min(n + 1, 16)) for n in range(17)]
+
+
+# every registry model, lq without a rough coefficient, and d = k = 2
+ROW_MODELS = {
+    **{name: (lambda name=name: models.make_model(name))
+       for name in models.list_models()},
+    "lq-no-sigma0": lambda: models.make_model("lq", sigma0=None),
+    "sin-mean": lambda: measure_dependent_model()[0],
+}
+
+
+def lattice_policy(model, steps, seed):
+    """Feedback policy whose mixture varies with the state: a random
+    probability table on a uniform lattice."""
+    lattice = np.linspace(-2.0, 2.0, 9)
+    table = substream(seed, "vf", "policy").dirichlet(
+        np.ones(model.n_actions), size=(steps, len(lattice))
+    )
+    return mfg.RelaxedPolicy(model.actions, lattice=lattice, table=table)
+
+
+def counted_inner_draws(monkeypatch):
+    """Record the node of every continuation draw from here on."""
+    nodes = []
+    draw = rsde.draw_wiener
+
+    def counted(seed, count, steps, dim, dt, *extra):
+        if extra[:1] == ("inner",):
+            nodes.append(extra[-1])
+        return draw(seed, count, steps, dim, dt, *extra)
+
+    monkeypatch.setattr(rsde, "draw_wiener", counted)
+    return nodes
+
+
+class TestCommonRandomNumbers:
+    """What a frozen seed lets a caller reuse: the first rows of a solve,
+    and the continuation increments of a domain check."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_MODELS))
+    def test_first_rows_are_the_smaller_solve(self, name):
+        model = ROW_MODELS[name]()
+        steps, seed = 12, 4
+        grid = rp.TimeGrid(1.0, steps)
+        dw = substream(seed, "vf", "rows").normal(0.0, np.sqrt(grid.dt),
+                                                  size=(steps, model.k))
+        args = (model, random_flow(seed, grid, d=model.d, k=model.k),
+                rp.ito_lift(dw, grid), lattice_policy(model, steps, seed),
+                rsde.InitialLaw())
+        big = rsde.solve(*args, 23, seed)
+        fresh = rsde.solve(*args, 10, seed)
+        head = big.first_rows(10)
+        np.testing.assert_array_equal(head.ensemble.Z, fresh.ensemble.Z)
+        np.testing.assert_array_equal(head.ensemble.Zp, fresh.ensemble.Zp)
+        np.testing.assert_array_equal(head.W_increments, fresh.W_increments)
+        if fresh.fhat is None:
+            assert head.fhat is None
+        else:
+            np.testing.assert_array_equal(head.fhat, fresh.fhat)
+        # copies: the slice holds none of the rows after it
+        assert head.ensemble.Z.base is None and head.W_increments.base is None
+        assert head.monitors == [] and head.monitors is not big.monitors
+
+    def test_first_rows_rejects_bad_counts_and_causal_solves(self):
+        sol = solved(models.make_model("tanh-interaction"))
+        for count in (0, 7):
+            with pytest.raises(rp.InputError, match="need 1 to 6 rows"):
+                sol.first_rows(count)
+        model = models.make_model("lq", sigma0=None)
+        grid = rp.TimeGrid(1.0, 4)
+        causal = mfg.RelaxedPolicy.causal(
+            model.actions, lambda n, w, rng: rng.integers(0, 3, size=len(w.increments()))
+        )
+        real = rsde.realize_from_measure(
+            model, random_flow(1, grid), rp.smooth_lift(np.zeros(5), grid), causal,
+            rsde.InitialLaw(), 8, 1,
+        )
+        with pytest.raises(rp.InputError, match="causal"):
+            real.first_rows(4)
+
+    @pytest.mark.parametrize("name", sorted(STATE_MODELS))
+    def test_shared_draws_match_fresh_checks(self, monkeypatch, name):
+        # three solutions of one seed, particle count and grid, as the
+        # sweeps of a fixed point make them: each continuation block is
+        # drawn once, and every certificate is the one drawn afresh
+        model = STATE_MODELS[name]()
+        steps, seed = 12, 4
+        grid = rp.TimeGrid(1.0, steps)
+        dw = substream(seed, "vf", "slots").normal(0.0, np.sqrt(grid.dt),
+                                                   size=(steps, model.k))
+        lift = rp.ito_lift(dw, grid)
+        policy = mfg.RelaxedPolicy.constant(model.actions, steps)
+        sols = [rsde.solve(model, random_flow(s, grid, d=model.d, k=model.k), lift,
+                           policy, rsde.InitialLaw(), 6, seed) for s in (1, 2, 3)]
+        kw = dict(m=4, M_bound=1e9, epsilon=0.5, inner_samples=2, max_windows=4,
+                  anchor_stride=3)
+        fresh = [mf.check_domain(mf.from_solution(sol), lift, ct.IndexPair(),
+                                 solution=sol, **kw) for sol in sols]
+        nodes = counted_inner_draws(monkeypatch)
+        draws = {}
+        shared = [mf.check_domain(mf.from_solution(sol), lift, ct.IndexPair(),
+                                  solution=sol, draws=draws, **kw) for sol in sols]
+        for got, want in zip(shared, fresh):
+            assert got.window_norms == want.window_norms
+            assert got.worst == want.worst
+        assert len(nodes) == len(set(nodes)) == len(draws) > 1
+        for key, block in draws.items():
+            anchor, stop = key[-2], key[-1]
+            # kept up to its stop, in a copy that holds no further columns
+            assert block.shape == (6 * 2, stop - anchor, model.l)
+            assert block.base is None
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0, 0] = 0.0
+
+    def test_draws_key_holds_what_the_draw_reads(self, monkeypatch):
+        # another seed, particle count or inner sample count draws anew
+        model = models.make_model("tanh-interaction")
+        kw = dict(m=4, M_bound=1e9, epsilon=0.5, max_windows=2, anchor_stride=3)
+        draws = {}
+        nodes = counted_inner_draws(monkeypatch)
+        for seed, particles, inner in ((4, 6, 2), (5, 6, 2), (4, 7, 2), (4, 6, 3)):
+            sol = solved(model, particles=particles, seed=seed)
+            mf.check_domain(mf.from_solution(sol), sol.rough, ct.IndexPair(),
+                            solution=sol, inner_samples=inner, draws=draws, **kw)
+            if (seed, particles, inner) == (4, 6, 2):
+                first = len(nodes)
+        assert len(nodes) == len(draws) == 4 * first
