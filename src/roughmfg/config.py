@@ -256,6 +256,8 @@ def validate(cfg: ExperimentConfig) -> list:
         issues.append(f"lambda_mix must lie in [0, 1], got {cfg.lambda_mix}")
     if cfg.m < 2:
         issues.append(f"moment order m must be >= 2, got {cfg.m}")
+    if cfg.rz_samples < 1:
+        issues.append(f"[randomize] samples must be >= 1, got {cfg.rz_samples}")
     return issues
 
 

@@ -157,12 +157,41 @@ def _reduce(values: np.ndarray, m: int, n_mode: str, axis: int = 0) -> np.ndarra
     raise InputError(f"unknown n mode {n_mode!r}")
 
 
+def _add_reduce(terms):
+    """The sum of the arrays in terms, in the order np.add.reduce sums a
+    contiguous axis of that many entries: in order below 8, otherwise in
+    eight interleaved partial sums added pairwise, then the rest in order,
+    halving first above 128 (numpy's pairwise summation).  Bitwise numpy's
+    reduction, without its per-output cost on short axes."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(terms[:half]) + _add_reduce(terms[half:])
+    part = list(terms[:8])
+    top = n - n % 8
+    for i in range(8, top, 8):
+        part = [a + b for a, b in zip(part, terms[i : i + 8])]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + (
+        (part[4] + part[5]) + (part[6] + part[7])
+    )
+    for term in terms[top:]:
+        total = total + term
+    return total
+
+
 def _vec_abs(arr: np.ndarray, n_value_axes: int) -> np.ndarray:
-    """Euclidean magnitude over the trailing value axes."""
+    """Euclidean magnitude over the trailing value axes: the square root of
+    the sum of squares, bitwise np.linalg.norm of the flattened values."""
     if n_value_axes == 0:
         return np.abs(arr)
     flat = arr.reshape(arr.shape[: arr.ndim - n_value_axes] + (-1,))
-    return np.linalg.norm(flat, axis=-1)
+    return np.sqrt(_add_reduce([flat[..., j] * flat[..., j]
+                                for j in range(flat.shape[-1])]))
 
 
 def _window_nodes(grid: TimeGrid, window):
@@ -205,22 +234,43 @@ class ConditionalMoments:
     inner_samples: int
 
 
-def node_moments(z_s, zp_s, z_t, zp_t, db, m: int, n_mode: str):
-    """The estimator's statistics at one node t for G anchor groups.
+def node_moments(held, now, db, targets, m: int, n_mode: str):
+    """The estimator's statistics at one node t for G anchor groups, for
+    every requested target at once.
 
-    z_t (G, P, n_inner, *v) and zp_t (G, P, n_inner, *v, k) are the inner
-    continuations at node t, z_s and zp_s the same rows at their anchor s,
-    db (G, k) the increments B_t - B_s.  Returns three (G,) arrays: the
-    particle reduction of the conditional m-th moment of |Z_t - Z_s| and of
-    |Z'_t - Z'_s|, and the largest |E[R^Z_{s,t} | F_s]| over particles."""
-    nz = z_t.ndim - 3
-    dz = z_t - z_s
-    dz_m = np.mean(_vec_abs(dz, nz) ** m, axis=2) ** (1.0 / m)
-    dzp_m = np.mean(_vec_abs(zp_t - zp_s, nz + 1) ** m, axis=2) ** (1.0 / m)
-    # conditional mean of R^Z; Z'_s and dB are F_s-measurable
-    lin = np.einsum("gp...k,gk->gp...", zp_s[:, :, 0], db)
-    rem = _vec_abs(dz.mean(axis=2) - lin, nz).max(axis=1)
-    return _reduce(dz_m, m, n_mode, axis=1), _reduce(dzp_m, m, n_mode, axis=1), rem
+    held and now are the slots of the inner continuations at their anchor s
+    and at node t, each (G, P, n_inner, *v); targets maps a name to its
+    (Z, Z') pair of slot indices, and db (G, k) holds the increments
+    B_t - B_s.  Returns, per target, three (G,) arrays: the particle
+    reduction of the conditional m-th moment of |Z_t - Z_s| and of
+    |Z'_t - Z'_s|, and the largest |E[R^Z_{s,t} | F_s]| over particles.
+
+    A slot that is one target's Z' and another's Z has its moment computed
+    once.  Magnitudes and inner means are sums of slices in numpy's own
+    order (_add_reduce), so the two moments are bitwise those of
+    np.linalg.norm and of np.mean over the contiguous inner axis.  np.mean
+    sums the inner axis of dZ (G, P, n_inner, *v) in plain order when the
+    value axes hold more than one entry; the orders agree below 8 inner
+    samples, so from n_inner = 8 up the remainder of such a target moves
+    by round-off."""
+    n_inner = now[0].shape[2]
+
+    def inner_mean(a):
+        return _add_reduce([a[:, :, r] for r in range(n_inner)]) / n_inner
+
+    delta = {i: now[i] - held[i] for pair in targets.values() for i in pair}
+    moment = {
+        i: _reduce(inner_mean(_vec_abs(dz, dz.ndim - 3) ** m) ** (1.0 / m),
+                   m, n_mode, axis=1)
+        for i, dz in delta.items()
+    }
+    out = {}
+    for name, (i, j) in targets.items():
+        # conditional mean of R^Z; Z'_s and dB are F_s-measurable
+        lin = np.einsum("gp...k,gk->gp...", held[j][:, :, 0], db)
+        rem = _vec_abs(inner_mean(delta[i]) - lin, delta[i].ndim - 3).max(axis=1)
+        out[name] = (moment[i], moment[j], rem)
+    return out
 
 
 def estimate_norm(

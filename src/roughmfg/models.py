@@ -77,7 +77,8 @@ def _mean(mu):
     """Particle mean of a cloud's first coordinate, the one the built-in
     models read: a scalar for a plain (P, d) cloud, (G, 1, 1) for a grouped
     (G, P, d) one, so it broadcasts against the group's states (G, P_x, d)."""
-    m = np.asarray(mu).mean(axis=-2)
+    mu = np.asarray(mu)
+    m = np.add.reduce(mu, axis=-2) / mu.shape[-2]  # ndarray.mean, unwrapped
     return m[0] if m.ndim == 1 else m[..., None, :1]
 
 

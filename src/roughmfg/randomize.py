@@ -85,6 +85,14 @@ class JointSummary:
         return self.cond_means.shape[0]
 
 
+def _require_counts(particles, samples):
+    if particles < 1 or samples < 1:
+        raise InputError(
+            f"need at least one particle and one sample, got particles={particles},"
+            f" samples={samples}"
+        )
+
+
 def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
                    particles: int, samples: int, seed, flow=None,
                    keep_terminal: bool = True) -> JointSummary:
@@ -102,6 +110,7 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     sample and the particle within the sample: the first blow-up (earliest
     step, then sample and particle) of the first block that has one.
     """
+    _require_counts(particles, samples)
     d, l, k = coeffs.d, coeffs.l, coeffs.k
     nodes, steps = grid.nodes, grid.steps
     x = rsde.draw_initial(seed, init, samples * particles, d).reshape(
@@ -241,6 +250,7 @@ def pathwise_terminals(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     a blow-up there raises DivergedError naming the step, the sample, the
     particle and the consistency sweep (None for the recorded solve).
     """
+    _require_counts(particles, samples)
     if mode not in (FROZEN_FLOW, PER_SAMPLE_FIXEDPOINT):
         raise InputError(f"unknown comparison mode {mode!r}")
     base_flow = flow
@@ -382,7 +392,9 @@ def compare_pathwise_vs_randomized(
     conditional means must agree within the band.  Pooled: first and second
     moments within the band (standard errors from the between-sample spread,
     which respects the within-sample correlation), and an energy-distance
-    permutation test on subsampled terminals at the given level.
+    permutation test on subsampled terminals at the given level.  Fewer
+    than one particle or sample raises InputError (pathwise_terminals)
+    before any solve.
     """
     pw = pathwise_terminals(
         coeffs, policy, init, grid, particles, samples, seed, mode, flow,

@@ -288,11 +288,20 @@ class RsdeSolution:
         past the pass.  At node n the active groups, those with
         anchors[g] <= n <= stops[g], advance together: one coefficient,
         correction, policy and drift call per node on all their rows.  The
-        estimator's per-node statistics (ct.node_moments) are folded into
-        the pass, so only the current rows, the anchor values, the
-        increments not yet consumed and the tables are kept.  Anchors must
-        increase and stops must not decrease, so the active rows are one
-        contiguous block.
+        estimator's per-node statistics (ct.node_moments, one call per
+        node for every target) are folded into the pass, so only the
+        current rows, the anchor values, the increments not yet consumed
+        and the tables are kept.  Anchors must increase and stops must not
+        decrease, so the active rows are one contiguous block.
+
+        The groups that step change only at anchors and stops, the cut
+        nodes.  A group's block is cut, when it is drawn, into time-major
+        (len, rows, l) pieces between the cut nodes it spans; at each cut
+        node the stepping groups' pieces are joined into one array, whose
+        slices are the nodes' increments, and the pieces are dropped.  Each
+        node reads the draw's own numbers, so the continuations are bitwise
+        make_resampler's; node_moments states where its statistics are
+        bitwise the per-target np.linalg.norm and np.mean ones.
 
         Returns {"state": moments of (X, f(X)), "sigma0": moments of
         (f(X), fhat(X))}, each a ct.ConditionalMoments with (G, N+1)
@@ -300,10 +309,11 @@ class RsdeSolution:
         solution has, "sigma0" only with a rough coefficient.  Only the
         requested tables are built and only the slots they read are held
         at the anchors; without "sigma0" no fhat is held (the step still
-        evaluates it).  An unknown target, or "sigma0" without a rough
-        coefficient, raises InputError.  A continuation that blows up
-        raises DivergedError naming the step, the outer particle and the
-        anchor.
+        evaluates it).  An unknown target, "sigma0" without a rough
+        coefficient, a moment order below 2 or an unknown n_mode raises
+        InputError before any continuation runs.  A continuation that
+        blows up raises DivergedError naming the step, the outer particle
+        and the anchor.
         """
         self._require_feedback()
         anchors = [int(a) for a in anchors]
@@ -321,6 +331,10 @@ class RsdeSolution:
                 "anchors must increase and stops must not decrease, each stop"
                 f" past its anchor and within the grid of {steps} steps"
             )
+        if m < 2:
+            raise InputError(f"moment order must be >= 2, got {m}")
+        if n_mode not in (ct.N_INFTY, ct.N_EQ_M):
+            raise InputError(f"unknown n mode {n_mode!r}")
         coeffs, cvf, rough = self.coeffs, self.cvf, self.rough
         p_count, d, k = self.ensemble.particles, coeffs.d, rough.dim
         rows = p_count * n_inner
@@ -344,19 +358,20 @@ class RsdeSolution:
         anchor = [np.empty((n_groups * rows,) + shape) for shape in shapes]
         tables = {t: np.full((3, n_groups, steps + 1), np.nan) for t in targets}
         x = np.empty_like(anchor[0])
-        dw = [None] * n_groups  # increments not yet consumed, from node w_node
-        w_node = anchors[0]
+        cut_nodes = set(anchors) | set(stops)
+        pieces = [None] * n_groups  # per group, its pieces not yet joined
+        dw = dw_node = None  # the stepping rows' increments from node dw_node
         lo = hi = 0  # the active groups are lo .. hi-1
         for n in range(anchors[0], stops[-1] + 1):
             while stops[lo] < n:
-                dw[lo] = None
                 lo += 1
             fresh = hi < n_groups and anchors[hi] == n
             if fresh:
-                for g in range(lo, hi):
-                    dw[g] = dw[g][:, n - w_node :].copy()
-                w_node = n
-                dw[hi] = self._inner_increments(rows, n, stop=stops[hi], draws=draws)
+                block = self._inner_increments(rows, n, stop=stops[hi], draws=draws)
+                ends = sorted(c for c in cut_nodes if n <= c <= stops[hi])
+                pieces[hi] = [block[:, a - n : b - n].transpose(1, 0, 2).copy()
+                              for a, b in zip(ends, ends[1:])]
+                del block  # only the pieces outlive the draw
                 x[hi * rows : (hi + 1) * rows] = np.repeat(
                     self.ensemble.Z[:, n], n_inner, axis=0
                 )
@@ -370,27 +385,30 @@ class RsdeSolution:
             done = hi - fresh  # groups lo .. done-1 have a target node at n
             if done > lo:
                 cut = (done - lo) * rows
-                held = [a[lo * rows : done * rows] for a in anchor]
-                now = [a[:cut] for a in slots]
 
                 def grouped(a):
                     return a.reshape((done - lo, p_count, n_inner) + a.shape[1:])
 
+                held = [grouped(a[lo * rows : done * rows]) for a in anchor]
+                now = [grouped(a[:cut]) for a in slots]
                 inc = rough.increment(np.asarray(anchors[lo:done]), n)
-                for t, (i, j) in targets.items():
-                    tables[t][:, lo:done, n] = ct.node_moments(
-                        grouped(held[i]), grouped(held[j]),
-                        grouped(now[i]), grouped(now[j]), inc, m, n_mode,
-                    )
+                stats = ct.node_moments(held, now, inc, targets, m, n_mode)
+                for t, table in tables.items():
+                    table[:, lo:done, n] = stats[t]
             first = lo  # groups first .. hi-1 step on from n
             while first < hi and stops[first] == n:
                 first += 1
             if first == hi:
                 continue
+            if n in cut_nodes:
+                dw = None  # freed before the next segment is joined
+                dw = np.concatenate([pieces[g].pop(0) for g in range(first, hi)],
+                                    axis=1)
+                dw_node = n
             run = slice((first - lo) * rows, None)
-            dw_n = np.concatenate([dw[g][:, n - w_node] for g in range(first, hi)])
-            nxt = _advance(coeffs, self.flow, self.policy, nodes, n, xa[run], dw_n,
-                           db[n : n + 1], bb[n : n + 1], *(a[run] for a in pair))
+            nxt = _advance(coeffs, self.flow, self.policy, nodes, n, xa[run],
+                           dw[n - dw_node], db[n : n + 1], bb[n : n + 1],
+                           *(a[run] for a in pair))
             bad = _blowup_row(nxt)
             if bad is not None:
                 g, r = divmod(bad, rows)

@@ -183,6 +183,11 @@ def _flat_max(arr, keep_axes):
     return np.abs(arr.reshape(arr.shape[:keep_axes] + (-1,))).max(axis=-1)
 
 
+def _spread(cols, a):
+    """Largest |difference| from column a to each later column of cols."""
+    return np.abs(cols[:, a + 1 :] - cols[:, a : a + 1]).max(axis=0)
+
+
 def cvf_norm(
     cvf: ControlledVectorField,
     p: RoughPath,
@@ -193,7 +198,14 @@ def cvf_norm(
     """Estimate the field norm: time-increment parts of f, f' and grad f, the
     remainder part, and the spatial-Holder sup part, all maximized over grid
     node pairs and the probe set.  A probe-grid sup under-approximates the
-    spatial sup; the probe count is recorded."""
+    spatial sup; the probe count is recorded.
+
+    Each time-increment part divides the largest difference over probes and
+    values at a node pair by the pair's gap to its exponent.  Correctly
+    rounded division by a positive number is monotone, so this is bitwise
+    the largest of the per-probe quotients; f, f' and grad f are read from
+    node-minor copies, so that this largest difference is a max over rows.
+    The remainder part keeps the node-major layout of its contraction."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[0] == 0:
         raise InputError("probe grid is empty")
@@ -210,23 +222,25 @@ def cvf_norm(
     fps = np.stack([cvf.fp(n, probes) for n in sel])        # (S, Q, *out, k)
     grads = np.stack([cvf.gradient(n, probes) for n in sel])
 
+    # node-minor copies, (values, S): the largest difference over probes
+    # and values is a max over rows, taken before the division by the gap's
+    # power, which is positive, so monotone
+    f_c, fp_c, grad_c = (np.ascontiguousarray(v.reshape(len(sel), -1).T)
+                         for v in (fs, fps, grads))
+    at = np.array(sel)
     d_f = d_fp = d_grad = rem = 0.0
     for a in range(len(sel) - 1):
-        gaps = nodes[sel[a + 1 :]] - nodes[sel[a]]
-        ga = gaps[:, None]
-        d_f = max(d_f, float((_flat_max(fs[a + 1 :] - fs[a], 2) / ga**idx.beta).max()))
-        d_fp = max(
-            d_fp, float((_flat_max(fps[a + 1 :] - fps[a], 2) / ga**idx.beta_p).max())
-        )
-        d_grad = max(
-            d_grad,
-            float((_flat_max(grads[a + 1 :] - grads[a], 2) / ga**idx.beta_p).max()),
-        )
-        db = p.first_level[sel[a + 1 :]] - p.first_level[sel[a]]  # (S', k)
+        later = at[a + 1 :]
+        gaps = nodes[later] - nodes[sel[a]]
+        gaps_p = gaps**idx.beta_p
+        d_f = max(d_f, float((_spread(f_c, a) / gaps**idx.beta).max()))
+        d_fp = max(d_fp, float((_spread(fp_c, a) / gaps_p).max()))
+        d_grad = max(d_grad, float((_spread(grad_c, a) / gaps_p).max()))
+        db = p.first_level[later] - p.first_level[sel[a]]  # (S', k)
         lin = np.einsum("q...j,sj->sq...", fps[a], db)
         r = fs[a + 1 :] - fs[a] - lin
         rem = max(
-            rem, float((_flat_max(r, 2) / ga ** (idx.beta + idx.beta_p)).max())
+            rem, float((_flat_max(r, 1) / gaps ** (idx.beta + idx.beta_p)).max())
         )
 
     # spatial Holder norms on probes: zeroth + first order plus the

@@ -473,6 +473,13 @@ class TestCli:
         assert "Traceback" not in done.stderr
         assert f"need at least one particle, got {particles}" in done.stderr
 
+    def test_randomize_compare_rejects_zero_samples(self, tmp_path):
+        done = run_cli(["randomize", "compare", "--model", "lq", "--samples", "0",
+                        "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "[randomize] samples must be >= 1, got 0" in done.stderr
+
     @pytest.mark.parametrize("old, new, message", [
         ("lattice_nodes = 31", "lattice_nodes = 0", "need lattice_nodes >= 1, got 0"),
         ("lattice_nodes = 31", "lattice_nodes = 31\ngh_order = 0",

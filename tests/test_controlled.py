@@ -162,10 +162,10 @@ def moments_of(resampler, ce, p, n_inner=8, m=4, n_mode=ct.N_INFTY,
         zc, zpc = resampler(s, n_inner)
         for t in range(s + 1, end + 1):
             stats = ct.node_moments(
-                zc[None, :, :, s], zpc[None, :, :, s],
-                zc[None, :, :, t], zpc[None, :, :, t],
-                p.increment(np.array([s]), t), m, n_mode,
-            )
+                [zc[None, :, :, s], zpc[None, :, :, s]],
+                [zc[None, :, :, t], zpc[None, :, :, t]],
+                p.increment(np.array([s]), t), {"z": (0, 1)}, m, n_mode,
+            )["z"]
             tables[:, g, t] = [v[0] for v in stats]
     return ct.ConditionalMoments(anchors, [end] * len(anchors), *tables, m=m,
                                  n_mode=n_mode, inner_samples=n_inner)

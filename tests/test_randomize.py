@@ -683,3 +683,16 @@ class TestCompare:
                 model, null_policy(model, 8), rsde.InitialLaw(), grid,
                 particles=16, samples=2, seed=1, flow=flow,
             )
+
+    @pytest.mark.parametrize("particles, samples", [(16, 0), (0, 2), (-1, 2)])
+    @pytest.mark.parametrize("entry", ["compare", "pathwise", "joint"])
+    def test_rejects_fewer_than_one_particle_or_sample(self, entry, particles,
+                                                       samples):
+        model = gaussian_model()
+        grid = rp.TimeGrid(1.0, 8)
+        args = (model, null_policy(model, 8), rsde.InitialLaw(), grid, particles,
+                samples, 1)
+        call = {"compare": rz.compare_pathwise_vs_randomized,
+                "pathwise": rz.pathwise_terminals, "joint": rz.joint_simulate}[entry]
+        with pytest.raises(rp.InputError, match="at least one particle and one sample"):
+            call(*args)

@@ -451,6 +451,30 @@ class TestAprioriMonitor:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
 
+    def test_pass_memory_stays_near_the_copying_pass(self):
+        # one pass, every anchor continued to the end of the grid: N = 256,
+        # P = 32, 8 anchors, 4 inner samples, both targets.  The pass that
+        # re-copied each group's unconsumed increments at every anchor
+        # peaked at 947,480 bytes under tracemalloc (numpy 2.4, Python
+        # 3.11); the time-major pieces hold a new group's drawn block and
+        # its pieces at once, 1,078,984 bytes (1.14 times)
+        import tracemalloc
+
+        model = models.make_model("tanh-interaction")
+        steps, particles = 256, 32
+        p = brownian_lift(5, n=steps)
+        cloud = rsde.draw_initial(5, rsde.InitialLaw(), particles, model.d)
+        sol = rsde.solve(model, mf.constant_flow(p.grid, cloud, model.k), p,
+                         delta_policy(model, steps), rsde.InitialLaw(), particles, 5)
+        anchors = list(range(0, steps, 32))
+        tracemalloc.start()
+        try:
+            sol.continuation_moments(anchors, [steps] * len(anchors), 4, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 947_480
+
     def test_refinement_stability(self):
         model = models.make_model("tanh-interaction")
         combined = {}

@@ -721,6 +721,21 @@ class TestContinuationMoments:
         with pytest.raises(rp.InputError, match="inner sample"):
             sol.continuation_moments([0], [12], 0, 4)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_rejects_low_moment_order_before_any_draw(self, monkeypatch, m):
+        sol = solved(models.make_model("tanh-interaction"))
+        nodes = counted_inner_draws(monkeypatch)
+        with pytest.raises(rp.InputError, match="moment order must be >= 2"):
+            sol.continuation_moments([0, 6], [12, 12], 2, m)
+        assert nodes == []
+
+    def test_rejects_unknown_n_mode_before_any_draw(self, monkeypatch):
+        sol = solved(models.make_model("tanh-interaction"))
+        nodes = counted_inner_draws(monkeypatch)
+        with pytest.raises(rp.InputError, match="unknown n mode 'n_two'"):
+            sol.continuation_moments([0, 6], [12, 12], 2, 4, "n_two")
+        assert nodes == []
+
     def test_estimate_needs_matching_moments(self):
         sol = solved(models.make_model("tanh-interaction"))
         idx = ct.IndexPair()
@@ -886,3 +901,173 @@ class TestCommonRandomNumbers:
             if (seed, particles, inner) == (4, 6, 2):
                 first = len(nodes)
         assert len(nodes) == len(draws) == 4 * first
+
+
+def reference_vec_abs(arr, n_value_axes):
+    """np.linalg.norm over the flattened value axes."""
+    flat = arr.reshape(arr.shape[: arr.ndim - n_value_axes] + (-1,))
+    return np.linalg.norm(flat, axis=-1)
+
+
+def reference_node_moments(z_s, zp_s, z_t, zp_t, db, m, n_mode):
+    """Slow reference for one target's statistics at one node, as the pass
+    computed them with one call per target: np.linalg.norm magnitudes and
+    np.mean inner means."""
+    nz = z_t.ndim - 3
+    dz = z_t - z_s
+    dz_m = np.mean(reference_vec_abs(dz, nz) ** m, axis=2) ** (1.0 / m)
+    dzp_m = np.mean(reference_vec_abs(zp_t - zp_s, nz + 1) ** m, axis=2) ** (1.0 / m)
+    lin = np.einsum("gp...k,gk->gp...", zp_s[:, :, 0], db)
+    rem = reference_vec_abs(dz.mean(axis=2) - lin, nz).max(axis=1)
+    return (ct._reduce(dz_m, m, n_mode, axis=1), ct._reduce(dzp_m, m, n_mode, axis=1),
+            rem)
+
+
+def reference_kernel(held, now, db, targets, m, n_mode):
+    """ct.node_moments' signature over reference_node_moments, one call per
+    target."""
+    return {name: reference_node_moments(held[i], held[j], now[i], now[j], db, m,
+                                         n_mode)
+            for name, (i, j) in targets.items()}
+
+
+def tables_of(moments):
+    return np.stack([moments.delta_z, moments.delta_zp, moments.remainder])
+
+
+class TestStatisticsKernel:
+    """One node_moments call per node for every target, against the
+    per-target reference it replaced, inside the pass."""
+
+    def test_sums_in_numpy_order(self):
+        rng = substream(3, "vf", "sums")
+        for n in [*range(1, 20), 31, 64, 127, 128, 129, 200, 257]:
+            a = rng.normal(size=(40, n)) * np.exp(4.0 * rng.normal(size=(40, n)))
+            got = ct._add_reduce([a[:, j] for j in range(n)])
+            np.testing.assert_array_equal(got, np.add.reduce(a, axis=-1))
+            for shape in [(n,), (1, n, 1)]:
+                values = a.reshape((40,) + shape)
+                np.testing.assert_array_equal(ct._vec_abs(values, len(shape)),
+                                              reference_vec_abs(values, len(shape)))
+
+    @pytest.mark.parametrize("n_mode", [ct.N_INFTY, ct.N_EQ_M])
+    @pytest.mark.parametrize("n_inner", [1, 2, 4, 6, 7])
+    @pytest.mark.parametrize("name", sorted(ROW_MODELS))
+    def test_pass_tables_match_reference_kernel(self, monkeypatch, name, n_inner,
+                                                n_mode):
+        sol = solved(ROW_MODELS[name]())
+        choices = [("state",), ("sigma0",), ("state", "sigma0")]
+        for targets in choices[:1] if sol.cvf is None else choices:
+            args = ([1, 3, 4], [5, 9, 12], n_inner, 4, n_mode, targets)
+            got = sol.continuation_moments(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(ct, "node_moments", reference_kernel)
+                want = sol.continuation_moments(*args)
+            for target in targets:
+                np.testing.assert_array_equal(tables_of(got[target]),
+                                              tables_of(want[target]))
+
+    @pytest.mark.parametrize("n_inner", [8, 12])
+    @pytest.mark.parametrize("name", sorted(ROW_MODELS))
+    def test_eight_inner_samples_up_within_round_off(self, monkeypatch, name,
+                                                     n_inner):
+        # np.mean sums a strided inner axis in order, node_moments pairwise
+        sol = solved(ROW_MODELS[name]())
+        for n_mode in (ct.N_INFTY, ct.N_EQ_M):
+            args = ([1, 3, 4], [5, 9, 12], n_inner, 4, n_mode)
+            got = sol.continuation_moments(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(ct, "node_moments", reference_kernel)
+                want = sol.continuation_moments(*args)
+            for target in got:
+                np.testing.assert_allclose(tables_of(got[target]),
+                                           tables_of(want[target]), rtol=1e-12)
+
+
+def reference_tables(sol, which, anchors, stops, n_inner, m, n_mode):
+    """The pass's tables from per-anchor continuations (make_resampler),
+    with the reference statistics at every node up to each stop."""
+    resample = sol.make_resampler(which)
+    tables = np.full((3, len(anchors), sol.grid.steps + 1), np.nan)
+    for g, (s, e) in enumerate(zip(anchors, stops)):
+        z, zp = resample(s, n_inner)
+        for t in range(s + 1, e + 1):
+            stats = reference_node_moments(
+                z[None, :, :, s], zp[None, :, :, s], z[None, :, :, t],
+                zp[None, :, :, t], sol.rough.increment(np.array([s]), t), m, n_mode,
+            )
+            tables[:, g, t] = [v[0] for v in stats]
+    return tables
+
+
+# the anchors and stops check_domain asks for with windows of 5 steps on 12
+# and anchor_stride 1: one anchor per node
+PASS_SHAPES = {
+    "uneven": ([1, 3, 4], [5, 9, 12]),
+    "one-anchor-per-node": (list(range(12)), [min(a, 7) + 5 for a in range(12)]),
+}
+
+
+class TestIncrementPieces:
+    """The time-major increment pieces feed every node the numbers of the
+    per-anchor continuations."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "draws-dict"])
+    @pytest.mark.parametrize("shape", sorted(PASS_SHAPES))
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_pass_matches_per_anchor_reference(self, name, shape, shared):
+        sol = solved(SLOT_MODELS[name]())
+        anchors, stops = PASS_SHAPES[shape]
+        draws = {} if shared else None
+        # with a dict, the second pass reads the blocks the first one kept
+        for _ in range(2 if shared else 1):
+            got = sol.continuation_moments(anchors, stops, 3, 4, draws=draws)
+            for which, moments in got.items():
+                np.testing.assert_array_equal(
+                    tables_of(moments),
+                    reference_tables(sol, which, anchors, stops, 3, 4, ct.N_INFTY),
+                )
+        assert draws is None or len(draws) == len(anchors)
+
+
+def reference_cvf_increments(cvf, p, idx, probes, node_stride):
+    """Slow reference for cvf_norm's time-increment parts: each probe's
+    quotient by the gap's power, then the largest, over a list of nodes."""
+    nodes = cvf.grid.nodes
+    sel = list(range(0, cvf.grid.steps + 1, node_stride))
+    if sel[-1] != cvf.grid.steps:
+        sel.append(cvf.grid.steps)
+    fs = np.stack([cvf.f(n, probes) for n in sel])
+    fps = np.stack([cvf.fp(n, probes) for n in sel])
+    grads = np.stack([cvf.gradient(n, probes) for n in sel])
+    d_f = d_fp = d_grad = rem = 0.0
+    for a in range(len(sel) - 1):
+        gaps = nodes[sel[a + 1 :]] - nodes[sel[a]]
+        ga = gaps[:, None]
+        d_f = max(d_f, float((vf._flat_max(fs[a + 1 :] - fs[a], 2) / ga**idx.beta).max()))
+        d_fp = max(d_fp, float(
+            (vf._flat_max(fps[a + 1 :] - fps[a], 2) / ga**idx.beta_p).max()))
+        d_grad = max(d_grad, float(
+            (vf._flat_max(grads[a + 1 :] - grads[a], 2) / ga**idx.beta_p).max()))
+        db = p.first_level[sel[a + 1 :]] - p.first_level[sel[a]]
+        lin = np.einsum("q...j,sj->sq...", fps[a], db)
+        r = fs[a + 1 :] - fs[a] - lin
+        rem = max(rem, float(
+            (vf._flat_max(r, 2) / ga ** (idx.beta + idx.beta_p)).max()))
+    return d_f, d_fp, d_grad, rem
+
+
+class TestCvfNormReference:
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_time_varying_field_matches_reference(self, name, stride):
+        # the field of a flow taken from a solve moves from node to node
+        model = SLOT_MODELS[name]()
+        sol = solved(model, steps=16)
+        cvf = vf.build_cvf_from_flow(model, mf.from_solution(sol))
+        probes = substream(6, "vf", "probes").uniform(-2.0, 2.0, size=(9, model.d))
+        idx = ct.IndexPair()
+        got = vf.cvf_norm(cvf, sol.rough, idx, probes, node_stride=stride)
+        want = reference_cvf_increments(cvf, sol.rough, idx, probes, stride)
+        assert (got.delta_f, got.delta_fp, got.delta_grad, got.remainder) == want
+        assert min(want) > 0.0
