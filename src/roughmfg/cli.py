@@ -272,37 +272,27 @@ _TASKS = {"mfg": _run_mfg, "rsde": _run_rsde, "randomize": _run_randomize}
 
 
 def _load_and_validate(args, task=None):
+    """The config with the flags applied, and validate's issues.  A flag sets
+    the field of its table key (--particles the task's particle count), and
+    effective records it as cli.<flag>."""
     if getattr(args, "config", None):
         cfg = cfgmod.load_config(args.config)
     else:
         cfg = cfgmod.ExperimentConfig()
-    # direct flags override the file
-    for attr, key in [
-        ("model", "model_name"),
-        ("grid", "steps"),
-        ("particles", None),
-        ("samples", "rz_samples"),
-        ("mode", "rz_mode"),
-        ("rough", "rough_source"),
-    ]:
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        if attr == "particles":
-            cfg.particles = value
-            cfg.rsde_particles = value
-            cfg.rz_particles = value
-            cfg.effective["cli.particles"] = str(value)
-        else:
-            setattr(cfg, key, value)
-            cfg.effective[f"cli.{attr}"] = str(value)
     if task is not None:
         cfg.task = task
+    particles = {"rsde": "rsde_particles", "randomize": "rz_particles"}.get(task)
+    for attr, name in [("model", "model_name"), ("grid", "steps"),
+                       ("particles", particles), ("samples", "rz_samples"),
+                       ("mode", "rz_mode"), ("rough", "rough_source")]:
+        value = getattr(args, attr, None)
+        if value is not None:
+            setattr(cfg, name, value)
+            cfg.effective[f"cli.{attr}"] = str(value)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
         cfg.effective["experiment.seed"] = str(args.seed)
-    issues = cfgmod.validate(cfg)
-    return cfg, issues
+    return cfg, cfgmod.validate(cfg)
 
 
 def _execute(cfg, out_dir, strict, command) -> int:
@@ -391,32 +381,20 @@ def main(argv=None) -> int:
                 print(f"  {key} = {value}")
         return EXIT_OK
 
-    if command == "validate":
-        try:
-            cfg = cfgmod.load_config(args.config)
-        except cfgmod.ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        issues = cfgmod.validate(cfg)
-        for issue in issues:
-            print(f"issue: {issue}")
-        if issues:
-            return EXIT_VALIDATION
-        print("config ok")
-        return EXIT_OK
-
-    task = {"run": None, "rsde": "rsde", "mfg": "mfg", "randomize": "randomize"}[
-        command
-    ]
+    task = None if command in ("run", "validate") else command
     try:
         cfg, issues = _load_and_validate(args, task)
     except cfgmod.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    for issue in issues:
+        print(f"issue: {issue}",
+              file=sys.stdout if command == "validate" else sys.stderr)
     if issues:
-        for issue in issues:
-            print(f"issue: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
+    if command == "validate":
+        print("config ok")
+        return EXIT_OK
     label = command if command == "run" else f"{command} {args.sub}"
     return _execute(cfg, args.out, args.strict, label)
 

@@ -1,13 +1,16 @@
 """Experiment configuration: INI-style files with environment overrides.
 
-Sections: [experiment] (task, seed), [model] (name plus parameter
-overrides), [grid], [rough], [init], [policy], [indices], [fixedpoint],
-[domain], [randomize], [rsde].  Environment variables with the prefix
-ROUGHMFG_SECTION__KEY override file values (CI hook).  The effective
-key-value map is hashed so identical effective configs produce identical
-manifests.  An unknown section or key, in the file or the environment, and a
-ROUGHMFG_ variable that names no key are a ConfigError; a [rough] key the
-chosen source does not read is a validation issue.
+_SETTINGS is the one table of typed keys: each row names the
+ExperimentConfig field a key sets, its type and its domain.  load_config
+casts and assigns from it, and validate checks every domain, so a value from
+the file, the environment or a CLI flag is refused before any work runs.
+[model] keys besides name are model parameters, [rough] keys besides source
+the source's.  Environment variables ROUGHMFG_SECTION__KEY override file
+values (CI hook).  The effective key-value map is hashed so identical
+effective configs produce identical manifests.  An unknown section (empty or
+not) or key, in the file or the environment, and a ROUGHMFG_ variable that
+names no key are a ConfigError; a [rough] key the chosen source does not
+read is a validation issue.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from __future__ import annotations
 import ast
 import configparser
 import difflib
+import functools
 import hashlib
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import models
 from .controlled import IndexPair
@@ -88,28 +93,83 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_KNOWN_SECTIONS = {
-    "experiment", "model", "grid", "rough", "init", "policy", "indices",
-    "fixedpoint", "domain", "randomize", "rsde",
+# key: (ExperimentConfig field it sets, type, domain).  A dotted field is a
+# field of that part (init, dp, indices); the defaults live in the
+# dataclasses.  A domain is None (any value), a tuple of the allowed values,
+# or clauses joined by " and ", each "<op> <bound>" or "a power of 2".
+_SETTINGS = {
+    "experiment.task": ("task", str, ("mfg", "rsde", "randomize")),
+    "experiment.seed": ("seed", int, None),
+    "model.name": ("model_name", str, None),  # models.make_model checks it
+    "grid.t": ("horizon", float, "> 0"),
+    "grid.n": ("steps", int, ">= 1"),
+    "rough.source": ("rough_source", str, None),  # checked in validate
+    "init.kind": ("init.kind", str, ("normal", "constant", "uniform")),
+    "init.mean": ("init.mean", float, None),
+    "init.spread": ("init.spread", float, ">= 0"),
+    "policy.lattice_lo": ("dp.lattice_lo", float, None),
+    "policy.lattice_hi": ("dp.lattice_hi", float, None),
+    "policy.lattice_nodes": ("dp.lattice_nodes", int, ">= 1"),
+    "policy.gh_order": ("dp.gh_order", int, ">= 1"),
+    "policy.escape_tolerance": ("dp.escape_tolerance", float, ">= 0"),
+    # IndexPair checks the admissible set when the config is loaded
+    "indices.beta": ("indices.beta", float, None),
+    "indices.beta_p": ("indices.beta_p", float, None),
+    "indices.gamma": ("indices.gamma", float, None),
+    "indices.alpha": ("indices.alpha", float, None),
+    "indices.m": ("m", int, ">= 2"),
+    "fixedpoint.particles": ("particles", int, ">= 1"),
+    "fixedpoint.lambda_mix": ("lambda_mix", float, ">= 0 and <= 1"),
+    "fixedpoint.max_iters": ("max_iters", int, ">= 1"),
+    # convergence needs the W2 update and the exploitability strictly below
+    "fixedpoint.tol_w2": ("tol_w2", float, "> 0"),
+    "fixedpoint.tol_exp": ("tol_exp", float, "> 0"),
+    "domain.m_bound": ("domain_bound", float, "> 0"),
+    "domain.epsilon": ("domain_epsilon", float, "> 0"),
+    "domain.inner_samples": ("domain_inner", int, ">= 1"),
+    "domain.max_windows": ("domain_windows", int, ">= 1"),
+    "randomize.samples": ("rz_samples", int, ">= 1"),
+    "randomize.particles": ("rz_particles", int, ">= 1"),
+    "randomize.mode": ("rz_mode", str, ("frozen-flow", "per-sample-fixedpoint")),
+    "randomize.inner_refine": ("rz_inner_refine", int, "a power of 2"),
+    "rsde.particles": ("rsde_particles", int, ">= 1"),
 }
+_SECTIONS = {key.split(".", 1)[0] for key in _SETTINGS}
 # the [rough] keys build_rough reads besides source, by source
 _ROUGH_PARAMS = {
     "sample": {"seed_salt"},
     "smooth:linear": {"amplitude"},
     "smooth:sin": {"amplitude", "cycles"},
 }
+_KNOWN = set(_SETTINGS) | {f"rough.{k}" for keys in _ROUGH_PARAMS.values() for k in keys}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def _reject_unknown(flat: dict, read: set) -> None:
-    """Every effective key must be one load_config reads; [model] keys are
-    the model's parameters, which models.make_model checks."""
+def _within(value, domain) -> bool:
+    if isinstance(domain, tuple):
+        return value in domain
+    for clause in domain.split(" and "):
+        if clause == "a power of 2":
+            ok = value >= 1 and not value & (value - 1)
+        else:
+            op, bound = clause.split()
+            ok = _COMPARE[op](value, float(bound))
+        if not ok:
+            return False
+    return True
+
+
+def _reject_unknown(flat: dict, sections) -> None:
+    """Every section must be one of the table's and every key a table key or
+    a [rough] key some source reads; [model] keys besides name are the
+    model's parameters, which models.make_model checks."""
+    for section in sorted({*sections, *(key.split(".", 1)[0] for key in flat)}):
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
     for key in sorted(flat):
-        section = key.split(".", 1)[0]
-        if section == "model" or key in read:
+        if key in _KNOWN or key.startswith("model."):
             continue
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown config section [{section}] (key {key!r})")
-        close = difflib.get_close_matches(key, read, n=1)
+        close = difflib.get_close_matches(key, _KNOWN, n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"unknown config key {key!r}{hint}")
 
@@ -133,6 +193,15 @@ def _collect(parser: configparser.ConfigParser, env) -> dict:
     return flat
 
 
+def _params(flat: dict, section: str) -> dict:
+    """The section's keys that are not table rows, as Python literals."""
+    return {
+        k.split(".", 1)[1]: _literal(v)
+        for k, v in flat.items()
+        if k.startswith(section + ".") and k not in _SETTINGS
+    }
+
+
 def load_config(path, env=None) -> ExperimentConfig:
     """Parse the file, apply environment overrides, build the typed config.
 
@@ -148,98 +217,55 @@ def load_config(path, env=None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     flat = _collect(parser, env)
-
-    cfg = ExperimentConfig()
-    read = {"model.name", "rough.source"} | {
-        f"rough.{k}" for keys in _ROUGH_PARAMS.values() for k in keys
-    }
-
-    def get(key, default, cast):
-        read.add(key)
-        if key in flat:
-            try:
-                return cast(flat[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {flat[key]!r}") from exc
-        return default
-
-    cfg.task = get("experiment.task", cfg.task, str)
-    cfg.seed = get("experiment.seed", cfg.seed, int)
-    cfg.model_name = get("model.name", cfg.model_name, str)
-    cfg.model_overrides = {
-        k.split(".", 1)[1]: _literal(v)
-        for k, v in flat.items()
-        if k.startswith("model.") and k != "model.name"
-    }
-    cfg.horizon = get("grid.t", cfg.horizon, float)
-    cfg.steps = get("grid.n", cfg.steps, int)
-    cfg.rough_source = get("rough.source", cfg.rough_source, str)
-    cfg.rough_params = {
-        k.split(".", 1)[1]: _literal(v)
-        for k, v in flat.items()
-        if k.startswith("rough.") and k != "rough.source"
-    }
-    cfg.init = InitialLaw(
-        get("init.kind", "normal", str),
-        get("init.mean", 0.0, float),
-        get("init.spread", 1.0, float),
+    _reject_unknown(flat, parser.sections())
+    parts = {}  # part ("" for ExperimentConfig itself) -> {field: value}
+    for key, (name, cast, _) in _SETTINGS.items():
+        if key not in flat:
+            continue
+        try:
+            value = cast(flat[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {flat[key]!r}") from exc
+        part, _, attr = name.rpartition(".")
+        parts.setdefault(part, {})[attr] = value
+    cfg = ExperimentConfig(
+        **parts.pop("", {}),
+        model_overrides=_params(flat, "model"),
+        rough_params=_params(flat, "rough"),
+        effective=flat,
     )
-    cfg.dp = DpSettings(
-        lattice_lo=get("policy.lattice_lo", None, float),
-        lattice_hi=get("policy.lattice_hi", None, float),
-        lattice_nodes=get("policy.lattice_nodes", 101, int),
-        gh_order=get("policy.gh_order", 5, int),
-        escape_tolerance=get("policy.escape_tolerance", 0.05, float),
-    )
-    beta = get("indices.beta", 0.45, float)
-    beta_p = get("indices.beta_p", 0.4, float)
-    gamma = get("indices.gamma", 2.0, float)
-    alpha = get("indices.alpha", 0.45, float)
     try:
-        cfg.indices = IndexPair(beta, beta_p, gamma, alpha)
+        return replace(cfg, **{
+            part: replace(getattr(cfg, part), **values)
+            for part, values in parts.items()
+        })
     except InputError as exc:
-        raise ConfigError(
-            f"indices outside the admissible set: {exc}"
-        ) from exc
-    cfg.m = get("indices.m", 4, int)
-    cfg.particles = get("fixedpoint.particles", cfg.particles, int)
-    cfg.lambda_mix = get("fixedpoint.lambda_mix", cfg.lambda_mix, float)
-    cfg.max_iters = get("fixedpoint.max_iters", cfg.max_iters, int)
-    cfg.tol_w2 = get("fixedpoint.tol_w2", cfg.tol_w2, float)
-    cfg.tol_exp = get("fixedpoint.tol_exp", cfg.tol_exp, float)
-    cfg.domain_bound = get("domain.m_bound", None, float)
-    cfg.domain_epsilon = get("domain.epsilon", None, float)
-    cfg.domain_inner = get("domain.inner_samples", cfg.domain_inner, int)
-    cfg.domain_windows = get("domain.max_windows", cfg.domain_windows, int)
-    cfg.rz_samples = get("randomize.samples", cfg.rz_samples, int)
-    cfg.rz_particles = get("randomize.particles", cfg.rz_particles, int)
-    cfg.rz_mode = get("randomize.mode", cfg.rz_mode, str)
-    cfg.rz_inner_refine = get("randomize.inner_refine", cfg.rz_inner_refine, int)
-    cfg.rsde_particles = get("rsde.particles", cfg.rsde_particles, int)
-    _reject_unknown(flat, read)
-    cfg.effective = flat
-    return cfg
+        raise ConfigError(f"indices outside the admissible set: {exc}") from exc
 
 
 def validate(cfg: ExperimentConfig) -> list:
-    """All invariant checks without running; returns the issue list."""
+    """All invariant checks without running; returns the issue list.
+
+    Every set value of a _SETTINGS row must lie in the row's domain, which
+    the issue names as "[section] key must be <domain>, got <value>";
+    beside the table stand the model check and the rough source's.
+    """
     issues = []
-    if cfg.task not in ("mfg", "rsde", "randomize"):
-        issues.append(f"unknown task {cfg.task!r} (mfg | rsde | randomize)")
+    for key, (name, _, domain) in _SETTINGS.items():
+        value = functools.reduce(getattr, name.split("."), cfg)
+        if domain is None or value is None or _within(value, domain):
+            continue
+        section, option = key.split(".")
+        allowed = "one of " + " | ".join(domain) if isinstance(domain, tuple) else domain
+        issues.append(f"[{section}] {option} must be {allowed}, got {value!r}")
     try:
         models.make_model(cfg.model_name, **cfg.model_overrides)
     except models.UnknownModelError as exc:
         issues.append(str(exc))
     except (TypeError, ValueError) as exc:
         issues.append(f"bad model overrides: {exc}")
-    if cfg.steps < 1:
-        issues.append(f"grid needs N >= 1, got {cfg.steps}")
-    if cfg.horizon <= 0:
-        issues.append(f"horizon must be positive, got {cfg.horizon}")
     src = cfg.rough_source
-    if not (
-        src == "sample" or src.startswith("file:") or src.startswith("smooth:")
-    ):
+    if src != "sample" and not src.startswith(("file:", "smooth:")):
         issues.append(
             f"rough source {src!r} must be 'sample', 'file:<path>'"
             " or 'smooth:<name>'"
@@ -250,14 +276,6 @@ def validate(cfg: ExperimentConfig) -> list:
         issues.append(f"unknown smooth path {src[7:]!r} (linear | sin)")
     for key in sorted(set(cfg.rough_params) - _ROUGH_PARAMS.get(src, set())):
         issues.append(f"[rough] {key} is not read by source {src!r}")
-    if cfg.rz_mode not in ("frozen-flow", "per-sample-fixedpoint"):
-        issues.append(f"unknown randomize mode {cfg.rz_mode!r}")
-    if not (0.0 <= cfg.lambda_mix <= 1.0):
-        issues.append(f"lambda_mix must lie in [0, 1], got {cfg.lambda_mix}")
-    if cfg.m < 2:
-        issues.append(f"moment order m must be >= 2, got {cfg.m}")
-    if cfg.rz_samples < 1:
-        issues.append(f"[randomize] samples must be >= 1, got {cfg.rz_samples}")
     return issues
 
 

@@ -27,6 +27,7 @@ from .roughpath import InputError, RoughPath
 
 FEEDBACK = "feedback"
 OPEN_LOOP_CAUSAL = "open_loop_causal"
+PILOT_PARTICLES = 128  # the pilot solve behind automatic lattice bounds
 
 
 class LatticeEscapeError(RuntimeError):
@@ -209,7 +210,6 @@ class DpSettings:
     gh_order: int = 5
     strict: bool = False
     escape_tolerance: float = 0.05
-    pilot_particles: int = 128
 
 
 @dataclass
@@ -228,8 +228,7 @@ def _auto_bounds(coeffs, flow, p, init, seed, settings) -> tuple:
     lattice = np.array([0.0])
     table = np.full((p.grid.steps, 1, k), 1.0 / k)
     pilot_policy = RelaxedPolicy(coeffs.actions, FEEDBACK, lattice, table)
-    sol = rsde.solve(coeffs, flow, p, pilot_policy, init,
-                     settings.pilot_particles, seed)
+    sol = rsde.solve(coeffs, flow, p, pilot_policy, init, PILOT_PARTICLES, seed)
     x = sol.ensemble.Z[..., 0]
     sd = max(float(x.std(axis=0).max()), 1e-3)
     lo = min(float(x.mean(axis=0).min()), init.mean) - 6.0 * sd
@@ -403,7 +402,6 @@ def fixed_point(
     domain_epsilon: float | None = None,
     domain_inner: int = 2,
     domain_windows: int = 8,
-    domain_anchor_stride: int = 4,
     exploit_particles: int | None = None,
 ) -> FixedPointResult:
     """Damped iteration of the equilibrium map with per-sweep certificates.
@@ -471,7 +469,7 @@ def fixed_point(
                 flow_cand, p, idx, m, domain_bound, eps,
                 solution=sol, draws=draws,
                 inner_samples=domain_inner, max_windows=domain_windows,
-                anchor_stride=domain_anchor_stride,
+                anchor_stride=4,
             )
             member, worst, offend = cert.member, cert.worst, cert.offending_window
             if not member:

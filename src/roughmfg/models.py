@@ -53,8 +53,6 @@ class CoefficientSet:
     grad_sigma0: callable | None = None
     sigma0_dmu: callable | None = None
     gamma: float = 2.0
-    bound: float = 10.0
-    lipschitz: float = 5.0
     params: dict = field(default_factory=dict)
 
     @property

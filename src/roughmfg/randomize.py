@@ -77,7 +77,7 @@ class JointSummary:
     cond_second: np.ndarray       # (S, d, d) raw second moments
     pooled_mean: np.ndarray
     pooled_second: np.ndarray
-    terminal: np.ndarray | None   # (S, P, d) when kept
+    terminal: np.ndarray          # (S, P, d)
     mode: str
 
     @property
@@ -94,8 +94,7 @@ def _require_counts(particles, samples):
 
 
 def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
-                   particles: int, samples: int, seed, flow=None,
-                   keep_terminal: bool = True) -> JointSummary:
+                   particles: int, samples: int, seed, flow=None) -> JointSummary:
     """Euler recursion with two independent Brownian drivers.
 
     The interaction measure is the within-sample empirical cloud (the
@@ -156,7 +155,7 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
         cond_second=cond_second,
         pooled_mean=cond_means.mean(axis=0),
         pooled_second=cond_second.mean(axis=0),
-        terminal=x if keep_terminal else None,
+        terminal=x,
         mode="external" if external else "conditional",
     )
 
@@ -296,16 +295,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             diff = a[lo : lo + BLOCK, j, None] - b[None, :, j]
             rows += np.square(diff, out=diff)
     return np.sqrt(out, out=out)
-
-
-def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample energy statistic 2 E|X-Y| - E|X-X'| - E|Y-Y'|."""
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    dxy = _distances(x, y).mean()
-    dxx = _distances(x, x).mean()
-    dyy = _distances(y, y).mean()
-    return 2.0 * dxy - dxx - dyy
 
 
 def energy_permutation_test(x: np.ndarray, y: np.ndarray, n_perm: int = 500,

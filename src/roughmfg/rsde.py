@@ -319,10 +319,14 @@ class RsdeSolution:
         anchors = [int(a) for a in anchors]
         stops = [int(e) for e in stops]
         n_groups, steps = len(anchors), self.grid.steps
-        if n_groups == 0 or len(stops) != n_groups or n_inner < 1:
+        if n_groups == 0:
+            raise InputError(f"need at least one anchor, got anchors={anchors}")
+        if len(stops) != n_groups:
             raise InputError(
-                "need one stop per anchor, at least one anchor and one inner sample"
+                f"need one stop per anchor, got stops={stops} for anchors={anchors}"
             )
+        if n_inner < 1:
+            raise InputError(f"need at least one inner sample, got n_inner={n_inner}")
         if not (0 <= anchors[0] and stops[-1] <= steps
                 and all(a < e for a, e in zip(anchors, stops))
                 and all(a < b for a, b in zip(anchors, anchors[1:]))

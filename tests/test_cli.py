@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,10 @@ from scipy import special, stats
 
 from roughmfg import cli
 from roughmfg import config as cfgmod
+from roughmfg import controlled as ct
+from roughmfg import mfg
 from roughmfg import models
+from roughmfg import rsde
 
 
 MINIMAL = """\
@@ -57,6 +61,36 @@ n = 16
 samples = 8
 particles = 64
 """
+
+
+def domain_edges(cast, domain):
+    """Values on a _SETTINGS domain's boundary and the nearest ones outside
+    it: each member of a tuple and a near miss; 1 and 2 of the powers of two
+    and 0 and 3; each comparison's bound (or, for a strict one, the nearest
+    value above it) and the nearest value past it."""
+    if isinstance(domain, tuple):
+        return domain, [domain[0][:-1]]
+    if domain == "a power of 2":
+        return [1, 2], [0, 3]
+    inside, outside = [], []
+    for clause in domain.split(" and "):
+        op, bound = clause.split()
+        bound = cast(bound)
+        step = 1 if cast is int else None
+        below = bound - step if step else np.nextafter(bound, -np.inf)
+        above = bound + step if step else np.nextafter(bound, np.inf)
+        inside.append({">": above, ">=": bound, "<=": bound}[op])
+        outside.append({">": bound, ">=": below, "<=": above}[op])
+    return [cast(v) for v in inside], [cast(v) for v in outside]
+
+
+def with_field(cfg, name, value):
+    """cfg with the (dotted) _SETTINGS field set to value."""
+    part, _, attr = name.rpartition(".")
+    if part:
+        value = dataclasses.replace(getattr(cfg, part), **{attr: value})
+        attr = part
+    return dataclasses.replace(cfg, **{attr: value})
 
 
 def write_config(tmp_path, text=MINIMAL, name="exp.ini"):
@@ -142,6 +176,30 @@ class TestConfig:
         assert issues == [f"[rough] {key} is not read by source {source!r}"
                           for key in unread]
 
+    def test_every_field_is_set_by_one_row(self):
+        parts = {"init": rsde.InitialLaw, "dp": mfg.DpSettings, "indices": ct.IndexPair}
+        unset = {*parts, "effective", "model_overrides", "rough_params", "dp.strict"}
+        fields = [f.name for f in dataclasses.fields(cfgmod.ExperimentConfig)]
+        fields += [f"{part}.{f.name}" for part, cls in parts.items()
+                   for f in dataclasses.fields(cls)]
+        rows = [name for name, _, _ in cfgmod._SETTINGS.values()]
+        assert sorted(rows) == sorted(set(fields) - unset)
+
+    @pytest.mark.parametrize("key", [key for key, row in cfgmod._SETTINGS.items()
+                                     if row[2] is not None])
+    def test_domain_boundary(self, key):
+        name, cast, domain = cfgmod._SETTINGS[key]
+        inside, outside = domain_edges(cast, domain)
+        cfg = cfgmod.ExperimentConfig()
+        for value in inside:
+            assert cfgmod.validate(with_field(cfg, name, value)) == [], value
+        section, option = key.split(".")
+        for value in outside:
+            issues = cfgmod.validate(with_field(cfg, name, value))
+            assert len(issues) == 1, value
+            assert issues[0].startswith(f"[{section}] {option} must be ")
+            assert issues[0].endswith(f", got {value!r}")
+
     def test_make_model_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="'mean_couplng'; did you mean 'mean_coupling'"):
             models.make_model("no-interaction", mean_couplng=0.2)
@@ -186,8 +244,9 @@ class TestCli:
                          "name = no-interaction\nmean_couplng = 0.2"), {}, "mean_couplng"),
         (MINIMAL, {"ROUGHMFG_SEED": "9"}, "ROUGHMFG_SEED"),
         (MINIMAL + "\n[rough]\nsource = sample\namplitude = 3.0\n", {}, "amplitude"),
+        (MINIMAL + "\n[domain2]\n", {}, "[domain2]"),
     ], ids=["section", "file-key", "env-key", "model-param", "env-no-key",
-            "unread-rough-key"])
+            "unread-rough-key", "empty-section"])
     def test_unknown_input_is_validation_error(self, tmp_path, capsys, monkeypatch,
                                                command, text, env, key):
         for name, value in env.items():
@@ -471,7 +530,8 @@ class TestCli:
                         "--particles", particles, "--out", str(tmp_path / "o")])
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert f"need at least one particle, got {particles}" in done.stderr
+        # --particles sets the rsde task's count alone
+        assert done.stderr == f"issue: [rsde] particles must be >= 1, got {particles}\n"
 
     def test_randomize_compare_rejects_zero_samples(self, tmp_path):
         done = run_cli(["randomize", "compare", "--model", "lq", "--samples", "0",
@@ -481,11 +541,12 @@ class TestCli:
         assert "[randomize] samples must be >= 1, got 0" in done.stderr
 
     @pytest.mark.parametrize("old, new, message", [
-        ("lattice_nodes = 31", "lattice_nodes = 0", "need lattice_nodes >= 1, got 0"),
+        ("lattice_nodes = 31", "lattice_nodes = 0",
+         "[policy] lattice_nodes must be >= 1, got 0"),
         ("lattice_nodes = 31", "lattice_nodes = 31\ngh_order = 0",
-         "need gh_order >= 1, got 0"),
+         "[policy] gh_order must be >= 1, got 0"),
         ("tol_exp = 1e-2", "tol_exp = 1e-2\n\n[domain]\nm_bound = 50.0\nmax_windows = 0",
-         "need max_windows >= 1, got 0"),
+         "[domain] max_windows must be >= 1, got 0"),
     ], ids=["lattice-nodes", "gh-order", "max-windows"])
     def test_mfg_setting_below_domain_is_validation_error(self, tmp_path, old, new,
                                                           message):
@@ -500,4 +561,29 @@ class TestCli:
         done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert "need max_iters >= 1, got 0" in done.stderr
+        assert "[fixedpoint] max_iters must be >= 1, got 0" in done.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL + "\n[init]\nspread = -1\n", "issue: [init] spread must be >= 0, got -1.0"),
+        (MINIMAL.replace("lattice_nodes = 31", "escape_tolerance = -1"),
+         "issue: [policy] escape_tolerance must be >= 0, got -1.0"),
+        (MINIMAL.replace("tol_w2 = 1e-9", "tol_w2 = -1"),
+         "issue: [fixedpoint] tol_w2 must be > 0, got -1.0"),
+        (MINIMAL + "\n[domain]\nm_bound = 50.0\nepsilon = -0.5\n",
+         "issue: [domain] epsilon must be > 0, got -0.5"),
+        (MINIMAL + "\n[domain]\nm_bound = 50.0\ninner_samples = 0\n",
+         "issue: [domain] inner_samples must be >= 1, got 0"),
+        (RANDOMIZE.format(coupling=0.0) + "inner_refine = 3\n",
+         "issue: [randomize] inner_refine must be a power of 2, got 3"),
+        (MINIMAL + "\n[init]\nkind = cauchy\n",
+         "issue: [init] kind must be one of normal | constant | uniform, got 'cauchy'"),
+        (MINIMAL + "\n[domain2]\n", "error: unknown config section [domain2]"),
+    ], ids=["spread", "escape-tolerance", "tol-w2", "epsilon", "inner-samples",
+            "inner-refine", "init-kind", "empty-section"])
+    def test_setting_outside_its_domain_is_refused_before_any_work(self, tmp_path,
+                                                                   text, message):
+        path = write_config(tmp_path, text)
+        done = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert done.returncode == 2
+        assert done.stderr == message + "\n"
+        assert not (tmp_path / "o").exists()

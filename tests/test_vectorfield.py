@@ -716,10 +716,17 @@ class TestContinuationMoments:
         with pytest.raises(rp.InputError):
             sol.continuation_moments(anchors, stops, 2, 4)
 
-    def test_rejects_zero_inner_samples(self):
+    @pytest.mark.parametrize("anchors, stops, n_inner, message", [
+        ([], [], 2, "need at least one anchor, got anchors=[]"),
+        ([1, 2], [5], 2, "need one stop per anchor, got stops=[5] for anchors=[1, 2]"),
+        ([0], [12], 0, "need at least one inner sample, got n_inner=0"),
+    ], ids=["no-anchor", "stop-per-anchor", "no-inner-sample"])
+    def test_each_count_condition_names_its_value(self, anchors, stops, n_inner,
+                                                  message):
         sol = solved(models.make_model("tanh-interaction"))
-        with pytest.raises(rp.InputError, match="inner sample"):
-            sol.continuation_moments([0], [12], 0, 4)
+        with pytest.raises(rp.InputError) as err:
+            sol.continuation_moments(anchors, stops, n_inner, 4)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_rejects_low_moment_order_before_any_draw(self, monkeypatch, m):
