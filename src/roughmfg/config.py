@@ -24,16 +24,16 @@ import operator
 import os
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import models
+from . import randomize as rz
 from .controlled import IndexPair
 from .mfg import DpSettings
-from .roughpath import InputError, RoughPath, TimeGrid, ito_lift, load_path, smooth_lift
-from .rng import substream
+from .roughpath import InputError, RoughPath, TimeGrid, load_path, smooth_lift
 from .rsde import InitialLaw
 
 ENV_PREFIX = "ROUGHMFG_"
-
-import numpy as np
 
 
 class ConfigError(ValueError):
@@ -112,10 +112,11 @@ _SETTINGS = {
     "policy.lattice_nodes": ("dp.lattice_nodes", int, ">= 1"),
     "policy.gh_order": ("dp.gh_order", int, ">= 1"),
     "policy.escape_tolerance": ("dp.escape_tolerance", float, ">= 0"),
-    # IndexPair checks the admissible set when the config is loaded
+    # IndexPair checks the admissible set when the config is loaded; the
+    # field norm is the C^gamma norm only up to gamma = 2
     "indices.beta": ("indices.beta", float, None),
     "indices.beta_p": ("indices.beta_p", float, None),
-    "indices.gamma": ("indices.gamma", float, None),
+    "indices.gamma": ("indices.gamma", float, "<= 2"),
     "indices.alpha": ("indices.alpha", float, None),
     "indices.m": ("m", int, ">= 2"),
     "fixedpoint.particles": ("particles", int, ">= 1"),
@@ -248,7 +249,9 @@ def validate(cfg: ExperimentConfig) -> list:
 
     Every set value of a _SETTINGS row must lie in the row's domain, which
     the issue names as "[section] key must be <domain>, got <value>";
-    beside the table stand the model check and the rough source's.
+    beside the table stand the policy lattice's order (lattice_lo below
+    lattice_hi when it has more than one node), the model check and the
+    rough source's.
     """
     issues = []
     for key, (name, _, domain) in _SETTINGS.items():
@@ -258,6 +261,10 @@ def validate(cfg: ExperimentConfig) -> list:
         section, option = key.split(".")
         allowed = "one of " + " | ".join(domain) if isinstance(domain, tuple) else domain
         issues.append(f"[{section}] {option} must be {allowed}, got {value!r}")
+    lo, hi = cfg.dp.lattice_lo, cfg.dp.lattice_hi
+    if cfg.dp.lattice_nodes > 1 and None not in (lo, hi) and lo >= hi:
+        issues.append("[policy] lattice_lo must be < [policy] lattice_hi when"
+                      f" lattice_nodes > 1, got {lo!r} >= {hi!r}")
     try:
         models.make_model(cfg.model_name, **cfg.model_overrides)
     except models.UnknownModelError as exc:
@@ -285,9 +292,7 @@ def build_rough(cfg: ExperimentConfig, k: int) -> RoughPath:
     src = cfg.rough_source
     if src == "sample":
         salt = int(cfg.rough_params.get("seed_salt", 0))
-        rng = substream(cfg.seed, "randomize", "B0", salt)
-        dw = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.steps, k))
-        return ito_lift(dw, grid)
+        return rz.sample_lift(grid, k, cfg.seed, salt)
     if src.startswith("file:"):
         p = load_path(src[5:])
         if p.grid != grid:

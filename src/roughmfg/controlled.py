@@ -109,13 +109,6 @@ def rough_integral(ce: ControlledEnsemble, p: RoughPath, start: int, stop: int) 
     return acc
 
 
-def remainder(ce: ControlledEnsemble, p: RoughPath, s: int, t: int) -> np.ndarray:
-    """R^Z over [t_s, t_t]: the increment of Z minus Z'_s dB; shape (P, *vshape)."""
-    _check_shared_grid(ce, p)
-    db = p.increment(s, t)
-    return ce.Z[:, t] - ce.Z[:, s] - ce.Zp[:, s] @ db
-
-
 @dataclass
 class NormEstimate:
     """Breakdown of a controlled-rough-path norm estimate.

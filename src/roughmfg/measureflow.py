@@ -1,31 +1,27 @@
 """Particle measure flows, transport distances, and domain certificates."""
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import controlled as ct
 from .rng import substream
-from .roughpath import InputError, RoughPath, TimeGrid, read_exact
+from .roughpath import InputError, RoughPath, TimeGrid
 
 EXACT_ASSIGNMENT_MAX = 64
-_MAGIC = b"MFLW"
-_FORMAT_VERSION = 1
 
 
 @dataclass
 class MeasureFlow:
     """t -> mu_t as P particle trajectories Y with derivative particles Y'.
 
-    Y: (P, N+1, d); Yp: (P, N+1, d, k) or None when the flow never feeds a
-    coefficient construction.  Weights are uniform 1/P.
+    Y: (P, N+1, d); Yp: (P, N+1, d, k).  Weights are uniform 1/P.
     """
 
     grid: TimeGrid
     Y: np.ndarray
-    Yp: np.ndarray | None = None
+    Yp: np.ndarray
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
@@ -33,28 +29,21 @@ class MeasureFlow:
             raise InputError(f"flow shape {self.Y.shape} does not match grid")
         if not np.isfinite(self.Y).all():
             raise InputError("non-finite flow particles")
-        if self.Yp is not None:
-            self.Yp = np.asarray(self.Yp, dtype=float)
-            if self.Yp.shape[:3] != self.Y.shape or self.Yp.ndim != 4:
-                raise InputError("derivative particles do not match flow shape")
-            if not np.isfinite(self.Yp).all():
-                raise InputError("non-finite derivative particles")
+        self.Yp = np.asarray(self.Yp, dtype=float)
+        if self.Yp.shape[:3] != self.Y.shape or self.Yp.ndim != 4:
+            raise InputError("derivative particles do not match flow shape")
+        if not np.isfinite(self.Yp).all():
+            raise InputError("non-finite derivative particles")
 
     @property
     def particles(self) -> int:
         return self.Y.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.Y.shape[2]
 
     def cloud(self, n: int) -> np.ndarray:
         """Empirical cloud at node n, shape (P, d)."""
         return self.Y[:, n]
 
     def ensemble(self) -> ct.ControlledEnsemble:
-        if self.Yp is None:
-            raise InputError("flow has no derivative particles")
         return ct.ControlledEnsemble(self.grid, self.Y, self.Yp)
 
 
@@ -113,12 +102,12 @@ def _w2_sorted(x: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(np.mean((xi - yi) ** 2))
 
 
-def flow_distance(a: MeasureFlow, b: MeasureFlow, **kw) -> float:
+def flow_distance(a: MeasureFlow, b: MeasureFlow) -> float:
     """sup over nodes of the marginal W2 distance."""
     if a.grid != b.grid:
         raise InputError("flows on different grids")
     return max(
-        wasserstein2(a.cloud(n), b.cloud(n), **kw) for n in range(a.grid.steps + 1)
+        wasserstein2(a.cloud(n), b.cloud(n)) for n in range(a.grid.steps + 1)
     )
 
 
@@ -137,12 +126,10 @@ def mix(a: MeasureFlow, b: MeasureFlow, lam: float, seed: int = 0) -> MeasureFlo
     rng = substream(seed, "flowmix")
     if b.particles != a.particles:
         sel = rng.integers(0, b.particles, size=a.particles)
-        b = MeasureFlow(b.grid, b.Y[sel], None if b.Yp is None else b.Yp[sel])
+        b = MeasureFlow(b.grid, b.Y[sel], b.Yp[sel])
     keep = rng.random(a.particles) < lam
     y = np.where(keep[:, None, None], a.Y, b.Y)
-    yp = None
-    if a.Yp is not None and b.Yp is not None:
-        yp = np.where(keep[:, None, None, None], a.Yp, b.Yp)
+    yp = np.where(keep[:, None, None, None], a.Yp, b.Yp)
     return MeasureFlow(a.grid, y, yp)
 
 
@@ -247,34 +234,3 @@ def check_domain(
         windows_checked=len(starts),
         window_norms=norms,
     )
-
-
-def dump(flow: MeasureFlow, fp) -> None:
-    """Binary container, same conventions as the rough-path one: magic,
-    version u32, dims, T as f64, then row-major little-endian f64 payload."""
-    k = 0 if flow.Yp is None else flow.Yp.shape[-1]
-    fp.write(_MAGIC)
-    fp.write(struct.pack("<I", _FORMAT_VERSION))
-    fp.write(struct.pack("<IIII", flow.particles, flow.grid.steps, flow.dim, k))
-    fp.write(struct.pack("<d", flow.grid.horizon))
-    fp.write(np.ascontiguousarray(flow.Y, dtype="<f8").tobytes())
-    if k:
-        fp.write(np.ascontiguousarray(flow.Yp, dtype="<f8").tobytes())
-
-
-def load(fp) -> MeasureFlow:
-    if fp.read(4) != _MAGIC:
-        raise InputError("not a measure-flow container (bad magic)")
-    version, p, n, d, k, horizon = struct.unpack("<IIIIId", read_exact(fp, 28, "header"))
-    if version != _FORMAT_VERSION:
-        raise InputError(f"unsupported container version {version}")
-    grid = TimeGrid(horizon, n)
-    y = np.frombuffer(
-        read_exact(fp, 8 * p * (n + 1) * d, "states"), dtype="<f8"
-    ).reshape(p, n + 1, d)
-    yp = None
-    if k:
-        yp = np.frombuffer(
-            read_exact(fp, 8 * p * (n + 1) * d * k, "derivatives"), dtype="<f8"
-        ).reshape(p, n + 1, d, k).copy()
-    return MeasureFlow(grid, y.copy(), yp)

@@ -221,7 +221,7 @@ class BestResponse:
     warned: bool
 
 
-def _auto_bounds(coeffs, flow, p, init, seed, settings) -> tuple:
+def _auto_bounds(coeffs, flow, p, init, seed) -> tuple:
     """Pilot run under the uniform mixture; bounds cover the initial law and
     the pilot range by six standard deviations."""
     k = coeffs.n_actions
@@ -251,7 +251,7 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
             raise InputError(f"need {name} >= 1, got {getattr(settings, name)}")
     init = init or rsde.InitialLaw()
     if settings.lattice_lo is None or settings.lattice_hi is None:
-        lo, hi = _auto_bounds(coeffs, flow, p, init, seed, settings)
+        lo, hi = _auto_bounds(coeffs, flow, p, init, seed)
     else:
         lo, hi = settings.lattice_lo, settings.lattice_hi
     lattice = np.linspace(lo, hi, settings.lattice_nodes)
@@ -436,7 +436,7 @@ def fixed_point(
         grid, rsde.draw_initial(seed, init, particles, coeffs.d), coeffs.k
     )
     if settings.lattice_lo is None or settings.lattice_hi is None:
-        lo, hi = _auto_bounds(coeffs, boot, p, init, seed, settings)
+        lo, hi = _auto_bounds(coeffs, boot, p, init, seed)
         settings = replace(settings, lattice_lo=lo, lattice_hi=hi)
     _, _, flow_prev = _phi_step(coeffs, boot, p, init, particles, seed, settings)
 

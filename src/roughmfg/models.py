@@ -28,12 +28,13 @@ class CoefficientSet:
     and sigma0(t,x,mu), costs f(t,x,mu,u) and g(x,mu).
 
     sigma0 may be None (no rough term; the solver then reduces to a plain
-    Euler-Maruyama recursion).  grad_sigma0 is the spatial Jacobian
-    (..., d, k, d).  sigma0_dmu(t, x, mu, v), with v (P, d, k) one direction
-    per particle of mu and rough direction, is the derivative of sigma0 as
-    each mu[p] moves along v[p, :, j], shaped (..., d, k, k); it equals the
-    particle average of the measure derivative contracted with v.  Without
-    it the field builder takes a central difference along v.
+    Euler-Maruyama recursion).  Its regularity gamma is not the model's but
+    the index pair's (controlled.IndexPair).  grad_sigma0 is the spatial
+    Jacobian (..., d, k, d).  sigma0_dmu(t, x, mu, v), with v (P, d, k) one
+    direction per particle of mu and rough direction, is the derivative of
+    sigma0 as each mu[p] moves along v[p, :, j], shaped (..., d, k, k); it
+    equals the particle average of the measure derivative contracted with
+    v.  Without it the field builder takes a central difference along v.
 
     b, sigma, sigma0, grad_sigma0 and sigma0_dmu also take grouped clouds:
     mu (G, P, d) against x (G, P_x, d), and v (G, P, d, k), reducing over
@@ -52,22 +53,21 @@ class CoefficientSet:
     sigma0: callable | None = None
     grad_sigma0: callable | None = None
     sigma0_dmu: callable | None = None
-    gamma: float = 2.0
     params: dict = field(default_factory=dict)
 
     @property
     def n_actions(self) -> int:
         return self.actions.shape[0]
 
-    def spot_check(self, probes: np.ndarray, cloud: np.ndarray, t: float = 0.0):
-        """Sampled boundedness check of the coefficient bundle; returns the
-        largest magnitude seen (runtime monitor, not a proof)."""
+    def spot_check(self, probes: np.ndarray, cloud: np.ndarray):
+        """Sampled boundedness check of the coefficient bundle at t = 0;
+        returns the largest magnitude seen (runtime monitor, not a proof)."""
         worst = 0.0
         for u in self.actions:
-            worst = max(worst, float(np.abs(self.b(t, probes, cloud, u)).max()))
-        worst = max(worst, float(np.abs(self.sigma(t, probes, cloud)).max()))
+            worst = max(worst, float(np.abs(self.b(0.0, probes, cloud, u)).max()))
+        worst = max(worst, float(np.abs(self.sigma(0.0, probes, cloud)).max()))
         if self.sigma0 is not None:
-            worst = max(worst, float(np.abs(self.sigma0(t, probes, cloud)).max()))
+            worst = max(worst, float(np.abs(self.sigma0(0.0, probes, cloud)).max()))
         return worst
 
 

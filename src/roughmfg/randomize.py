@@ -33,6 +33,10 @@ BLOCK = 64
 # idiosyncratic increments joint_simulate holds at a time: bounds its
 # (G, P, N, l) block (2 MiB; 4 samples at P = 1000, N = 64, l = 1)
 JOINT_INCREMENTS = 1 << 18
+# the bridge verdicts: pooled moments within SIGMA_BAND standard errors, and
+# the energy test's p-value at least LEVEL
+SIGMA_BAND = 3.0
+LEVEL = 0.01
 
 
 def common_increments(grid: TimeGrid, k: int, seed, sample: int) -> np.ndarray:
@@ -371,17 +375,16 @@ class BridgeReport:
 
 def compare_pathwise_vs_randomized(
     coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid, particles: int,
-    samples: int, seed, mode: str = FROZEN_FLOW, flow=None, level: float = 0.01,
-    sigma_band: float = 3.0, test_subsample: int = 400, n_perm: int = 500,
-    inner_refine: int = 1,
+    samples: int, seed, mode: str = FROZEN_FLOW, flow=None,
+    test_subsample: int = 400, n_perm: int = 500, inner_refine: int = 1,
 ) -> BridgeReport:
     """Statistical comparison of the two formulations of the same model.
 
     Per sample: both pipelines consume the same common increments, and the
     conditional means must agree within the band.  Pooled: first and second
-    moments within the band (standard errors from the between-sample spread,
-    which respects the within-sample correlation), and an energy-distance
-    permutation test on subsampled terminals at the given level.  Fewer
+    moments within SIGMA_BAND standard errors (from the between-sample
+    spread, which respects the within-sample correlation), and an
+    energy-distance permutation test on subsampled terminals at LEVEL.  Fewer
     than one particle or sample raises InputError (pathwise_terminals)
     before any solve.
     """
@@ -440,12 +443,12 @@ def compare_pathwise_vs_randomized(
         sample_pass_rate=pass_rate,
         pooled_mean_gap=mean_gap,
         pooled_mean_se=mean_se,
-        mean_ok=mean_gap <= sigma_band * mean_se + 1e-12,
+        mean_ok=mean_gap <= SIGMA_BAND * mean_se + 1e-12,
         pooled_second_gap=second_gap,
         pooled_second_se=second_se,
-        second_ok=second_gap <= sigma_band * second_se + 1e-12,
+        second_ok=second_gap <= SIGMA_BAND * second_se + 1e-12,
         energy_stat=stat,
         energy_p=p_val,
-        energy_ok=p_val >= level,
-        level=level,
+        energy_ok=p_val >= LEVEL,
+        level=LEVEL,
     )

@@ -24,6 +24,8 @@ from .rng import substream
 from .roughpath import InputError, RoughPath
 
 BLOWUP_THRESHOLD = 1e6
+INNER_SALT = 1  # stream salt of the continuations' idiosyncratic draws
+ANCHOR_PAIRS = 4  # anchors of the martingale battery's residual regressions
 
 
 class DivergedError(RuntimeError):
@@ -59,12 +61,12 @@ def _blowup_row(x):
     return int((~(np.abs(x) <= BLOWUP_THRESHOLD).all(axis=-1)).argmax())
 
 
-def check_blowup(x, step, sample=None):
+def check_blowup(x, step):
     """Raise DivergedError when a state in x (P, d) is NaN or beyond the
-    blow-up threshold, naming the first such particle (and the sample)."""
+    blow-up threshold, naming the first such particle."""
     i = _blowup_row(x)
     if i is not None:
-        raise DivergedError(step, i, float(np.abs(x[i]).max()), sample=sample)
+        raise DivergedError(step, i, float(np.abs(x[i]).max()))
 
 
 class CausalityViolationError(RuntimeError):
@@ -199,7 +201,7 @@ class RsdeSolution:
             monitors=[],
         )
 
-    def _inner_increments(self, rows, s_idx, salt=1, stop=None, draws=None):
+    def _inner_increments(self, rows, s_idx, stop=None, draws=None):
         """Idiosyncratic increments of the continuations from node s_idx,
         drawn to the end of the grid and returned up to node stop (by
         default the end).
@@ -209,7 +211,7 @@ class RsdeSolution:
         stop; a later request for the same key takes the kept block instead
         of drawing it again."""
         args = (self.seed, rows, self.grid.steps - s_idx, self.coeffs.l,
-                self.grid.dt, "inner", salt, s_idx)
+                self.grid.dt, "inner", INNER_SALT, s_idx)
         stop = self.grid.steps if stop is None else stop
         key = args + (stop,)
         if draws is not None and key in draws:
@@ -225,7 +227,7 @@ class RsdeSolution:
         if self.policy is not None and getattr(self.policy, "mode", "feedback") != "feedback":
             raise InputError("conditional resampling needs a feedback policy")
 
-    def make_resampler(self, which: str = "state", inner_seed_salt: int = 1):
+    def make_resampler(self, which: str = "state"):
         """Two-level Monte Carlo continuations of one anchor at a time.
 
         which="state" yields futures of (X, f(X)); which="sigma0" yields
@@ -245,7 +247,7 @@ class RsdeSolution:
 
         def resample(s_idx, n_inner):
             p_count = self.ensemble.particles
-            dw = self._inner_increments(p_count * n_inner, s_idx, inner_seed_salt)
+            dw = self._inner_increments(p_count * n_inner, s_idx)
             xc, fc, fhatc = _evolve(
                 self.coeffs,
                 self.flow,
@@ -799,8 +801,8 @@ def qv_gap(sol: RsdeSolution, phi: TestFunction) -> np.ndarray:
     return _qv_gap(*_compensated(sol, phi, _martingale_paths(sol)), sol.grid.dt)
 
 
-def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
-                           n_anchor_pairs: int = 4) -> MartingaleDiagnostics:
+def martingale_diagnostics(sol: RsdeSolution, phis=None,
+                           level: float = 0.01) -> MartingaleDiagnostics:
     """Statistical checks of the compensated-process structure.
 
     (a) conditional-mean residuals: increments of the compensated process
@@ -822,7 +824,7 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None, level: float = 0.01,
     x, wpath = paths[0], paths[1]
     t_crit = special.stdtrit(p_count - 1, 1.0 - 0.5 * level)
 
-    anchors = sorted({int(a) for a in np.linspace(0, grid.steps // 2, n_anchor_pairs)})
+    anchors = sorted({int(a) for a in np.linspace(0, grid.steps // 2, ANCHOR_PAIRS)})
     spans = [max(1, grid.steps // 4), max(1, grid.steps // 2)]
 
     per_phi = []

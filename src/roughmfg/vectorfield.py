@@ -24,6 +24,8 @@ from .roughpath import InputError, RoughPath, TimeGrid
 # model has no sigma0_dmu: near eps^(1/3), it balances the O(h^2) truncation
 # against the O(eps/h) round-off for particles and directions of unit scale
 DMU_STEP = 1e-5
+# step of the central-difference spatial gradient of a field without one
+FD_STEP = 1e-6
 
 
 class ConfigurationError(ValueError):
@@ -40,6 +42,9 @@ class ControlledVectorField:
 
     f(n, x): (..., *out_shape); fp(n, x): (..., *out_shape, k);
     grad(n, x): (..., *out_shape, d).  x is batched with trailing axis d.
+    Without grad, the gradient is a central difference of f with step
+    FD_STEP.  The field's regularity gamma is the index pair's, which
+    cvf_norm reads.
     """
 
     grid: TimeGrid
@@ -49,8 +54,6 @@ class ControlledVectorField:
     f: callable
     fp: callable
     grad: callable | None = None
-    gamma: float = 2.0
-    fd_step: float = 1e-6
 
     @property
     def out_size(self) -> int:
@@ -59,26 +62,13 @@ class ControlledVectorField:
     def gradient(self, n: int, x: np.ndarray) -> np.ndarray:
         if self.grad is not None:
             return self.grad(n, x)
-        if self.fd_step is None:
-            raise ConfigurationError("no gradient evaluator and no fd step set")
         x = np.asarray(x, dtype=float)
         cols = []
-        h = self.fd_step
         for c in range(self.d):
             e = np.zeros(self.d)
-            e[c] = h
-            cols.append((self.f(n, x + e) - self.f(n, x - e)) / (2.0 * h))
+            e[c] = FD_STEP
+            cols.append((self.f(n, x + e) - self.f(n, x - e)) / (2.0 * FD_STEP))
         return np.stack(cols, axis=-1)
-
-
-def from_callables(grid, d, k, out_shape, f_t, fp_t, grad_t=None, gamma=2.0):
-    """Wrap time-parametrized callables f(t, x), f'(t, x) into a node-indexed
-    field (convenience for analytic fields in tests and oracles)."""
-    nodes = grid.nodes
-    f = lambda n, x: f_t(nodes[n], x)
-    fp = lambda n, x: fp_t(nodes[n], x)
-    grad = None if grad_t is None else (lambda n, x: grad_t(nodes[n], x))
-    return ControlledVectorField(grid, d, k, tuple(out_shape), f, fp, grad, gamma)
 
 
 def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
@@ -93,8 +83,6 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
     """
     if coeffs.sigma0 is None:
         raise ConfigurationError(f"model {coeffs.name!r} has no rough coefficient")
-    if flow.Yp is None:
-        raise ConfigurationError("flow carries no derivative particles")
     grid = flow.grid
     nodes = grid.nodes
     d, k = coeffs.d, coeffs.k
@@ -125,9 +113,7 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
     grad = None
     if coeffs.grad_sigma0 is not None:
         grad = lambda n, x: coeffs.grad_sigma0(nodes[n], x, flow.cloud(n))
-    return ControlledVectorField(
-        grid, d, k, (d, k), f, fp, grad, gamma=getattr(coeffs, "gamma", 2.0)
-    )
+    return ControlledVectorField(grid, d, k, (d, k), f, fp, grad)
 
 
 def gubinelli_correction(cvf: ControlledVectorField):
@@ -193,12 +179,16 @@ def cvf_norm(
     p: RoughPath,
     idx: IndexPair,
     probes: np.ndarray,
-    node_stride: int = 1,
 ) -> CvfNorm:
     """Estimate the field norm: time-increment parts of f, f' and grad f, the
     remainder part, and the spatial-Holder sup part, all maximized over grid
     node pairs and the probe set.  A probe-grid sup under-approximates the
     spatial sup; the probe count is recorded.
+
+    The sup part is sup f + sup grad f + the (gamma-1)-Holder quotient of
+    grad f, plus sup f' + the quotient of f', with gamma = idx.gamma.  That
+    is the C^gamma norm only for 1 < gamma <= 2 (the admissible set already
+    forces gamma > 1), so a larger gamma raises InputError.
 
     Each time-increment part divides the largest difference over probes and
     values at a node pair by the pair's gap to its exponent.  Correctly
@@ -213,30 +203,30 @@ def cvf_norm(
         raise InputError(f"probes have dim {probes.shape[1]}, field needs {cvf.d}")
     if cvf.grid != p.grid:
         raise InputError("field and rough path live on different grids")
+    if idx.gamma > 2.0:
+        raise InputError(
+            f"the field norm is the C^gamma norm for gamma <= 2, got {idx.gamma}"
+        )
     nodes = cvf.grid.nodes
-    sel = list(range(0, cvf.grid.steps + 1, node_stride))
-    if sel[-1] != cvf.grid.steps:
-        sel.append(cvf.grid.steps)
+    n1 = cvf.grid.steps + 1
 
-    fs = np.stack([cvf.f(n, probes) for n in sel])          # (S, Q, *out)
-    fps = np.stack([cvf.fp(n, probes) for n in sel])        # (S, Q, *out, k)
-    grads = np.stack([cvf.gradient(n, probes) for n in sel])
+    fs = np.stack([cvf.f(n, probes) for n in range(n1)])      # (N+1, Q, *out)
+    fps = np.stack([cvf.fp(n, probes) for n in range(n1)])    # (N+1, Q, *out, k)
+    grads = np.stack([cvf.gradient(n, probes) for n in range(n1)])
 
-    # node-minor copies, (values, S): the largest difference over probes
+    # node-minor copies, (values, N+1): the largest difference over probes
     # and values is a max over rows, taken before the division by the gap's
     # power, which is positive, so monotone
-    f_c, fp_c, grad_c = (np.ascontiguousarray(v.reshape(len(sel), -1).T)
+    f_c, fp_c, grad_c = (np.ascontiguousarray(v.reshape(n1, -1).T)
                          for v in (fs, fps, grads))
-    at = np.array(sel)
     d_f = d_fp = d_grad = rem = 0.0
-    for a in range(len(sel) - 1):
-        later = at[a + 1 :]
-        gaps = nodes[later] - nodes[sel[a]]
+    for a in range(n1 - 1):
+        gaps = nodes[a + 1 :] - nodes[a]
         gaps_p = gaps**idx.beta_p
         d_f = max(d_f, float((_spread(f_c, a) / gaps**idx.beta).max()))
         d_fp = max(d_fp, float((_spread(fp_c, a) / gaps_p).max()))
         d_grad = max(d_grad, float((_spread(grad_c, a) / gaps_p).max()))
-        db = p.first_level[later] - p.first_level[sel[a]]  # (S', k)
+        db = p.first_level[a + 1 :] - p.first_level[a]  # (N-a, k)
         lin = np.einsum("q...j,sj->sq...", fps[a], db)
         r = fs[a + 1 :] - fs[a] - lin
         rem = max(
@@ -245,20 +235,14 @@ def cvf_norm(
 
     # spatial Holder norms on probes: zeroth + first order plus the
     # (gamma-1)-quotient of the top derivative over probe pairs
-    holder_exp = cvf.gamma - 1.0
+    holder_exp = idx.gamma - 1.0
     sup_f = _flat_max(fs, 2).max(axis=1)
     sup_grad = _flat_max(grads, 2).max(axis=1)
     sup_fp = _flat_max(fps, 2).max(axis=1)
-    q = probes.shape[0]
-    if q > 1:
-        iu = np.triu_indices(q, k=1)
-        dist = np.linalg.norm(probes[iu[0]] - probes[iu[1]], axis=-1)
-        keep = dist > 0
-        iu = (iu[0][keep], iu[1][keep])
-        dist = dist[keep]
-    else:
-        iu = (np.array([], dtype=int), np.array([], dtype=int))
-        dist = np.array([])
+    iu = np.triu_indices(probes.shape[0], k=1)
+    dist = np.linalg.norm(probes[iu[0]] - probes[iu[1]], axis=-1)
+    keep = dist > 0
+    iu, dist = (iu[0][keep], iu[1][keep]), dist[keep]
 
     def pair_quotient(values):
         if len(dist) == 0:

@@ -14,6 +14,7 @@ from roughmfg import config as cfgmod
 from roughmfg import controlled as ct
 from roughmfg import mfg
 from roughmfg import models
+from roughmfg import randomize as rz
 from roughmfg import rsde
 
 
@@ -44,6 +45,22 @@ tol_exp = 1e-2
 
 # a frozen initial flow is the conditional law only without mean coupling;
 # at 1.5 the energy test rejects the bridge
+RSDE = """\
+[experiment]
+task = rsde
+seed = 3
+
+[model]
+name = tanh-interaction
+
+[grid]
+n = 16
+
+[rsde]
+particles = 32
+"""
+
+
 RANDOMIZE = """\
 [experiment]
 task = randomize
@@ -209,6 +226,15 @@ class TestConfig:
         a = cfgmod.load_config(write_config(tmp_path))
         b = cfgmod.load_config(write_config(tmp_path, name="other.ini"))
         assert a.config_hash() == b.config_hash()
+
+    @pytest.mark.parametrize("salt", [0, 3])
+    def test_build_rough_sample_is_sample_lift(self, tmp_path, salt):
+        text = MINIMAL + f"\n[rough]\nsource = sample\nseed_salt = {salt}\n"
+        cfg = cfgmod.load_config(write_config(tmp_path, text))
+        got = cfgmod.build_rough(cfg, 2)
+        want = rz.sample_lift(cfg.grid(), 2, cfg.seed, salt)
+        np.testing.assert_array_equal(got.first_level, want.first_level)
+        np.testing.assert_array_equal(got.prefix, want.prefix)
 
     def test_build_rough_smooth(self, tmp_path):
         text = MINIMAL + "\n[rough]\nsource = smooth:sin\namplitude = 0.5\n"
@@ -578,8 +604,13 @@ class TestCli:
         (MINIMAL + "\n[init]\nkind = cauchy\n",
          "issue: [init] kind must be one of normal | constant | uniform, got 'cauchy'"),
         (MINIMAL + "\n[domain2]\n", "error: unknown config section [domain2]"),
+        (MINIMAL.replace("lattice_lo = -4.0", "lattice_lo = 4.0"),
+         "issue: [policy] lattice_lo must be < [policy] lattice_hi when"
+         " lattice_nodes > 1, got 4.0 >= 4.0"),
+        (MINIMAL + "\n[indices]\ngamma = 2.5\n",
+         "issue: [indices] gamma must be <= 2, got 2.5"),
     ], ids=["spread", "escape-tolerance", "tol-w2", "epsilon", "inner-samples",
-            "inner-refine", "init-kind", "empty-section"])
+            "inner-refine", "init-kind", "empty-section", "lattice-order", "gamma"])
     def test_setting_outside_its_domain_is_refused_before_any_work(self, tmp_path,
                                                                    text, message):
         path = write_config(tmp_path, text)
@@ -587,3 +618,26 @@ class TestCli:
         assert done.returncode == 2
         assert done.stderr == message + "\n"
         assert not (tmp_path / "o").exists()
+
+    def test_indices_gamma_reaches_the_field_norm(self, tmp_path):
+        # gamma = 1.9 is admissible at the default beta and beta':
+        # 0.4 <= 0.9 * 0.45; gamma = 2 is the default
+        outs = {}
+        for label, extra in [("none", ""), ("2.0", "gamma = 2.0\n"),
+                             ("1.9", "gamma = 1.9\n")]:
+            text = RSDE + ("\n[indices]\n" + extra if extra else "")
+            out = tmp_path / label
+            path = write_config(tmp_path, text, name=f"{label}.ini")
+            assert cli.main(["rsde", "solve", "--config", str(path),
+                             "--out", str(out)]) == 0
+            outs[label] = out
+        norm = {label: json.loads((out / "diagnostics.json").read_text())
+                ["apriori"]["field_norm"] for label, out in outs.items()}
+        assert norm["1.9"] != norm["2.0"]
+        # the key at its default changes nothing but the config's hash
+        for name in ("diagnostics.json", "trajectory_summary.csv"):
+            files = []
+            for label in ("none", "2.0"):
+                h = json.loads((outs[label] / "manifest.json").read_text())["manifest_hash"]
+                files.append((outs[label] / name).read_text().replace(h, "H"))
+            assert files[0] == files[1]

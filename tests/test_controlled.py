@@ -105,42 +105,6 @@ class TestRoughIntegral:
             ct.rough_integral(ce, p, 0, 8)
 
 
-class TestRemainder:
-    def test_linear_in_b_has_zero_remainder(self):
-        p = brownian_lift(7, n=12, k=2)
-        a = np.array([[2.0, 0.0], [1.0, -1.0], [0.0, 3.0]])  # Z = A B
-        z = p.first_level @ a.T
-        ce = ct.ControlledEnsemble(
-            p.grid,
-            np.broadcast_to(z, (2, 13, 3)).copy(),
-            np.broadcast_to(a, (2, 13, 3, 2)).copy(),
-        )
-        np.testing.assert_allclose(ct.remainder(ce, p, 2, 9), 0.0, atol=1e-14)
-
-    def test_constant_z(self):
-        p = brownian_lift(8, n=6)
-        ce = ct.ControlledEnsemble(p.grid, np.ones((1, 7, 1)), np.zeros((1, 7, 1, 1)))
-        np.testing.assert_array_equal(ct.remainder(ce, p, 0, 6), 0.0)
-
-    def test_drift_only(self):
-        p = brownian_lift(9, n=10)
-        z = np.broadcast_to(p.grid.nodes[:, None], (1, 11, 1)).copy()
-        ce = ct.ControlledEnsemble(p.grid, z, np.zeros((1, 11, 1, 1)))
-        got = ct.remainder(ce, p, 3, 8)
-        np.testing.assert_allclose(got, p.grid.nodes[8] - p.grid.nodes[3])
-
-    def test_identity_delta_z_decomposition(self):
-        p = brownian_lift(10, n=14, k=2)
-        rng = substream(11, "t", "rem")
-        ce = ct.ControlledEnsemble(
-            p.grid, rng.normal(size=(3, 15, 2)), rng.normal(size=(3, 15, 2, 2))
-        )
-        s, t = 2, 11
-        lhs = ce.Z[:, t] - ce.Z[:, s]
-        rhs = ce.Zp[:, s] @ p.increment(s, t) + ct.remainder(ce, p, s, t)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-
-
 def deterministic_resampler(ce):
     """Continuations of a deterministic ensemble are the ensemble itself."""
 

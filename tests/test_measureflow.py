@@ -163,39 +163,11 @@ class TestFlowBasics:
         b = mf.constant_flow(grid, np.ones((5, 1)), k=1)
         assert mf.flow_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
-    def test_binary_roundtrip(self):
-        import io
-
-        grid = rp.TimeGrid(2.0, 5)
-        rng = substream(20, "mf", "bin")
-        flow = mf.MeasureFlow(
-            grid, rng.normal(size=(7, 6, 2)), rng.normal(size=(7, 6, 2, 3))
-        )
-        buf = io.BytesIO()
-        mf.dump(flow, buf)
-        buf.seek(0)
-        back = mf.load(buf)
-        assert back.grid == flow.grid
-        np.testing.assert_array_equal(back.Y, flow.Y)
-        np.testing.assert_array_equal(back.Yp, flow.Yp)
-
-    def test_binary_truncated(self):
-        import io
-
-        grid = rp.TimeGrid(1.0, 3)
-        rng = substream(21, "mf", "bin")
-        flow = mf.MeasureFlow(
-            grid, rng.normal(size=(4, 4, 1)), rng.normal(size=(4, 4, 1, 2))
-        )
-        buf = io.BytesIO()
-        mf.dump(flow, buf)
-        data = buf.getvalue()
-        for cut, what in [(len(data) - 8, "derivatives"), (60, "states")]:
-            with pytest.raises(rp.InputError, match=what):
-                mf.load(io.BytesIO(data[:cut]))
-
-    def test_binary_bad_magic(self):
-        import io
-
-        with pytest.raises(rp.InputError):
-            mf.load(io.BytesIO(b"NOPE" + b"\0" * 40))
+    def test_missing_derivative_particles_refused(self):
+        # every flow the library builds carries derivative particles
+        grid = rp.TimeGrid(1.0, 4)
+        y = np.zeros((4, 5, 1))
+        with pytest.raises(TypeError):
+            mf.MeasureFlow(grid, y)
+        with pytest.raises(rp.InputError, match="derivative particles"):
+            mf.MeasureFlow(grid, y, None)

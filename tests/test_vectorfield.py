@@ -17,6 +17,16 @@ def brownian_lift(seed, n=16, k=1):
     return rp.ito_lift(dw, grid)
 
 
+def from_callables(grid, d, k, out_shape, f_t, fp_t, grad_t=None):
+    """Wrap time-parametrized callables f(t, x), f'(t, x) into a node-indexed
+    field (analytic fields for the tests)."""
+    nodes = grid.nodes
+    f = lambda n, x: f_t(nodes[n], x)
+    fp = lambda n, x: fp_t(nodes[n], x)
+    grad = None if grad_t is None else (lambda n, x: grad_t(nodes[n], x))
+    return vf.ControlledVectorField(grid, d, k, tuple(out_shape), f, fp, grad)
+
+
 def random_flow(seed, grid, particles=32, d=1, k=1):
     rng = substream(seed, "vf", "flow")
     y = rng.normal(size=(particles, grid.steps + 1, d)) * 0.5
@@ -175,12 +185,6 @@ class TestBuildFromFlow:
         with pytest.raises(AttributeError):
             model.sigma0_measure_derivative = None
 
-    def test_missing_derivative_particles_rejected(self):
-        grid = rp.TimeGrid(1.0, 4)
-        flow = mf.MeasureFlow(grid, np.zeros((4, 5, 1)))
-        with pytest.raises(vf.ConfigurationError):
-            vf.build_cvf_from_flow(models.make_model("lq"), flow)
-
 
 class TestCompose:
     def ensemble(self, seed, grid, d=1, k=1, particles=8):
@@ -194,7 +198,7 @@ class TestCompose:
     def test_linear_field(self):
         grid = rp.TimeGrid(1.0, 6)
         a = np.array([[2.0], [-1.0]])
-        cvf = vf.from_callables(
+        cvf = from_callables(
             grid,
             d=1,
             k=1,
@@ -215,7 +219,7 @@ class TestCompose:
     def test_constant_field(self):
         grid = rp.TimeGrid(1.0, 3)
         c = np.array([1.5, -0.5])
-        cvf = vf.from_callables(
+        cvf = from_callables(
             grid,
             d=1,
             k=1,
@@ -231,7 +235,7 @@ class TestCompose:
 
     def test_sine_field_against_finite_differences(self):
         grid = rp.TimeGrid(1.0, 5)
-        cvf = vf.from_callables(
+        cvf = from_callables(
             grid,
             d=1,
             k=1,
@@ -264,10 +268,10 @@ class TestCompose:
                 [0.2 * np.ones_like(x[..., 0]), 0.1 * x[..., 0]], axis=-1
             )[..., None]
 
-        inner = vf.from_callables(
+        inner = from_callables(
             grid, 1, 1, (2,), base_f, base_fp, base_grad
         )
-        outer = vf.from_callables(
+        outer = from_callables(
             grid,
             1,
             1,
@@ -284,21 +288,23 @@ class TestCompose:
             via_outer.Zp, np.einsum("fg,pngk->pnfk", ell, via_inner.Zp), atol=1e-12
         )
 
-    def test_gradient_fallback_requires_step(self):
+    def test_gradient_fallback_is_a_central_difference(self):
         grid = rp.TimeGrid(1.0, 2)
-        cvf = vf.from_callables(
-            grid, 1, 1, (1,), lambda t, x: np.sin(x), lambda t, x: np.zeros(x.shape + (1,))
+        cvf = from_callables(
+            grid, 2, 1, (1,),
+            lambda t, x: np.sin(x[..., :1] * x[..., 1:]),
+            lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
         )
-        cvf.fd_step = None
-        with pytest.raises(vf.ConfigurationError):
-            cvf.gradient(0, np.zeros((1, 1)))
+        x = substream(12, "vf", "fd").normal(size=(5, 2))
+        want = np.cos(x[:, :1] * x[:, 1:])[..., None] * x[:, None, ::-1]
+        np.testing.assert_allclose(cvf.gradient(1, x), want, rtol=0, atol=1e-8)
 
 
 class TestCvfNorm:
     def test_time_constant_field(self):
         grid = rp.TimeGrid(1.0, 8)
         p = brownian_lift(0, n=8)
-        cvf = vf.from_callables(
+        cvf = from_callables(
             grid,
             1,
             1,
@@ -317,7 +323,7 @@ class TestCvfNorm:
     def test_linear_time_ramp(self):
         grid = rp.TimeGrid(2.0, 8)
         p = rp.smooth_lift(np.zeros(9), grid)
-        cvf = vf.from_callables(
+        cvf = from_callables(
             grid,
             1,
             1,
@@ -370,10 +376,35 @@ class TestCvfNorm:
         lhs = cvf.f(t, x) - cvf.f(s, x) - cvf.fp(s, x) @ p.increment(s, t) - r
         assert np.all(lhs == 0.0)
 
+    def tanh_field(self, steps=8):
+        grid = rp.TimeGrid(1.0, steps)
+        p = brownian_lift(5, n=steps)
+        cvf = from_callables(
+            grid, 1, 1, (1, 1),
+            lambda t, x: np.tanh(x)[..., None],
+            lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1, 1)),
+            lambda t, x: (1 / np.cosh(x) ** 2)[..., None, None],
+        )
+        return cvf, p
+
+    def test_holder_exponent_is_the_index_pairs(self):
+        cvf, p = self.tanh_field()
+        probes = np.linspace(-2, 2, 9)[:, None]
+        at_2 = vf.cvf_norm(cvf, p, ct.IndexPair(gamma=2.0), probes)
+        at_19 = vf.cvf_norm(cvf, p, ct.IndexPair(gamma=1.9), probes)
+        # only the (gamma-1)-Holder quotient of grad f reads gamma
+        assert at_19.delta_f == at_2.delta_f and at_19.remainder == at_2.remainder
+        assert at_19.sup_part != at_2.sup_part
+
+    def test_gamma_above_two_refused(self):
+        cvf, p = self.tanh_field()
+        with pytest.raises(rp.InputError, match="gamma <= 2, got 2.5"):
+            vf.cvf_norm(cvf, p, ct.IndexPair(gamma=2.5), np.zeros((1, 1)))
+
     def test_empty_probes_rejected(self):
         grid = rp.TimeGrid(1.0, 2)
         p = brownian_lift(4, n=2)
-        cvf = vf.from_callables(
+        cvf = from_callables(
             grid, 1, 1, (1, 1),
             lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
             lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1, 1)),
@@ -422,13 +453,13 @@ def reference_slots(sol):
             np.stack([fh for _, fh in pairs], axis=1))
 
 
-def reference_resample(sol, which, s_idx, n_inner, inner_seed_salt=1):
+def reference_resample(sol, which, s_idx, n_inner):
     """Continue the states from the anchor, then re-evaluate the pair along
     the joined paths: at every node for "sigma0"; from the anchor on, with
     the solution's prefix before it, for "state"."""
     p_count, n1 = sol.ensemble.particles, sol.grid.steps + 1
     dw = rsde.draw_wiener(sol.seed, p_count * n_inner, n1 - 1 - s_idx,
-                          sol.coeffs.l, sol.grid.dt, "inner", inner_seed_salt, s_idx)
+                          sol.coeffs.l, sol.grid.dt, "inner", 1, s_idx)
     xc, _, _ = rsde._evolve(
         sol.coeffs, sol.flow, sol.rough, sol.policy,
         np.repeat(sol.ensemble.Z[:, s_idx], n_inner, axis=0), dw,
@@ -1037,13 +1068,11 @@ class TestIncrementPieces:
         assert draws is None or len(draws) == len(anchors)
 
 
-def reference_cvf_increments(cvf, p, idx, probes, node_stride):
+def reference_cvf_increments(cvf, p, idx, probes):
     """Slow reference for cvf_norm's time-increment parts: each probe's
-    quotient by the gap's power, then the largest, over a list of nodes."""
+    quotient by the gap's power, then the largest, over the node pairs."""
     nodes = cvf.grid.nodes
-    sel = list(range(0, cvf.grid.steps + 1, node_stride))
-    if sel[-1] != cvf.grid.steps:
-        sel.append(cvf.grid.steps)
+    sel = list(range(cvf.grid.steps + 1))
     fs = np.stack([cvf.f(n, probes) for n in sel])
     fps = np.stack([cvf.fp(n, probes) for n in sel])
     grads = np.stack([cvf.gradient(n, probes) for n in sel])
@@ -1065,16 +1094,15 @@ def reference_cvf_increments(cvf, p, idx, probes, node_stride):
 
 
 class TestCvfNormReference:
-    @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
-    def test_time_varying_field_matches_reference(self, name, stride):
+    def test_time_varying_field_matches_reference(self, name):
         # the field of a flow taken from a solve moves from node to node
         model = SLOT_MODELS[name]()
         sol = solved(model, steps=16)
         cvf = vf.build_cvf_from_flow(model, mf.from_solution(sol))
         probes = substream(6, "vf", "probes").uniform(-2.0, 2.0, size=(9, model.d))
         idx = ct.IndexPair()
-        got = vf.cvf_norm(cvf, sol.rough, idx, probes, node_stride=stride)
-        want = reference_cvf_increments(cvf, sol.rough, idx, probes, stride)
+        got = vf.cvf_norm(cvf, sol.rough, idx, probes)
+        want = reference_cvf_increments(cvf, sol.rough, idx, probes)
         assert (got.delta_f, got.delta_fp, got.delta_grad, got.remainder) == want
         assert min(want) > 0.0
