@@ -113,11 +113,13 @@ _SETTINGS = {
     "policy.gh_order": ("dp.gh_order", int, ">= 1"),
     "policy.escape_tolerance": ("dp.escape_tolerance", float, ">= 0"),
     # IndexPair checks the admissible set when the config is loaded; the
-    # field norm is the C^gamma norm only up to gamma = 2
+    # field norm is the C^gamma norm only up to gamma = 2, and alpha, the
+    # lift's Holder exponent, lies in (0, 1/2] as holder_report and rho_alpha
+    # require (it is not compared with the lift's measured regularity)
     "indices.beta": ("indices.beta", float, None),
     "indices.beta_p": ("indices.beta_p", float, None),
     "indices.gamma": ("indices.gamma", float, "<= 2"),
-    "indices.alpha": ("indices.alpha", float, None),
+    "indices.alpha": ("indices.alpha", float, "<= 0.5"),
     "indices.m": ("m", int, ">= 2"),
     "fixedpoint.particles": ("particles", int, ">= 1"),
     "fixedpoint.lambda_mix": ("lambda_mix", float, ">= 0 and <= 1"),

@@ -39,12 +39,23 @@ class MeasureFlow:
     def particles(self) -> int:
         return self.Y.shape[0]
 
-    def cloud(self, n: int) -> np.ndarray:
-        """Empirical cloud at node n, shape (P, d)."""
-        return self.Y[:, n]
+    def cloud(self, n) -> np.ndarray:
+        """Empirical cloud at node n, shape (P, d); at nodes n (G,) the
+        node-major clouds (G, P, d) (at_nodes)."""
+        return at_nodes(self.Y, n)
 
     def ensemble(self) -> ct.ControlledEnsemble:
         return ct.ControlledEnsemble(self.grid, self.Y, self.Yp)
+
+
+def at_nodes(a: np.ndarray, n) -> np.ndarray:
+    """a[:, n] of particle-major node tables a (P, N+1, ...): a view (P, ...)
+    at one node n, and at nodes n (G,) a node-major C-contiguous copy
+    (G, P, ...), so that a reduction over its particle axis sums as it does
+    at one node."""
+    if isinstance(n, np.ndarray):
+        return np.ascontiguousarray(np.moveaxis(a, 1, 0)[n])
+    return a[:, n]
 
 
 def constant_flow(grid: TimeGrid, cloud: np.ndarray, k: int) -> MeasureFlow:

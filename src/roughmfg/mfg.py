@@ -22,6 +22,7 @@ import numpy as np
 
 from . import controlled as ct
 from . import measureflow as mf
+from . import models
 from . import rsde
 from .roughpath import InputError, RoughPath
 
@@ -186,20 +187,35 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
     sol = rsde.solve(coeffs, flow, p, policy, init, particles, seed)
     grid = sol.grid
     x = sol.ensemble.Z
-    weights = policy.mixture(np.arange(grid.steps), x[:, :-1])  # (P, N, K)
+    steps = np.arange(grid.steps)
+    weights = policy.mixture(steps, x[:, :-1])  # (P, N, K)
+    used = [a for a in range(coeffs.n_actions) if np.any(weights[..., a])]
+    f = _per_action(coeffs, "f", models.node_time(grid.nodes, steps),
+                    x[:, :-1].swapaxes(0, 1), flow.cloud(steps), used)
     totals = np.zeros(x.shape[0])
-    nodes = grid.nodes
     for n in range(grid.steps):
-        cloud = flow.cloud(n)
-        for a in range(coeffs.n_actions):
+        for a in used:
             w = weights[:, n, a]
             if np.any(w):
-                f = coeffs.f(nodes[n], x[:, n], cloud, coeffs.actions[a])
-                totals += w * f * grid.dt
+                totals += w * f[a][n] * grid.dt
     totals += coeffs.g(x[:, grid.steps], flow.cloud(grid.steps))
     n_p = len(totals)
     return CostEstimate(float(totals.mean()),
                         float(totals.std(ddof=1) / math.sqrt(n_p)), n_p, sol)
+
+
+def _per_action(coeffs, name, t, x, cloud, actions):
+    """{a: coeffs.b or coeffs.f of action a} for a in actions, on node
+    groups: states x (G, Q, d) against the nodes' clouds (G, P, d) at their
+    times t (G, 1, 1), each call checked on group 0 (models.check_grouped)."""
+    out = {}
+    for a in actions:
+        def call(t, x, mu, u=coeffs.actions[a]):
+            return getattr(coeffs, name)(t, x, mu, u)
+
+        out[a] = call(t, x, cloud)
+        models.check_grouped(coeffs, name, out[a], call, t, x, cloud)
+    return out
 
 
 @dataclass
@@ -242,6 +258,10 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
 
     Pure argmin policies: pointwise minimization over a finite action set
     always admits a pure minimizer; ties break to the lowest action index.
+    None of the coefficients depends on the value function, so sigma, the
+    rough pair and each action's b and f are tabulated on the lattice at
+    every step, with the steps as groups, and the backward loop calls no
+    model function.
     """
     if coeffs.d != 1 or coeffs.l != 1:
         raise InputError("the lattice solver handles scalar state and noise")
@@ -256,7 +276,6 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
         lo, hi = settings.lattice_lo, settings.lattice_hi
     lattice = np.linspace(lo, hi, settings.lattice_nodes)
     grid = p.grid
-    nodes_t = grid.nodes
     dt = grid.dt
 
     cvf, correction = rsde._rough_coefficient(coeffs, flow)
@@ -266,29 +285,36 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     gh_w = gh_w / gh_w.sum()
 
     n_lat = len(lattice)
+    steps = np.arange(grid.steps)
+    xs = np.broadcast_to(lattice[:, None], (grid.steps, n_lat, 1))
+    forcing = np.zeros((grid.steps, n_lat))
+    # the pair first, so that its node-major copies of the flow and the
+    # clouds below are not held at once
+    if cvf is not None:
+        fx, fhat = rsde._pair(cvf, correction, steps, xs)
+        forcing = fx[..., 0, 0] * db[:, :1] + fhat[..., 0, 0, 0] * bb[:, 0, :1]
+    t, clouds = models.node_time(grid.nodes, steps), flow.cloud(steps)
+    sig = coeffs.sigma(t, xs, clouds)
+    models.check_grouped(coeffs, "sigma", sig, coeffs.sigma, t, xs, clouds)
+    sig = sig[..., 0, 0]
+    actions = range(coeffs.n_actions)
+    drift = _per_action(coeffs, "b", t, xs, clouds, actions)
+    run = _per_action(coeffs, "f", t, xs, clouds, actions)
+
     values = np.empty((grid.steps + 1, n_lat))
     values[grid.steps] = coeffs.g(lattice[:, None], flow.cloud(grid.steps))
     table = np.zeros((grid.steps, n_lat, coeffs.n_actions))
     escaped = 0.0
     total_mass = 0.0
-    xcol = lattice[:, None]
     for n in range(grid.steps - 1, -1, -1):
-        cloud = flow.cloud(n)
-        t = nodes_t[n]
-        sig = coeffs.sigma(t, xcol, cloud)[:, 0, 0]
-        forcing = np.zeros(n_lat)
-        if cvf is not None:
-            fx, fhat = rsde._pair(cvf, correction, n, xcol)
-            forcing = fx[:, 0, 0] * db[n, 0] + fhat[:, 0, 0, 0] * bb[n, 0, 0]
         q = np.empty((coeffs.n_actions, n_lat))
-        for a in range(coeffs.n_actions):
-            drift = coeffs.b(t, xcol, cloud, coeffs.actions[a])[:, 0]
-            base = lattice + drift * dt + forcing
-            nxt = base[:, None] + np.sqrt(dt) * sig[:, None] * gh_x[None, :]
+        for a in actions:
+            base = lattice + drift[a][n, :, 0] * dt + forcing[n]
+            nxt = base[:, None] + np.sqrt(dt) * sig[n, :, None] * gh_x[None, :]
             escaped += float((((nxt < lo) | (nxt > hi)) @ gh_w).sum())
             total_mass += n_lat
             ev = np.interp(nxt, lattice, values[n + 1]) @ gh_w
-            q[a] = coeffs.f(t, xcol, cloud, coeffs.actions[a]) * dt + ev
+            q[a] = run[a][n] * dt + ev
         best = q.argmin(axis=0)
         values[n] = q[best, np.arange(n_lat)]
         table[n, np.arange(n_lat), best] = 1.0

@@ -4,10 +4,16 @@ Evaluator conventions: x is batched with trailing state axis d, mu is a
 particle cloud (P, d), u is a single action vector (du,).  Drift and costs
 are evaluated per action; callers average over the policy mixture.
 
-Grouped clouds: a cloud may carry leading group axes, (G, P, d) against
-states (G, P_x, d), and then each group of states interacts only with its
-own cloud.  Evaluators reduce over the particle axis -2, never axis 0, so
-a plain (P, d) cloud is the one-group case and behaves as before.
+Groups: a cloud may carry a leading group axis, (G, P, d) against states
+(G, Q, d), and each group of states then interacts only with its own
+cloud.  A group is a common-noise sample or a grid node; at nodes (G,) t
+is (G, 1, 1) (node_time), where one node passes a number.  Evaluators
+reduce over the particle axis -2, never axis 0, so a plain (P, d) cloud is
+the one-group case.  No built-in model reads t; one that does must
+broadcast it like a (..., 1) state (np.expand_dims(t, -1) against a
+(..., d, k) result) and never reduce it or turn it into a float.
+check_grouped refuses a model whose group 0 differs from the same call on
+group 0 alone.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import difflib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .roughpath import InputError
 
 
 class UnknownModelError(KeyError):
@@ -36,9 +44,8 @@ class CoefficientSet:
     equals the particle average of the measure derivative contracted with
     v.  Without it the field builder takes a central difference along v.
 
-    b, sigma, sigma0, grad_sigma0 and sigma0_dmu also take grouped clouds:
-    mu (G, P, d) against x (G, P_x, d), and v (G, P, d, k), reducing over
-    the particle axis -2 so each group sees only its own cloud.
+    Every evaluator also takes groups (module docstring): mu (G, P, d)
+    against x (G, Q, d), v (G, P, d, k), and t a number or (G, 1, 1).
     """
 
     name: str
@@ -69,6 +76,29 @@ class CoefficientSet:
         if self.sigma0 is not None:
             worst = max(worst, float(np.abs(self.sigma0(0.0, probes, cloud)).max()))
         return worst
+
+
+def node_time(nodes, n):
+    """t at node n of the grid nodes: nodes[n], and (G, 1, 1) for nodes n
+    (G,), which broadcasts against the groups' states (G, Q, d)."""
+    return nodes[n][:, None, None] if isinstance(n, np.ndarray) else nodes[n]
+
+
+def check_grouped(coeffs, name, got, call, t, *groups):
+    """Raise InputError unless group 0 of got = call(t, *groups) equals
+    (rtol 1e-12) the call on group 0 alone, at group 0's time: a model that
+    reduces a cloud over axis 0 instead of the particle axis -2, or reads an
+    array t as a number, would mix the groups."""
+    t0 = t if np.ndim(t) == 0 else np.ravel(t)[0]
+    want = call(t0, *(a[0] for a in groups))
+    got = np.asarray(got)[0]
+    if got.shape != want.shape or not np.allclose(
+            got, want, rtol=1e-12, atol=0.0, equal_nan=True):
+        raise InputError(
+            f"coefficient {name} of model {coeffs.name!r} differs on grouped "
+            "(G, P, d) clouds from a call on one group's cloud; reduce clouds "
+            "over the particle axis -2, not axis 0, and broadcast an array t"
+        )
 
 
 def _mean(mu):

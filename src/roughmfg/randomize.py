@@ -12,12 +12,14 @@ all read one pooled distance matrix through blocked matrix products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measureflow as mf
+from . import models
 from . import rsde
 from .rng import derive_seed, substream
 from .roughpath import InputError, RoughPath, TimeGrid, ito_lift
@@ -107,11 +109,12 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     A block draws each sample's (P, N, l) idiosyncratic increments in turn,
     in sample order, from one stream, and per node makes one policy, drift,
     sigma and sigma0 call on its (G, P, d) states, each group interacting
-    with its own sample's cloud (the grouped-cloud convention of models);
-    the first grouped call is checked against sample 0 alone
-    (_check_grouped).  A blow-up raises DivergedError naming the step, the
-    sample and the particle within the sample: the first blow-up (earliest
-    step, then sample and particle) of the first block that has one.
+    with its own sample's cloud (the grouping convention of models); the
+    first grouped calls are checked against sample 0 alone
+    (models.check_grouped).  A blow-up raises DivergedError naming the step,
+    the sample and the particle within the sample: the first blow-up
+    (earliest step, then sample and particle) of the first block that has
+    one.
     """
     _require_counts(particles, samples)
     d, l, k = coeffs.d, coeffs.l, coeffs.k
@@ -139,8 +142,13 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
             sig = coeffs.sigma(t, xs, cloud)
             sig0 = None if coeffs.sigma0 is None else coeffs.sigma0(t, xs, cloud)
             if first == n == 0:
-                _check_grouped(coeffs, t, xs[0], cloud if external else xs[0],
-                               weights[0], (drift, sig, sig0))
+                clouds = np.broadcast_to(cloud, xs.shape[:1] + cloud.shape[-2:])
+                mixed = functools.partial(rsde._drift_mixture, coeffs)
+                models.check_grouped(coeffs, "b", drift, mixed, t, xs, clouds, weights)
+                for name, got in (("sigma", sig), ("sigma0", sig0)):
+                    if got is not None:
+                        models.check_grouped(coeffs, name, got, getattr(coeffs, name),
+                                             t, xs, clouds)
             nxt = xs + drift * (nodes[n + 1] - t)
             nxt = nxt + np.einsum("gpdl,gpl->gpd", sig, dw[:count, :, n])
             if sig0 is not None:
@@ -162,28 +170,6 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
         terminal=x,
         mode="external" if external else "conditional",
     )
-
-
-def _check_grouped(coeffs, t, x0, cloud0, weights0, grouped):
-    """Raise InputError unless group 0 of the grouped (drift, sigma, sigma0)
-    equals (rtol 1e-12) the same calls on sample 0 alone: a coefficient that
-    reduces a cloud over axis 0 instead of the particle axis -2 would mix
-    the samples of a block."""
-    alone = (
-        rsde._drift_mixture(coeffs, t, x0, cloud0, weights0),
-        coeffs.sigma(t, x0, cloud0),
-        None if coeffs.sigma0 is None else coeffs.sigma0(t, x0, cloud0),
-    )
-    for name, got, want in zip(("b", "sigma", "sigma0"), grouped, alone):
-        if want is None:
-            continue
-        if got[0].shape != want.shape or not np.allclose(
-                got[0], want, rtol=1e-12, atol=0.0, equal_nan=True):
-            raise InputError(
-                f"coefficient {name} of model {coeffs.name!r} differs on a grouped "
-                "(G, P, d) cloud from a call on one sample's cloud; reduce clouds "
-                "over the particle axis -2, not axis 0"
-            )
 
 
 def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,

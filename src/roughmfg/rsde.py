@@ -13,12 +13,14 @@ conditional continuations that feed the norm estimators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import controlled as ct
+from . import models
 from . import vectorfield as vf
 from .rng import substream
 from .roughpath import InputError, RoughPath
@@ -441,7 +443,9 @@ def _mixture_weights(policy, n, x, n_actions) -> np.ndarray:
 
 def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
     """Policy-averaged drift of the states x (..., d) with weights (..., K);
-    x and cloud may carry leading group axes (see models)."""
+    x and cloud may carry leading group axes (see models).  An action that
+    some row weights is evaluated on every group and adds 0·b to the rest,
+    which leaves their sums bitwise as long as b is finite there."""
     out = np.zeros_like(x)
     for a in range(coeffs.n_actions):
         w = weights[..., a]
@@ -739,26 +743,26 @@ class MartingaleDiagnostics:
 def _martingale_paths(sol):
     """Shared per-call tables for d = l = 1: states x (P, N+1), the W path
     (P, N+1), the noise loading sigma at nodes 0..N-1 (P, N), and the
-    mixed drift at nodes 0..N-1 (P, N), None for a causal policy; the
-    weights of all nodes come from one policy.mixture call."""
-    grid = sol.grid
+    mixed drift at nodes 0..N-1 (P, N), None for a causal policy: one sigma
+    call, one mixture call and one drift mixture, the nodes as groups."""
+    coeffs, steps = sol.coeffs, np.arange(sol.grid.steps)
     x = sol.ensemble.Z[..., 0]
     wpath = np.concatenate(
         [np.zeros((x.shape[0], 1)), np.cumsum(sol.W_increments[..., 0], axis=1)],
         axis=1,
     )
-    weights = None
+    t, xn, cloud = (models.node_time(sol.grid.nodes, steps),
+                    sol.ensemble.Z[:, :-1].swapaxes(0, 1), sol.flow.cloud(steps))
+    sig = coeffs.sigma(t, xn, cloud)
+    models.check_grouped(coeffs, "sigma", sig, coeffs.sigma, t, xn, cloud)
+    drift = None
     if sol.policy.mode == "feedback":
-        weights = sol.policy.mixture(np.arange(grid.steps), sol.ensemble.Z[:, :-1])
-    sig = np.empty((x.shape[0], grid.steps))
-    drift = None if weights is None else np.empty_like(sig)
-    nodes = grid.nodes
-    for n in range(grid.steps):
-        t, xn, cloud = nodes[n], x[:, n][:, None], sol.flow.cloud(n)
-        sig[:, n] = sol.coeffs.sigma(t, xn, cloud)[:, 0, 0]
-        if drift is not None:
-            drift[:, n] = _drift_mixture(sol.coeffs, t, xn, cloud, weights[:, n])[:, 0]
-    return x, wpath, sig, drift
+        weights = sol.policy.mixture(steps, sol.ensemble.Z[:, :-1]).swapaxes(0, 1)
+        mixed = functools.partial(_drift_mixture, coeffs)
+        drift = mixed(t, xn, cloud, weights)
+        models.check_grouped(coeffs, "b", drift, mixed, t, xn, cloud, weights)
+        drift = np.ascontiguousarray(drift[..., 0].T)
+    return x, wpath, np.ascontiguousarray(sig[..., 0, 0].T), drift
 
 
 def _compensated(sol, phi, paths):

@@ -9,6 +9,11 @@ as the cloud moves along the flow's derivative particles.  That derivative
 equals the particle average of the measure derivative contracted with the
 derivative particles (the empirical-projection identity), so the measure
 derivative itself is never formed.
+
+Every evaluator takes one node n with states x (..., d), or an integer
+array of nodes n (G,) with x (G, Q, d): one call evaluates the field at
+many nodes, each group of states at its own node (the grouping convention
+of models).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measureflow as mf
+from . import models
 from .controlled import ControlledEnsemble, IndexPair
 from .roughpath import InputError, RoughPath, TimeGrid
 
@@ -41,10 +48,10 @@ class ControlledVectorField:
     """Evaluator bundle for a field pair on a grid.
 
     f(n, x): (..., *out_shape); fp(n, x): (..., *out_shape, k);
-    grad(n, x): (..., *out_shape, d).  x is batched with trailing axis d.
-    Without grad, the gradient is a central difference of f with step
-    FD_STEP.  The field's regularity gamma is the index pair's, which
-    cvf_norm reads.
+    grad(n, x): (..., *out_shape, d).  x is batched with trailing axis d;
+    nodes n (G,) take x (G, Q, d).  Without grad, the gradient is a central
+    difference of f with step FD_STEP.  The field's regularity gamma is the
+    index pair's, which cvf_norm reads.
     """
 
     grid: TimeGrid
@@ -83,15 +90,7 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
     """
     if coeffs.sigma0 is None:
         raise ConfigurationError(f"model {coeffs.name!r} has no rough coefficient")
-    grid = flow.grid
-    nodes = grid.nodes
-    d, k = coeffs.d, coeffs.k
-
-    def f(n, x):
-        out = coeffs.sigma0(nodes[n], x, flow.cloud(n))
-        if not np.isfinite(out).all():
-            raise NumericError("coefficient produced non-finite values")
-        return out
+    nodes, k = flow.grid.nodes, coeffs.k
 
     def directional(t, x, cloud, v):
         h = DMU_STEP
@@ -102,18 +101,34 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
         ]
         return np.stack(cols, axis=-1)
 
-    dmu = coeffs.sigma0_dmu if coeffs.sigma0_dmu is not None else directional
+    def evaluator(what, name, call, *tables):
+        """call(t, x, cloud, *(the tables at n)) at node or nodes n (an
+        array); a grouped call is checked on group 0 (models.check_grouped).
+        With `what`, a non-finite value raises NumericError naming the
+        first node that has one."""
 
-    def fp(n, x):
-        out = dmu(nodes[n], x, flow.cloud(n), flow.Yp[:, n])
-        if not np.isfinite(out).all():
-            raise NumericError("derivative field produced non-finite values")
-        return out
+        def at(n, x):
+            t = models.node_time(nodes, n)
+            args = (x, flow.cloud(n), *[mf.at_nodes(a, n) for a in tables])
+            out = call(t, *args)
+            grouped = isinstance(n, np.ndarray)
+            if grouped:
+                models.check_grouped(coeffs, name, out, call, t, *args)
+            if what and not np.isfinite(out).all():
+                if grouped:
+                    n = n[(~np.isfinite(out)).reshape(len(n), -1).any(axis=1).argmax()]
+                raise NumericError(f"{what} produced non-finite values at node {n}")
+            return out
 
+        return at
+
+    f = evaluator("coefficient", "sigma0", coeffs.sigma0)
+    fp = evaluator("derivative field", "sigma0_dmu" if coeffs.sigma0_dmu else "sigma0",
+                   coeffs.sigma0_dmu or directional, flow.Yp)
     grad = None
     if coeffs.grad_sigma0 is not None:
-        grad = lambda n, x: coeffs.grad_sigma0(nodes[n], x, flow.cloud(n))
-    return ControlledVectorField(grid, d, k, (d, k), f, fp, grad)
+        grad = evaluator(None, "grad_sigma0", coeffs.grad_sigma0)
+    return ControlledVectorField(flow.grid, coeffs.d, k, (coeffs.d, k), f, fp, grad)
 
 
 def gubinelli_correction(cvf: ControlledVectorField):
@@ -131,7 +146,8 @@ def gubinelli_correction(cvf: ControlledVectorField):
 
 
 def compose(cvf: ControlledVectorField, ce: ControlledEnsemble) -> ControlledEnsemble:
-    """(f, f') o (X, X') = (f(X), grad f(X) X' + f'(X)) per particle and node."""
+    """(f, f') o (X, X') = (f(X), grad f(X) X' + f'(X)) per particle and
+    node, from one call of each evaluator on the nodes as groups."""
     if ce.vshape != (cvf.d,):
         raise InputError(
             f"composition needs a state ensemble of dim {cvf.d}, got {ce.vshape}"
@@ -139,16 +155,14 @@ def compose(cvf: ControlledVectorField, ce: ControlledEnsemble) -> ControlledEns
     if ce.grid != cvf.grid:
         raise InputError("field and ensemble live on different grids")
     p_count, n1 = ce.Z.shape[0], ce.grid.steps + 1
-    fshape = cvf.out_shape
-    z = np.empty((p_count, n1) + fshape)
-    zp = np.empty((p_count, n1) + fshape + (cvf.k,))
-    for n in range(n1):
-        x = ce.Z[:, n]
-        z[:, n] = cvf.f(n, x)
-        gx = cvf.gradient(n, x).reshape(p_count, cvf.out_size, cvf.d)
-        lead = np.einsum("pfd,pdk->pfk", gx, ce.Zp[:, n])
-        zp[:, n] = lead.reshape((p_count,) + fshape + (cvf.k,)) + cvf.fp(n, x)
-    return ControlledEnsemble(ce.grid, z, zp)
+    nodes = np.arange(n1)
+    x = ce.Z.swapaxes(0, 1)  # node-major (N+1, P, d)
+    z = cvf.f(nodes, x)
+    gx = cvf.gradient(nodes, x).reshape(n1, p_count, cvf.out_size, cvf.d)
+    lead = np.einsum("npfd,npdk->npfk", gx, ce.Zp.swapaxes(0, 1))
+    zp = lead.reshape(z.shape + (cvf.k,)) + cvf.fp(nodes, x)
+    return ControlledEnsemble(ce.grid, *(np.ascontiguousarray(a.swapaxes(0, 1))
+                                         for a in (z, zp)))
 
 
 @dataclass
@@ -210,9 +224,9 @@ def cvf_norm(
     nodes = cvf.grid.nodes
     n1 = cvf.grid.steps + 1
 
-    fs = np.stack([cvf.f(n, probes) for n in range(n1)])      # (N+1, Q, *out)
-    fps = np.stack([cvf.fp(n, probes) for n in range(n1)])    # (N+1, Q, *out, k)
-    grads = np.stack([cvf.gradient(n, probes) for n in range(n1)])
+    # the probes at every node as groups: (N+1, Q, *out) and so on
+    at_all = (np.arange(n1), np.broadcast_to(probes, (n1,) + probes.shape))
+    fs, fps, grads = cvf.f(*at_all), cvf.fp(*at_all), cvf.gradient(*at_all)
 
     # node-minor copies, (values, N+1): the largest difference over probes
     # and values is a max over rows, taken before the division by the gap's

@@ -16,6 +16,7 @@ from roughmfg import mfg
 from roughmfg import models
 from roughmfg import randomize as rz
 from roughmfg import rsde
+from shared_models import late_nan_model
 
 
 MINIMAL = """\
@@ -492,6 +493,20 @@ class TestCli:
         assert "escaped the lattice" in failed["error"]
         assert not (runs[1] / "report.json").exists()
 
+    def test_non_finite_coefficient_names_its_node(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the rough coefficient is NaN from t = 0.5 on: node 32 of 64
+        monkeypatch.setitem(models._REGISTRY, "late-nan", late_nan_model)
+        out = tmp_path / "o"
+        argv = ["rsde", "solve", "--model", "late-nan", "--grid", "64",
+                "--particles", "8", "--out", str(out)]
+        assert cli.main(argv) == 3
+        message = "coefficient produced non-finite values at node 32"
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == f"NumericError: {message}"
+        assert manifest["exit_code"] == 3
+
     def test_strict_leaves_config_and_outputs(self, tmp_path):
         path = write_config(tmp_path)
         runs = [tmp_path / "lenient", tmp_path / "strict"]
@@ -609,8 +624,11 @@ class TestCli:
          " lattice_nodes > 1, got 4.0 >= 4.0"),
         (MINIMAL + "\n[indices]\ngamma = 2.5\n",
          "issue: [indices] gamma must be <= 2, got 2.5"),
+        (RSDE + "\n[indices]\nbeta = 0.8\nbeta_p = 0.7\nalpha = 0.9\n",
+         "issue: [indices] alpha must be <= 0.5, got 0.9"),
     ], ids=["spread", "escape-tolerance", "tol-w2", "epsilon", "inner-samples",
-            "inner-refine", "init-kind", "empty-section", "lattice-order", "gamma"])
+            "inner-refine", "init-kind", "empty-section", "lattice-order", "gamma",
+            "alpha"])
     def test_setting_outside_its_domain_is_refused_before_any_work(self, tmp_path,
                                                                    text, message):
         path = write_config(tmp_path, text)

@@ -681,3 +681,122 @@ class TestSweepReuse:
                                 "solve": 1 + sweeps + sweeps - reused}
         assert counts["solve"] == 7 and counts["best_response"] == 7
         assert len(inner) == len(set(inner)) == 16
+
+
+def reference_best_response(coeffs, flow, p, settings, init=None, seed=0):
+    """best_response with its coefficients evaluated inside the backward
+    loop, one call per step (and per action): the loop the step groups
+    replaced.  Returns (values, table, escape_rate)."""
+    init = init or rsde.InitialLaw()
+    lo, hi = settings.lattice_lo, settings.lattice_hi
+    lattice = np.linspace(lo, hi, settings.lattice_nodes)
+    grid = p.grid
+    nodes_t = grid.nodes
+    dt = grid.dt
+    cvf, correction = rsde._rough_coefficient(coeffs, flow)
+    db, bb = np.diff(p.first_level, axis=0), p.step_second()
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(settings.gh_order)
+    gh_w = gh_w / gh_w.sum()
+    n_lat = len(lattice)
+    values = np.empty((grid.steps + 1, n_lat))
+    values[grid.steps] = coeffs.g(lattice[:, None], flow.cloud(grid.steps))
+    table = np.zeros((grid.steps, n_lat, coeffs.n_actions))
+    escaped = 0.0
+    total_mass = 0.0
+    xcol = lattice[:, None]
+    for n in range(grid.steps - 1, -1, -1):
+        cloud = flow.cloud(n)
+        t = nodes_t[n]
+        sig = coeffs.sigma(t, xcol, cloud)[:, 0, 0]
+        forcing = np.zeros(n_lat)
+        if cvf is not None:
+            fx, fhat = rsde._pair(cvf, correction, n, xcol)
+            forcing = fx[:, 0, 0] * db[n, 0] + fhat[:, 0, 0, 0] * bb[n, 0, 0]
+        q = np.empty((coeffs.n_actions, n_lat))
+        for a in range(coeffs.n_actions):
+            drift = coeffs.b(t, xcol, cloud, coeffs.actions[a])[:, 0]
+            base = lattice + drift * dt + forcing
+            nxt = base[:, None] + np.sqrt(dt) * sig[:, None] * gh_x[None, :]
+            escaped += float((((nxt < lo) | (nxt > hi)) @ gh_w).sum())
+            total_mass += n_lat
+            ev = np.interp(nxt, lattice, values[n + 1]) @ gh_w
+            q[a] = coeffs.f(t, xcol, cloud, coeffs.actions[a]) * dt + ev
+        best = q.argmin(axis=0)
+        values[n] = q[best, np.arange(n_lat)]
+        table[n, np.arange(n_lat), best] = 1.0
+    return values, table, escaped / max(total_mass, 1.0)
+
+
+def reference_cost_totals(coeffs, flow, sol, policy):
+    """cost's per-particle totals with f evaluated per step and action, in
+    the order they are added: the loop the step groups replaced."""
+    grid = sol.grid
+    x = sol.ensemble.Z
+    weights = policy.mixture(np.arange(grid.steps), x[:, :-1])
+    totals = np.zeros(x.shape[0])
+    nodes = grid.nodes
+    for n in range(grid.steps):
+        cloud = flow.cloud(n)
+        for a in range(coeffs.n_actions):
+            w = weights[:, n, a]
+            if np.any(w):
+                f = coeffs.f(nodes[n], x[:, n], cloud, coeffs.actions[a])
+                totals += w * f * grid.dt
+    return totals + coeffs.g(x[:, grid.steps], flow.cloud(grid.steps))
+
+
+def moving_flow(model, p, seed):
+    """A flow that differs from node to node: a solve's own particles."""
+    policy = mfg.RelaxedPolicy.constant(model.actions, p.grid.steps, action_index=1)
+    return mf.from_solution(rsde.solve(model, still_flow(p.grid, seed=seed), p, policy,
+                                       rsde.InitialLaw(), 40, seed))
+
+
+class TestGroupedSteps:
+    """The DP tables and the running cost from one call per coefficient and
+    action, against the per-step loops."""
+
+    @pytest.mark.parametrize("name", sorted(models.list_models()))
+    def test_best_response_matches_per_step_loop(self, name):
+        model = models.make_model(name)
+        p = brownian_lift(31, n=12)
+        flow = moving_flow(model, p, 32)
+        settings = mfg.DpSettings(lattice_lo=-4.0, lattice_hi=4.0, lattice_nodes=23)
+        want = reference_best_response(model, flow, p, settings)
+        # the backward loop calls no model function
+        calls = collections.Counter()
+        for key in ("b", "sigma", "f", "sigma0", "grad_sigma0", "sigma0_dmu"):
+            fn = getattr(model, key)
+            if fn is not None:
+                def counted(*args, _fn=fn, _key=key):
+                    calls[_key] += 1
+                    return _fn(*args)
+
+                setattr(model, key, counted)
+        br = mfg.best_response(model, flow, p, settings)
+        np.testing.assert_array_equal(br.values, want[0])
+        np.testing.assert_array_equal(br.policy.table, want[1])
+        assert br.escape_mass == want[2]
+        # per action one grouped b and f call and one check of its first
+        # step; sigma once and its check
+        assert calls["b"] == calls["f"] == 2 * model.n_actions
+        assert calls["sigma"] == 2
+
+    @pytest.mark.parametrize("name", sorted(models.list_models()))
+    @pytest.mark.parametrize("table", ["mixed", "one-hot", "constant"])
+    def test_cost_matches_per_step_loop(self, name, table):
+        model = models.make_model(name)
+        p = brownian_lift(33, n=12)
+        flow = moving_flow(model, p, 34)
+        lattice = np.linspace(-1.5, 1.5, 7)
+        weights = substream(35, "mg", "cost", table).uniform(size=(12, 7, 3))
+        if table == "one-hot":
+            weights = (weights == weights.max(axis=2, keepdims=True)).astype(float)
+        policy = mfg.RelaxedPolicy(model.actions, lattice=lattice,
+                                   table=weights / weights.sum(axis=2, keepdims=True))
+        if table == "constant":
+            policy = mfg.RelaxedPolicy.constant(model.actions, 12, action_index=2)
+        est = mfg.cost(model, flow, p, policy, 30, 6)
+        totals = reference_cost_totals(model, flow, est.solution, policy)
+        assert est.value == float(totals.mean())
+        assert est.error_bar == float(totals.std(ddof=1) / np.sqrt(30))

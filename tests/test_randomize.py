@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
 from roughmfg import mfg
 from roughmfg import models
@@ -12,6 +13,7 @@ from roughmfg import roughpath as rp
 from roughmfg import rsde
 from roughmfg import vectorfield as vf
 from roughmfg.rng import derive_seed, substream
+from shared_models import sin_mean_model
 
 
 def gaussian_model(c=0.6, sigma=0.0):
@@ -28,23 +30,6 @@ def null_policy(model, steps):
 
 def delta_policy(model, steps):
     return mfg.RelaxedPolicy.constant(model.actions, steps, action_index=1)
-
-
-def sin_mean_model():
-    """d = k = 2 model whose rough loading tanh(x_a) tanh(mean_p sin(w_b . y_p))
-    depends on the state and the cloud, with no sigma0_dmu; the particle mean
-    is over axis -2, so grouped clouds work."""
-    w = np.array([[1.3, -0.4], [0.6, 0.9]])
-    base = models.make_model("lq")
-
-    def sigma0(t, x, mu):
-        m = np.sin(mu @ w.T).mean(axis=-2)  # (k,), or (G, k) for a grouped cloud
-        return np.tanh(x)[..., :, None] * np.tanh(m)[..., None, None, :]
-
-    return models.CoefficientSet(
-        name="sin-mean", d=2, l=1, k=2, actions=base.actions, b=base.b,
-        sigma=base.sigma, f=base.f, g=base.g, sigma0=sigma0,
-    )
 
 
 def axis_zero_model(name):
@@ -303,6 +288,48 @@ class TestGroupedClouds:
             np.testing.assert_array_equal(call(x, cloud, v), per_group, err_msg=label)
             checked += 1
         assert checked >= 5
+
+
+class TestGroupedNodes:
+    """A model that breaks the grouping convention is refused wherever the
+    grid nodes are groups, as joint_simulate refuses it on samples."""
+
+    def inputs(self):
+        grid = rp.TimeGrid(1.0, 8)
+        return rz.sample_lift(grid, 1, 3), random_flow(5, grid)
+
+    @pytest.mark.parametrize("name", ["b", "sigma", "sigma0"])
+    def test_best_response_refuses_axis_zero(self, name):
+        model = axis_zero_model(name)
+        lift, flow = self.inputs()
+        settings = mfg.DpSettings(lattice_lo=-3.0, lattice_hi=3.0, lattice_nodes=9)
+        with pytest.raises(rp.InputError, match=f"coefficient {name} of model"):
+            mfg.best_response(model, flow, lift, settings)
+
+    @pytest.mark.parametrize("name", ["b", "sigma"])
+    def test_martingale_diagnostics_refuses_axis_zero(self, name):
+        model = axis_zero_model(name)
+        lift, flow = self.inputs()
+        sol = rsde.solve(model, flow, lift, null_policy(model, 8),
+                         rsde.InitialLaw(), 16, 2)
+        with pytest.raises(rp.InputError, match=f"coefficient {name} of model"):
+            rsde.martingale_diagnostics(sol)
+
+    def test_cvf_norm_refuses_axis_zero(self):
+        model = axis_zero_model("sigma0")
+        lift, flow = self.inputs()
+        cvf = vf.build_cvf_from_flow(model, flow)
+        with pytest.raises(rp.InputError, match="coefficient sigma0 of model"):
+            vf.cvf_norm(cvf, lift, ct.IndexPair(), np.zeros((3, 1)))
+
+    def test_time_read_as_a_number_refused(self):
+        # np.max of an array t is the last node's time for every node
+        model = gaussian_model(c=0.6, sigma=0.3)
+        model.b = lambda t, x, mu, u: np.full_like(x, np.max(t))
+        lift, flow = self.inputs()
+        settings = mfg.DpSettings(lattice_lo=-3.0, lattice_hi=3.0, lattice_nodes=9)
+        with pytest.raises(rp.InputError, match="coefficient b of model"):
+            mfg.best_response(model, flow, lift, settings)
 
 
 def traced_peak_mib(fn):

@@ -925,3 +925,65 @@ class TestBatteryMatchesClosureReference:
             rsde.martingale_diagnostics(sol)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def reference_martingale_paths(sol):
+    """_martingale_paths with one sigma call and one drift mixture per node,
+    the loop the node groups replaced."""
+    grid = sol.grid
+    x = sol.ensemble.Z[..., 0]
+    wpath = np.concatenate(
+        [np.zeros((x.shape[0], 1)), np.cumsum(sol.W_increments[..., 0], axis=1)],
+        axis=1,
+    )
+    weights = None
+    if sol.policy.mode == "feedback":
+        weights = sol.policy.mixture(np.arange(grid.steps), sol.ensemble.Z[:, :-1])
+    sig = np.empty((x.shape[0], grid.steps))
+    drift = None if weights is None else np.empty_like(sig)
+    nodes = grid.nodes
+    for n in range(grid.steps):
+        t, xn, cloud = nodes[n], x[:, n][:, None], sol.flow.cloud(n)
+        sig[:, n] = sol.coeffs.sigma(t, xn, cloud)[:, 0, 0]
+        if drift is not None:
+            drift[:, n] = rsde._drift_mixture(sol.coeffs, t, xn, cloud,
+                                              weights[:, n])[:, 0]
+    return x, wpath, sig, drift
+
+
+class TestGroupedMartingalePaths:
+    @pytest.mark.parametrize("name", sorted(models.list_models()))
+    @pytest.mark.parametrize("table", ["mixed", "one-hot"])
+    def test_matches_per_node_loop(self, name, table):
+        # a flow that moves from node to node, and weights that leave some
+        # action unweighted at some nodes only
+        model = models.make_model(name)
+        p = brownian_lift(21, n=12)
+        lattice = np.linspace(-1.5, 1.5, 7)
+        rng = substream(22, "rs", "paths", table)
+        weights = rng.uniform(size=(12, 7, model.n_actions))
+        if table == "one-hot":
+            weights = (weights == weights.max(axis=2, keepdims=True)).astype(float)
+        policy = mfg.RelaxedPolicy(model.actions, lattice=lattice,
+                                   table=weights / weights.sum(axis=2, keepdims=True))
+        pilot = rsde.solve(model, still_flow(p.grid), p, policy,
+                           rsde.InitialLaw(), 24, 3)
+        sol = rsde.solve(model, mf.from_solution(pilot), p, policy,
+                         rsde.InitialLaw("normal", 0.1, 0.8), 30, 4)
+        got, want = rsde._martingale_paths(sol), reference_martingale_paths(sol)
+        for got, want in zip(got, want):
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous
+
+    def test_causal_solution_has_no_drift_table(self):
+        model = models.make_model("tanh-interaction")
+        p = brownian_lift(23, n=8)
+        policy = mfg.RelaxedPolicy.causal(
+            model.actions,
+            lambda n, view, rng: rng.integers(0, 3, size=view.increments().shape[0]))
+        sol = rsde.realize_from_measure(model, still_flow(p.grid), p, policy,
+                                        rsde.InitialLaw(), 10, 5)
+        got, want = rsde._martingale_paths(sol), reference_martingale_paths(sol)
+        assert got[3] is None and want[3] is None
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(a, b)

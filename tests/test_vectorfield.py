@@ -9,6 +9,7 @@ from roughmfg import roughpath as rp
 from roughmfg import rsde
 from roughmfg import vectorfield as vf
 from roughmfg.rng import substream
+from shared_models import late_nan_model, sin_mean_lions, sin_mean_model
 
 
 def brownian_lift(seed, n=16, k=1):
@@ -19,11 +20,13 @@ def brownian_lift(seed, n=16, k=1):
 
 def from_callables(grid, d, k, out_shape, f_t, fp_t, grad_t=None):
     """Wrap time-parametrized callables f(t, x), f'(t, x) into a node-indexed
-    field (analytic fields for the tests)."""
+    field (analytic fields for the tests); at nodes (G,) t is (G, 1, 1), as
+    for a model (models.node_time)."""
     nodes = grid.nodes
-    f = lambda n, x: f_t(nodes[n], x)
-    fp = lambda n, x: fp_t(nodes[n], x)
-    grad = None if grad_t is None else (lambda n, x: grad_t(nodes[n], x))
+    f = lambda n, x: f_t(models.node_time(nodes, n), x)
+    fp = lambda n, x: fp_t(models.node_time(nodes, n), x)
+    grad = None if grad_t is None else (
+        lambda n, x: grad_t(models.node_time(nodes, n), x))
     return vf.ControlledVectorField(grid, d, k, tuple(out_shape), f, fp, grad)
 
 
@@ -40,32 +43,6 @@ def dense_contraction(lions, t, x, cloud, yp):
     particles (P, d, k) and averaged."""
     dm = lions(t, x, cloud, cloud)
     return np.einsum("...pabc,pcj->...abj", dm, yp) / cloud.shape[0]
-
-
-def measure_dependent_model():
-    """d = k = 2 model with sigma0_ab = tanh(x_a) tanh(mean_p sin(w_b . y_p))
-    and no sigma0_dmu, plus its measure derivative in closed form, which
-    varies with the probe particle."""
-    w = np.array([[1.3, -0.4], [0.6, 0.9]])
-
-    def sigma0(t, x, mu):
-        m = np.sin(mu @ w.T).mean(axis=0)
-        return np.tanh(x)[..., :, None] * np.tanh(m)
-
-    def lions(t, x, mu, y):
-        sech2 = 1.0 / np.cosh(np.sin(mu @ w.T).mean(axis=0)) ** 2  # (k,)
-        per_probe = np.cos(y @ w.T)[:, :, None] * w  # (Py, k, d)
-        return (
-            np.tanh(x)[..., None, :, None, None]
-            * (sech2[:, None] * per_probe)[:, None]
-        )
-
-    base = models.make_model("lq")
-    model = models.CoefficientSet(
-        name="sin-mean", d=2, l=1, k=2, actions=base.actions, b=base.b,
-        sigma=base.sigma, f=base.f, g=base.g, sigma0=sigma0,
-    )
-    return model, lions
 
 
 class TestBuildFromFlow:
@@ -157,7 +134,7 @@ class TestBuildFromFlow:
 
     @pytest.mark.parametrize("particles", [16, 2000])
     def test_difference_fallback_matches_dense_reference_k2(self, particles):
-        model, lions = measure_dependent_model()
+        model, lions = sin_mean_model(), sin_mean_lions
         grid = rp.TimeGrid(1.0, 4)
         flow = random_flow(7, grid, particles=particles, d=2, k=2)
         cvf = vf.build_cvf_from_flow(model, flow)
@@ -170,7 +147,7 @@ class TestBuildFromFlow:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
 
     def test_difference_fallback_makes_2k_coefficient_calls(self):
-        model, _ = measure_dependent_model()
+        model = sin_mean_model()
         calls = []
         sigma0 = model.sigma0
         model.sigma0 = lambda t, x, mu: calls.append(1) or sigma0(t, x, mu)
@@ -328,7 +305,7 @@ class TestCvfNorm:
             1,
             1,
             (1, 1),
-            lambda t, x: np.full(np.asarray(x).shape[:-1] + (1, 1), t),
+            lambda t, x: np.broadcast_to(t, np.shape(x))[..., None],
             lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1, 1)),
             lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1, 1)),
         )
@@ -489,7 +466,7 @@ def solved(model, steps=12, particles=6, seed=4):
 
 SLOT_MODELS = {
     "tanh-interaction": lambda: models.make_model("tanh-interaction"),
-    "sin-mean": lambda: measure_dependent_model()[0],
+    "sin-mean": sin_mean_model,
 }
 # the "state" target alone also serves a model without a rough coefficient
 STATE_MODELS = {**SLOT_MODELS, "lq-no-sigma0": lambda: models.make_model("lq", sigma0=None)}
@@ -819,7 +796,7 @@ ROW_MODELS = {
     **{name: (lambda name=name: models.make_model(name))
        for name in models.list_models()},
     "lq-no-sigma0": lambda: models.make_model("lq", sigma0=None),
-    "sin-mean": lambda: measure_dependent_model()[0],
+    "sin-mean": sin_mean_model,
 }
 
 
@@ -1106,3 +1083,100 @@ class TestCvfNormReference:
         want = reference_cvf_increments(cvf, sol.rough, idx, probes)
         assert (got.delta_f, got.delta_fp, got.delta_grad, got.remainder) == want
         assert min(want) > 0.0
+
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_grouped_calls_match_per_node_loops(self, name):
+        # the whole estimate, sup part included, against one call per node
+        model = SLOT_MODELS[name]()
+        sol = solved(model, steps=16)
+        cvf = vf.build_cvf_from_flow(model, mf.from_solution(sol))
+        probes = substream(7, "vf", "probes").uniform(-2.0, 2.0, size=(6, model.d))
+        idx = ct.IndexPair()
+        got = vf.cvf_norm(cvf, sol.rough, idx, probes)
+        assert got == vf.cvf_norm(per_node(cvf), sol.rough, idx, probes)
+
+
+def per_node(cvf):
+    """cvf whose evaluators make one call per node of a grouped call and
+    stack the results: the loops the grouped calls replaced."""
+    def loop(fn):
+        return lambda n, x: fn(n, x) if np.ndim(n) == 0 else np.stack(
+            [fn(m, xm) for m, xm in zip(n, x)])
+
+    return vf.ControlledVectorField(cvf.grid, cvf.d, cvf.k, cvf.out_shape,
+                                    loop(cvf.f), loop(cvf.fp),
+                                    None if cvf.grad is None else loop(cvf.grad))
+
+
+def reference_compose(cvf, ce):
+    """compose as one evaluation of each slot per node."""
+    p_count, n1 = ce.Z.shape[0], ce.grid.steps + 1
+    fshape = cvf.out_shape
+    z = np.empty((p_count, n1) + fshape)
+    zp = np.empty((p_count, n1) + fshape + (cvf.k,))
+    for n in range(n1):
+        x = ce.Z[:, n]
+        z[:, n] = cvf.f(n, x)
+        gx = cvf.gradient(n, x).reshape(p_count, cvf.out_size, cvf.d)
+        lead = np.einsum("pfd,pdk->pfk", gx, ce.Zp[:, n])
+        zp[:, n] = lead.reshape((p_count,) + fshape + (cvf.k,)) + cvf.fp(n, x)
+    return z, zp
+
+
+class TestGroupedCompose:
+    @pytest.mark.parametrize("name", sorted(SLOT_MODELS))
+    def test_matches_per_node_loop(self, name):
+        model = SLOT_MODELS[name]()
+        sol = solved(model, steps=10)
+        cvf = vf.build_cvf_from_flow(model, mf.from_solution(sol))
+        rng = substream(11, "vf", "compose")
+        ce = ct.ControlledEnsemble(
+            sol.grid, rng.normal(size=(7, 11, model.d)),
+            rng.normal(size=(7, 11, model.d, model.k)))
+        out = vf.compose(cvf, ce)
+        z, zp = reference_compose(cvf, ce)
+        np.testing.assert_array_equal(out.Z, z)
+        np.testing.assert_array_equal(out.Zp, zp)
+        assert out.Z.flags.c_contiguous and out.Zp.flags.c_contiguous
+
+
+class TestNonFiniteNode:
+    """A non-finite coefficient names its node, at one node and on groups."""
+
+    def field(self):
+        grid = rp.TimeGrid(1.0, 64)
+        cvf = vf.build_cvf_from_flow(late_nan_model({}), random_flow(12, grid))
+        return cvf, np.linspace(-1.0, 1.0, 5)[:, None]
+
+    def test_per_node_and_grouped_calls_name_node_32(self):
+        cvf, x = self.field()
+        cvf.f(31, x)
+        message = "coefficient produced non-finite values at node 32"
+        with pytest.raises(vf.NumericError, match=f"^{message}$"):
+            cvf.f(32, x)
+        nodes = np.arange(65)
+        with pytest.raises(vf.NumericError, match=f"^{message}$"):
+            cvf.f(nodes, np.broadcast_to(x, (65,) + x.shape))
+        # the first bad node in the order given
+        nodes = np.array([3, 40, 31, 32])
+        with pytest.raises(vf.NumericError, match="at node 40$"):
+            cvf.f(nodes, np.broadcast_to(x, (4,) + x.shape))
+
+    def test_solve_and_field_norm_name_node_32(self):
+        cvf, x = self.field()
+        p = brownian_lift(13, n=64)
+        with pytest.raises(vf.NumericError, match="non-finite values at node 32$"):
+            vf.cvf_norm(cvf, p, ct.IndexPair(), x)
+        model = late_nan_model({})
+        flow = random_flow(12, p.grid)
+        policy = mfg.RelaxedPolicy.constant(model.actions, 64)
+        with pytest.raises(vf.NumericError, match="non-finite values at node 32$"):
+            rsde.solve(model, flow, p, policy, rsde.InitialLaw(), 8, 0)
+
+    def test_derivative_field_names_its_node(self):
+        model = late_nan_model({})
+        model.sigma0_dmu = None  # the central difference reads sigma0
+        cvf = vf.build_cvf_from_flow(model, random_flow(12, rp.TimeGrid(1.0, 64)))
+        message = "derivative field produced non-finite values at node 33"
+        with pytest.raises(vf.NumericError, match=f"^{message}$"):
+            cvf.fp(np.array([33, 2]), np.zeros((2, 3, 1)))
