@@ -101,7 +101,7 @@ def rough_integral(ce: ControlledEnsemble, p: RoughPath, start: int, stop: int) 
         )
     if not (0 <= start <= stop <= ce.grid.steps):
         raise InputError(f"bad integration window [{start}, {stop}]")
-    db = np.diff(p.first_level, axis=0)          # (N, k)
+    db = p.increments()                           # (N, k)
     bb = p.step_second()                          # (N, k, k)
     sl = slice(start, stop)
     acc = np.einsum("pn...i,ni->p...", ce.Z[:, sl], db[sl])

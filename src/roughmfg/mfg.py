@@ -25,6 +25,7 @@ from . import measureflow as mf
 from . import models
 from . import rsde
 from .roughpath import InputError, RoughPath
+from .vectorfield import NumericError
 
 FEEDBACK = "feedback"
 OPEN_LOOP_CAUSAL = "open_loop_causal"
@@ -182,7 +183,8 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
     """Monte Carlo cost: running mixture cost plus terminal cost, with the
     sample standard error of the particle mean.  The running cost weighs the
     actions by the weights the solve stepped with, from one mixture call.
-    The estimate carries that solve."""
+    The estimate carries that solve.  A non-finite total raises
+    NumericError naming its particle."""
     init = init or rsde.InitialLaw()
     sol = rsde.solve(coeffs, flow, p, policy, init, particles, seed)
     grid = sol.grid
@@ -199,6 +201,7 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
             if np.any(w):
                 totals += w * f[a][n] * grid.dt
     totals += coeffs.g(x[:, grid.steps], flow.cloud(grid.steps))
+    _refuse_non_finite(totals, "cost: non-finite total", "particle")
     n_p = len(totals)
     return CostEstimate(float(totals.mean()),
                         float(totals.std(ddof=1) / math.sqrt(n_p)), n_p, sol)
@@ -207,15 +210,11 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
 def _per_action(coeffs, name, t, x, cloud, actions):
     """{a: coeffs.b or coeffs.f of action a} for a in actions, on node
     groups: states x (G, Q, d) against the nodes' clouds (G, P, d) at their
-    times t (G, 1, 1), each call checked on group 0 (models.check_grouped)."""
-    out = {}
-    for a in actions:
-        def call(t, x, mu, u=coeffs.actions[a]):
-            return getattr(coeffs, name)(t, x, mu, u)
+    times t (G, 1, 1), each call through models.grouped_call."""
+    def call(a):
+        return lambda t, x, mu: getattr(coeffs, name)(t, x, mu, coeffs.actions[a])
 
-        out[a] = call(t, x, cloud)
-        models.check_grouped(coeffs, name, out[a], call, t, x, cloud)
-    return out
+    return {a: models.grouped_call(coeffs, name, call(a), t, x, cloud) for a in actions}
 
 
 @dataclass
@@ -262,6 +261,8 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     rough pair and each action's b and f are tabulated on the lattice at
     every step, with the steps as groups, and the backward loop calls no
     model function.
+    A non-finite terminal value or Q value raises NumericError naming the
+    step, the lattice node and the action, also without settings.strict.
     """
     if coeffs.d != 1 or coeffs.l != 1:
         raise InputError("the lattice solver handles scalar state and noise")
@@ -279,7 +280,7 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     dt = grid.dt
 
     cvf, correction = rsde._rough_coefficient(coeffs, flow)
-    db, bb = np.diff(p.first_level, axis=0), p.step_second()
+    db, bb = p.increments(), p.step_second()
 
     gh_x, gh_w = np.polynomial.hermite_e.hermegauss(settings.gh_order)
     gh_w = gh_w / gh_w.sum()
@@ -294,15 +295,15 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
         fx, fhat = rsde._pair(cvf, correction, steps, xs)
         forcing = fx[..., 0, 0] * db[:, :1] + fhat[..., 0, 0, 0] * bb[:, 0, :1]
     t, clouds = models.node_time(grid.nodes, steps), flow.cloud(steps)
-    sig = coeffs.sigma(t, xs, clouds)
-    models.check_grouped(coeffs, "sigma", sig, coeffs.sigma, t, xs, clouds)
-    sig = sig[..., 0, 0]
+    sig = models.grouped_call(coeffs, "sigma", coeffs.sigma, t, xs, clouds)[..., 0, 0]
     actions = range(coeffs.n_actions)
     drift = _per_action(coeffs, "b", t, xs, clouds, actions)
     run = _per_action(coeffs, "f", t, xs, clouds, actions)
 
     values = np.empty((grid.steps + 1, n_lat))
     values[grid.steps] = coeffs.g(lattice[:, None], flow.cloud(grid.steps))
+    _refuse_non_finite(values[grid.steps], "best response: non-finite terminal "
+                       f"value at step {grid.steps}", "lattice node")
     table = np.zeros((grid.steps, n_lat, coeffs.n_actions))
     escaped = 0.0
     total_mass = 0.0
@@ -315,6 +316,8 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
             total_mass += n_lat
             ev = np.interp(nxt, lattice, values[n + 1]) @ gh_w
             q[a] = run[a][n] * dt + ev
+        _refuse_non_finite(q, f"best response: non-finite Q value at step {n}",
+                           "action", "lattice node")
         best = q.argmin(axis=0)
         values[n] = q[best, np.arange(n_lat)]
         table[n, np.arange(n_lat), best] = 1.0
@@ -331,6 +334,14 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
         warnings.warn(msg)
     policy = RelaxedPolicy(coeffs.actions, FEEDBACK, lattice, table)
     return BestResponse(policy, values, lattice, escape_rate, warned)
+
+
+def _refuse_non_finite(table, what, *axes):
+    """NumericError "what, <axis> <index>, ..." at table's first non-finite entry."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), table.shape)
+        raise NumericError(", ".join([what, *(f"{a} {i}" for a, i in zip(axes, at))]))
 
 
 @dataclass

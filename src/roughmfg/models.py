@@ -12,8 +12,8 @@ reduce over the particle axis -2, never axis 0, so a plain (P, d) cloud is
 the one-group case.  No built-in model reads t; one that does must
 broadcast it like a (..., 1) state (np.expand_dims(t, -1) against a
 (..., d, k) result) and never reduce it or turn it into a float.
-check_grouped refuses a model whose group 0 differs from the same call on
-group 0 alone.
+grouped_call refuses a model that fails on groups but not on group 0
+alone, or whose group 0 differs from the call on group 0 alone.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ class CoefficientSet:
 
     sigma0 may be None (no rough term; the solver then reduces to a plain
     Euler-Maruyama recursion).  Its regularity gamma is not the model's but
-    the index pair's (controlled.IndexPair).  grad_sigma0 is the spatial
-    Jacobian (..., d, k, d).  sigma0_dmu(t, x, mu, v), with v (P, d, k) one
-    direction per particle of mu and rough direction, is the derivative of
+    the index pair's (controlled.IndexPair).  A model with sigma0 supplies
+    both derivatives, exactly: grad_sigma0, the spatial Jacobian
+    (..., d, k, d), and sigma0_dmu(t, x, mu, v), with v (P, d, k) one
+    direction per particle of mu and rough direction, the derivative of
     sigma0 as each mu[p] moves along v[p, :, j], shaped (..., d, k, k); it
     equals the particle average of the measure derivative contracted with
-    v.  Without it the field builder takes a central difference along v.
+    v.  A coefficient constant in x or in the measure has an exact zero.
 
     Every evaluator also takes groups (module docstring): mu (G, P, d)
     against x (G, Q, d), v (G, P, d, k), and t a number or (G, 1, 1).
@@ -84,13 +85,37 @@ def node_time(nodes, n):
     return nodes[n][:, None, None] if isinstance(n, np.ndarray) else nodes[n]
 
 
+def _group0(call, t, groups):
+    t0 = t if np.ndim(t) == 0 else np.ravel(t)[0]
+    return call(t0, *(a[0] for a in groups))
+
+
+def grouped_call(coeffs, name, call, t, *groups):
+    """call(t, *groups), checked by check_grouped.  A ValueError or
+    TypeError that the call on group 0 alone does not raise (an array t
+    read as a number) becomes InputError; one that it raises propagates."""
+    try:
+        out = call(t, *groups)
+    except (ValueError, TypeError) as exc:
+        try:
+            _group0(call, t, groups)
+        except Exception:
+            raise exc from None
+        raise InputError(
+            f"coefficient {name} of model {coeffs.name!r} fails on grouped "
+            "(G, P, d) clouds but not on one group's cloud; broadcast an "
+            "array t (G, 1, 1) like a state, never read it as a number"
+        ) from exc
+    check_grouped(coeffs, name, out, call, t, *groups)
+    return out
+
+
 def check_grouped(coeffs, name, got, call, t, *groups):
     """Raise InputError unless group 0 of got = call(t, *groups) equals
     (rtol 1e-12) the call on group 0 alone, at group 0's time: a model that
     reduces a cloud over axis 0 instead of the particle axis -2, or reads an
     array t as a number, would mix the groups."""
-    t0 = t if np.ndim(t) == 0 else np.ravel(t)[0]
-    want = call(t0, *(a[0] for a in groups))
+    want = _group0(call, t, groups)
     got = np.asarray(got)[0]
     if got.shape != want.shape or not np.allclose(
             got, want, rtol=1e-12, atol=0.0, equal_nan=True):
@@ -124,7 +149,7 @@ def _scalarize(u):
 
 
 def _const_field(value):
-    def f(t, x, mu):
+    def f(t, x, *mu_v):
         x = np.asarray(x, dtype=float)
         # read-only view: no caller writes into a coefficient result
         return np.broadcast_to(value, x.shape[:-1] + value.shape)
@@ -148,7 +173,7 @@ def _build_lq(params):
     p.update(params)
     a_mean = p["mean_coupling"]
     s_mat = np.full((d, l), p["sigma"])
-    s0_mat = np.full((d, k), p["sigma0"])
+    rough = p["sigma0"] is not None
 
     def b(t, x, mu, u):
         x = np.asarray(x, dtype=float)
@@ -171,10 +196,10 @@ def _build_lq(params):
         actions=np.asarray(p["actions"], dtype=float).reshape(-1, 1),
         b=b,
         sigma=_const_field(s_mat),
-        sigma0=None if p["sigma0"] is None else _const_field(s0_mat),
-        grad_sigma0=None
-        if p["sigma0"] is None
-        else _const_field(np.zeros((d, k, d))),
+        # a constant sigma0: both derivatives are exact zeros
+        sigma0=_const_field(np.full((d, k), p["sigma0"])) if rough else None,
+        grad_sigma0=_const_field(np.zeros((d, k, d))) if rough else None,
+        sigma0_dmu=_const_field(np.zeros((d, k, k))) if rough else None,
         f=f,
         g=g,
         params=p,

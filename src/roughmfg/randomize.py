@@ -208,7 +208,7 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
             rows = slice(g * particles, (g + 1) * particles)
             x[rows] = rsde.draw_initial(sample_seed, init, particles, d)
             dw[rows] = rsde.draw_wiener(sample_seed, particles, steps, l, grid.dt)
-            db[g] = np.diff(lift.first_level, axis=0)
+            db[g] = lift.increments()
             bb[g] = lift.step_second()
         for n in range(steps):
             x = rsde._advance(coeffs, flow, policy, nodes, n, x, dw[: len(x), n],

@@ -154,7 +154,6 @@ class RsdeSolution:
     flow: object
     rough: RoughPath
     policy: object
-    init: InitialLaw
     seed: int
     W_increments: np.ndarray
     sampled_actions: np.ndarray | None
@@ -347,7 +346,7 @@ class RsdeSolution:
         p_count, d, k = self.ensemble.particles, coeffs.d, rough.dim
         rows = p_count * n_inner
         nodes = self.grid.nodes
-        db = np.diff(rough.first_level, axis=0)
+        db = rough.increments()
         bb = rough.step_second()
         # slots x, f(x), fhat(x); a target is a (Z, Z') pair of slots
         pairs = {"state": (0, 1)} if cvf is None else {"state": (0, 1), "sigma0": (1, 2)}
@@ -524,7 +523,7 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
     x[:, 0] = x0
     fx = np.zeros((p_count, steps + 1, d, rough.dim))
     fhat = None if cvf is None else np.empty(fx.shape + (rough.dim,))
-    db = np.diff(rough.first_level, axis=0)
+    db = rough.increments()
     bb = rough.step_second()
     actions = None
     for i in range(steps + 1):
@@ -597,7 +596,6 @@ def _solve(coeffs, flow, p, policy, init, particles, seed, audit):
         flow=flow,
         rough=p,
         policy=policy,
-        init=init,
         seed=seed,
         W_increments=dw,
         sampled_actions=None if causal is None else np.stack(causal[2], axis=1),
@@ -753,14 +751,12 @@ def _martingale_paths(sol):
     )
     t, xn, cloud = (models.node_time(sol.grid.nodes, steps),
                     sol.ensemble.Z[:, :-1].swapaxes(0, 1), sol.flow.cloud(steps))
-    sig = coeffs.sigma(t, xn, cloud)
-    models.check_grouped(coeffs, "sigma", sig, coeffs.sigma, t, xn, cloud)
+    sig = models.grouped_call(coeffs, "sigma", coeffs.sigma, t, xn, cloud)
     drift = None
     if sol.policy.mode == "feedback":
         weights = sol.policy.mixture(steps, sol.ensemble.Z[:, :-1]).swapaxes(0, 1)
         mixed = functools.partial(_drift_mixture, coeffs)
-        drift = mixed(t, xn, cloud, weights)
-        models.check_grouped(coeffs, "b", drift, mixed, t, xn, cloud, weights)
+        drift = models.grouped_call(coeffs, "b", mixed, t, xn, cloud, weights)
         drift = np.ascontiguousarray(drift[..., 0].T)
     return x, wpath, np.ascontiguousarray(sig[..., 0, 0].T), drift
 
@@ -778,7 +774,7 @@ def _compensated(sol, phi, paths):
         drift = np.zeros_like(sig)
     comp = (drift * gx + 0.5 * (sig**2 * hxx + hww) + sig * hxw) * sol.grid.dt
     if sol.cvf is not None and phi.depends_x:
-        db = np.diff(sol.rough.first_level[:, 0])
+        db = sol.rough.increments()[:, 0]
         bb = sol.rough.step_second()[:, 0, 0]
         brackets = sol.rough.step_brackets()[:, 0, 0]
         s0 = sol.ensemble.Zp[:, :-1, 0, 0]

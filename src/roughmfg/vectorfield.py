@@ -1,14 +1,15 @@
 """Time-indexed vector fields controlled by a rough path.
 
 A field pair (f, f') is stored as node-indexed evaluators f(n, x), f'(n, x)
-on the grid of the driving lift, together with a spatial gradient (analytic
-or central-difference).  The central construction builds the pair
-(interaction coefficient, its derivative field) out of a measure flow: the
-coefficient evaluated at the empirical cloud, and its directional derivative
-as the cloud moves along the flow's derivative particles.  That derivative
-equals the particle average of the measure derivative contracted with the
-derivative particles (the empirical-projection identity), so the measure
-derivative itself is never formed.
+on the grid of the driving lift, together with its spatial gradient.  The
+central construction builds the pair (interaction coefficient, its
+derivative field) out of a measure flow: the coefficient evaluated at the
+empirical cloud, and its directional derivative as the cloud moves along
+the flow's derivative particles.  That derivative equals the particle
+average of the measure derivative contracted with the derivative particles
+(the empirical-projection identity), so the measure derivative itself is
+never formed.  Both derivatives come from the model (sigma0_dmu and
+grad_sigma0); nothing here differentiates numerically.
 
 Every evaluator takes one node n with states x (..., d), or an integer
 array of nodes n (G,) with x (G, Q, d): one call evaluates the field at
@@ -27,13 +28,6 @@ from . import models
 from .controlled import ControlledEnsemble, IndexPair
 from .roughpath import InputError, RoughPath, TimeGrid
 
-# step of the central difference along the derivative particles used when a
-# model has no sigma0_dmu: near eps^(1/3), it balances the O(h^2) truncation
-# against the O(eps/h) round-off for particles and directions of unit scale
-DMU_STEP = 1e-5
-# step of the central-difference spatial gradient of a field without one
-FD_STEP = 1e-6
-
 
 class ConfigurationError(ValueError):
     """A required evaluator or setting is missing."""
@@ -49,8 +43,7 @@ class ControlledVectorField:
 
     f(n, x): (..., *out_shape); fp(n, x): (..., *out_shape, k);
     grad(n, x): (..., *out_shape, d).  x is batched with trailing axis d;
-    nodes n (G,) take x (G, Q, d).  Without grad, the gradient is a central
-    difference of f with step FD_STEP.  The field's regularity gamma is the
+    nodes n (G,) take x (G, Q, d).  The field's regularity gamma is the
     index pair's, which cvf_norm reads.
     """
 
@@ -60,22 +53,7 @@ class ControlledVectorField:
     out_shape: tuple
     f: callable
     fp: callable
-    grad: callable | None = None
-
-    @property
-    def out_size(self) -> int:
-        return int(np.prod(self.out_shape, dtype=int))
-
-    def gradient(self, n: int, x: np.ndarray) -> np.ndarray:
-        if self.grad is not None:
-            return self.grad(n, x)
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for c in range(self.d):
-            e = np.zeros(self.d)
-            e[c] = FD_STEP
-            cols.append((self.f(n, x + e) - self.f(n, x - e)) / (2.0 * FD_STEP))
-        return np.stack(cols, axis=-1)
+    grad: callable
 
 
 def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
@@ -85,35 +63,27 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
     The second is the derivative of that coefficient as each flow particle
     moves along its derivative particle, one column per rough direction:
     (1/P) sum_p d_mu sigma0(x, mu^P)(y_p) Y'_p = d/dh sigma0(x, {y_p + h Y'_p})
-    at h = 0.  Uses the model's sigma0_dmu when present, otherwise one
-    central difference per rough direction (2k coefficient calls).
+    at h = 0: the model's sigma0_dmu.  A model without sigma0, grad_sigma0
+    or sigma0_dmu is refused before any evaluation.
     """
-    if coeffs.sigma0 is None:
-        raise ConfigurationError(f"model {coeffs.name!r} has no rough coefficient")
+    for name in ("sigma0", "grad_sigma0", "sigma0_dmu"):
+        if getattr(coeffs, name) is None:
+            raise ConfigurationError(
+                f"model {coeffs.name!r} has no {name}; a rough coefficient "
+                "sigma0 comes with its derivatives grad_sigma0 and sigma0_dmu")
     nodes, k = flow.grid.nodes, coeffs.k
-
-    def directional(t, x, cloud, v):
-        h = DMU_STEP
-        cols = [
-            (coeffs.sigma0(t, x, cloud + h * v[..., j])
-             - coeffs.sigma0(t, x, cloud - h * v[..., j])) / (2.0 * h)
-            for j in range(k)
-        ]
-        return np.stack(cols, axis=-1)
 
     def evaluator(what, name, call, *tables):
         """call(t, x, cloud, *(the tables at n)) at node or nodes n (an
-        array); a grouped call is checked on group 0 (models.check_grouped).
-        With `what`, a non-finite value raises NumericError naming the
-        first node that has one."""
+        array, through models.grouped_call).  With `what`, a non-finite
+        value raises NumericError naming the first node that has one."""
 
         def at(n, x):
             t = models.node_time(nodes, n)
             args = (x, flow.cloud(n), *[mf.at_nodes(a, n) for a in tables])
-            out = call(t, *args)
             grouped = isinstance(n, np.ndarray)
-            if grouped:
-                models.check_grouped(coeffs, name, out, call, t, *args)
+            out = (models.grouped_call(coeffs, name, call, t, *args) if grouped
+                   else call(t, *args))
             if what and not np.isfinite(out).all():
                 if grouped:
                     n = n[(~np.isfinite(out)).reshape(len(n), -1).any(axis=1).argmax()]
@@ -123,11 +93,8 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
         return at
 
     f = evaluator("coefficient", "sigma0", coeffs.sigma0)
-    fp = evaluator("derivative field", "sigma0_dmu" if coeffs.sigma0_dmu else "sigma0",
-                   coeffs.sigma0_dmu or directional, flow.Yp)
-    grad = None
-    if coeffs.grad_sigma0 is not None:
-        grad = evaluator(None, "grad_sigma0", coeffs.grad_sigma0)
+    fp = evaluator("derivative field", "sigma0_dmu", coeffs.sigma0_dmu, flow.Yp)
+    grad = evaluator(None, "grad_sigma0", coeffs.grad_sigma0)
     return ControlledVectorField(flow.grid, coeffs.d, k, (coeffs.d, k), f, fp, grad)
 
 
@@ -139,7 +106,7 @@ def gubinelli_correction(cvf: ControlledVectorField):
         raise ConfigurationError("correction needs a (d, k) matrix field")
 
     def corr(n, x, fx):
-        gx = cvf.gradient(n, x)  # (..., d, k, d)
+        gx = cvf.grad(n, x)  # (..., d, k, d)
         return np.einsum("...abc,...cj->...abj", gx, fx) + cvf.fp(n, x)
 
     return corr
@@ -158,7 +125,7 @@ def compose(cvf: ControlledVectorField, ce: ControlledEnsemble) -> ControlledEns
     nodes = np.arange(n1)
     x = ce.Z.swapaxes(0, 1)  # node-major (N+1, P, d)
     z = cvf.f(nodes, x)
-    gx = cvf.gradient(nodes, x).reshape(n1, p_count, cvf.out_size, cvf.d)
+    gx = cvf.grad(nodes, x).reshape(n1, p_count, -1, cvf.d)
     lead = np.einsum("npfd,npdk->npfk", gx, ce.Zp.swapaxes(0, 1))
     zp = lead.reshape(z.shape + (cvf.k,)) + cvf.fp(nodes, x)
     return ControlledEnsemble(ce.grid, *(np.ascontiguousarray(a.swapaxes(0, 1))
@@ -226,7 +193,7 @@ def cvf_norm(
 
     # the probes at every node as groups: (N+1, Q, *out) and so on
     at_all = (np.arange(n1), np.broadcast_to(probes, (n1,) + probes.shape))
-    fs, fps, grads = cvf.f(*at_all), cvf.fp(*at_all), cvf.gradient(*at_all)
+    fs, fps, grads = cvf.f(*at_all), cvf.fp(*at_all), cvf.grad(*at_all)
 
     # node-minor copies, (values, N+1): the largest difference over probes
     # and values is a max over rows, taken before the division by the gap's

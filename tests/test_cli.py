@@ -16,7 +16,7 @@ from roughmfg import mfg
 from roughmfg import models
 from roughmfg import randomize as rz
 from roughmfg import rsde
-from shared_models import late_nan_model
+from shared_models import late_nan_model, t_branch_model
 
 
 MINIMAL = """\
@@ -506,6 +506,42 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == f"NumericError: {message}"
         assert manifest["exit_code"] == 3
+
+    def test_coefficient_reading_time_as_a_number_is_refused(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # sigma0 branches on t >= 0.5: the solve's one-node calls pass, the
+        # field norm's call on node groups is refused
+        monkeypatch.setitem(models._REGISTRY, "t-branch", t_branch_model)
+        out = tmp_path / "o"
+        argv = ["rsde", "solve", "--model", "t-branch", "--grid", "16",
+                "--particles", "8", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient sigma0 of model 't-branch' fails "
+                              "on grouped (G, P, d) clouds")
+        assert "broadcast an array t" in err and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith("InputError: ")
+        assert manifest["exit_code"] == 2
+
+    def test_overflowing_lattice_costs_are_a_runtime_error(self, tmp_path, capsys):
+        # the acceptance config on a +-1e200 lattice: x**2 overflows in the
+        # terminal cost at the outer nodes
+        text = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+        text = text.split('ACCEPTANCE_CONFIG = """\\\n', 1)[1].split('"""', 1)[0]
+        text = text.replace("lattice_lo = -4.0", "lattice_lo = -1e200") \
+            .replace("lattice_hi = 4.0", "lattice_hi = 1e200")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            code = cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                             "--out", str(out)])
+        assert code == 3
+        message = "best response: non-finite terminal value at step 16, lattice node 0"
+        err = capsys.readouterr().err
+        assert err == f"runtime error: {message}\n" and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == f"NumericError: {message}"
+        assert not (out / "report.json").exists()
 
     def test_strict_leaves_config_and_outputs(self, tmp_path):
         path = write_config(tmp_path)

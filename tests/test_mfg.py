@@ -315,8 +315,37 @@ class TestCost:
         assert est.value == float(totals.mean())
         assert est.error_bar == float(totals.std(ddof=1) / np.sqrt(32))
 
+    def test_overflowing_running_cost_is_refused(self):
+        # 1e308 x^2 overflows for |x| > 1: the first particle whose summed
+        # cost is inf is named
+        _, p, flow = self.setup_inputs(n=16)
+        model = models.make_model("lq", mean_coupling=0.0, cost_x=1e308)
+        policy = mfg.RelaxedPolicy.constant(model.actions, 16, action_index=1)
+        x = rsde.solve(model, flow, p, policy, rsde.InitialLaw(), 32, 5).ensemble.Z
+        with np.errstate(over="ignore"):
+            totals = sum(model.f(0.0, x[:, n], None, model.actions[1]) * p.grid.dt
+                         for n in range(16))
+            with pytest.raises(mfg.NumericError) as err:
+                mfg.cost(model, flow, p, policy, 32, 5)
+        first = int(np.isinf(totals).argmax())
+        assert 0 < first and np.isinf(totals).sum() < 32
+        assert str(err.value) == f"cost: non-finite total, particle {first}"
+
 
 class TestBestResponse:
+    @pytest.mark.parametrize("key, message", [
+        ("cost_x", "non-finite Q value at step 7, action 0, lattice node 0"),
+        ("cost_g", "non-finite terminal value at step 8, lattice node 0"),
+    ], ids=["q-value", "terminal-value"])
+    def test_overflowing_cost_names_step_node_and_action(self, key, message):
+        # 1e308 x^2 is inf at the lattice's outer nodes, x = -4 first
+        model = models.make_model("lq", mean_coupling=0.0, **{key: 1e308})
+        p = brownian_lift(3, n=8)
+        with np.errstate(over="ignore"), pytest.raises(
+                mfg.NumericError, match=f"^best response: {message}$"):
+            mfg.best_response(model, still_flow(p.grid, seed=4), p,
+                              mfg.DpSettings(-4.0, 4.0, 9))
+
     def test_drift_free_cost_minimizer(self):
         # b does not depend on u and f = u^2 + ...: mass sits on u = 0
         model = models.make_model("lq", mean_coupling=0.0)

@@ -13,7 +13,7 @@ from roughmfg import roughpath as rp
 from roughmfg import rsde
 from roughmfg import vectorfield as vf
 from roughmfg.rng import derive_seed, substream
-from shared_models import sin_mean_model
+from shared_models import sin_mean_model, t_branch_model
 
 
 def gaussian_model(c=0.6, sigma=0.0):
@@ -329,6 +329,35 @@ class TestGroupedNodes:
         lift, flow = self.inputs()
         settings = mfg.DpSettings(lattice_lo=-3.0, lattice_hi=3.0, lattice_nodes=9)
         with pytest.raises(rp.InputError, match="coefficient b of model"):
+            mfg.best_response(model, flow, lift, settings)
+
+    @pytest.mark.parametrize("name", ["b", "sigma", "sigma0"])
+    def test_branch_on_time_refused(self, name):
+        model = t_branch_model({}, name)
+        lift, flow = self.inputs()
+        settings = mfg.DpSettings(lattice_lo=-3.0, lattice_hi=3.0, lattice_nodes=9)
+        message = (f"coefficient {name} of model 't-branch' fails on grouped "
+                   r"\(G, P, d\) clouds but not on one group's cloud; "
+                   r"broadcast an array t \(G, 1, 1\)")
+        with pytest.raises(rp.InputError, match=f"^{message}"):
+            mfg.best_response(model, flow, lift, settings)
+        if name != "sigma0":
+            sol = rsde.solve(model, flow, lift, null_policy(model, 8),
+                             rsde.InitialLaw(), 16, 2)
+            with pytest.raises(rp.InputError, match=f"^{message}"):
+                rsde.martingale_diagnostics(sol)
+
+    def test_error_of_every_group_propagates(self):
+        # a ValueError the call on group 0 alone raises too is the model's own
+        model = gaussian_model(c=0.6, sigma=0.3)
+
+        def sigma(t, x, mu):
+            raise ValueError("broken sigma")
+
+        model.sigma = sigma
+        lift, flow = self.inputs()
+        settings = mfg.DpSettings(lattice_lo=-3.0, lattice_hi=3.0, lattice_nodes=9)
+        with pytest.raises(ValueError, match="^broken sigma$"):
             mfg.best_response(model, flow, lift, settings)
 
 

@@ -18,15 +18,14 @@ def brownian_lift(seed, n=16, k=1):
     return rp.ito_lift(dw, grid)
 
 
-def from_callables(grid, d, k, out_shape, f_t, fp_t, grad_t=None):
-    """Wrap time-parametrized callables f(t, x), f'(t, x) into a node-indexed
-    field (analytic fields for the tests); at nodes (G,) t is (G, 1, 1), as
-    for a model (models.node_time)."""
+def from_callables(grid, d, k, out_shape, f_t, fp_t, grad_t):
+    """Wrap time-parametrized callables f(t, x), f'(t, x) and grad f(t, x)
+    into a node-indexed field (analytic fields for the tests); at nodes (G,)
+    t is (G, 1, 1), as for a model (models.node_time)."""
     nodes = grid.nodes
     f = lambda n, x: f_t(models.node_time(nodes, n), x)
     fp = lambda n, x: fp_t(models.node_time(nodes, n), x)
-    grad = None if grad_t is None else (
-        lambda n, x: grad_t(models.node_time(nodes, n), x))
+    grad = lambda n, x: grad_t(models.node_time(nodes, n), x)
     return vf.ControlledVectorField(grid, d, k, tuple(out_shape), f, fp, grad)
 
 
@@ -86,19 +85,6 @@ class TestBuildFromFlow:
         )
         np.testing.assert_allclose(cvf.fp(n, x)[:, 0, 0, 0], expect, atol=1e-10)
 
-    def test_difference_fallback_matches_analytic(self):
-        grid = rp.TimeGrid(1.0, 4)
-        flow = random_flow(3, grid, particles=16)
-        model = models.make_model("tanh-interaction")
-        analytic = vf.build_cvf_from_flow(model, flow)
-        model_fd = models.make_model("tanh-interaction")
-        model_fd.sigma0_dmu = None
-        fallback = vf.build_cvf_from_flow(model_fd, flow)
-        x = np.array([[0.5], [-0.2]])
-        np.testing.assert_allclose(
-            fallback.fp(1, x), analytic.fp(1, x), rtol=0, atol=1e-4
-        )
-
     def test_permutation_invariance(self):
         grid = rp.TimeGrid(1.0, 5)
         flow = random_flow(4, grid, particles=20)
@@ -133,7 +119,7 @@ class TestBuildFromFlow:
         np.testing.assert_allclose(cvf.fp(n, x), ref, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("particles", [16, 2000])
-    def test_difference_fallback_matches_dense_reference_k2(self, particles):
+    def test_sin_mean_hook_matches_dense_reference_k2(self, particles):
         model, lions = sin_mean_model(), sin_mean_lions
         grid = rp.TimeGrid(1.0, 4)
         flow = random_flow(7, grid, particles=particles, d=2, k=2)
@@ -143,19 +129,34 @@ class TestBuildFromFlow:
         ref = dense_contraction(lions, grid.nodes[n], x, flow.cloud(n), flow.Yp[:, n])
         got = cvf.fp(n, x)
         assert got.shape == (5, 2, 2, 2)
-        # central difference at vf.DMU_STEP: observed error about 4e-12
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+        # the closed form against the same sum in another order: round-off
+        # only, observed about 3.5e-17
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
-    def test_difference_fallback_makes_2k_coefficient_calls(self):
-        model = sin_mean_model()
+    def test_constant_coefficient_derivative_makes_no_coefficient_call(self):
+        # lq's sigma0 is constant: its zero sigma0_dmu reads no sigma0
+        model = models.make_model("lq")
         calls = []
         sigma0 = model.sigma0
         model.sigma0 = lambda t, x, mu: calls.append(1) or sigma0(t, x, mu)
         grid = rp.TimeGrid(1.0, 4)
-        flow = random_flow(9, grid, particles=50, d=2, k=2)
-        cvf = vf.build_cvf_from_flow(model, flow)
-        cvf.fp(1, np.zeros((3, 2)))
-        assert len(calls) == 2 * model.k
+        cvf = vf.build_cvf_from_flow(model, random_flow(9, grid))
+        x = np.zeros((3, 1))
+        np.testing.assert_array_equal(cvf.fp(1, x), np.zeros((3, 1, 1, 1)))
+        cvf.fp(np.arange(5), np.zeros((5, 3, 1)))
+        assert calls == []
+
+    @pytest.mark.parametrize("missing", ["grad_sigma0", "sigma0_dmu"])
+    def test_rough_coefficient_without_a_derivative_is_refused(self, missing):
+        model = models.make_model("tanh-interaction")
+        setattr(model, missing, None)
+        calls = []
+        sigma0 = model.sigma0
+        model.sigma0 = lambda t, x, mu: calls.append(1) or sigma0(t, x, mu)
+        message = f"model 'tanh-interaction' has no {missing}"
+        with pytest.raises(vf.ConfigurationError, match=f"^{message};"):
+            vf.build_cvf_from_flow(model, random_flow(9, rp.TimeGrid(1.0, 4)))
+        assert calls == []
 
     def test_coefficient_set_rejects_unknown_fields(self):
         model = models.make_model("tanh-interaction")
@@ -264,17 +265,6 @@ class TestCompose:
         np.testing.assert_allclose(
             via_outer.Zp, np.einsum("fg,pngk->pnfk", ell, via_inner.Zp), atol=1e-12
         )
-
-    def test_gradient_fallback_is_a_central_difference(self):
-        grid = rp.TimeGrid(1.0, 2)
-        cvf = from_callables(
-            grid, 2, 1, (1,),
-            lambda t, x: np.sin(x[..., :1] * x[..., 1:]),
-            lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
-        )
-        x = substream(12, "vf", "fd").normal(size=(5, 2))
-        want = np.cos(x[:, :1] * x[:, 1:])[..., None] * x[:, None, ::-1]
-        np.testing.assert_allclose(cvf.gradient(1, x), want, rtol=0, atol=1e-8)
 
 
 class TestCvfNorm:
@@ -385,6 +375,7 @@ class TestCvfNorm:
             grid, 1, 1, (1, 1),
             lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
             lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1, 1)),
+            lambda t, x: np.zeros(np.asarray(x).shape[:-1] + (1, 1, 1)),
         )
         with pytest.raises(rp.InputError):
             vf.cvf_norm(cvf, p, ct.IndexPair(), np.zeros((0, 1)))
@@ -409,7 +400,7 @@ class TestGubinelliCorrection:
         x = np.array([[0.2], [1.1]])
         n = 2
         expect = (
-            np.einsum("...abc,...cj->...abj", cvf.gradient(n, x), cvf.f(n, x))
+            np.einsum("...abc,...cj->...abj", cvf.grad(n, x), cvf.f(n, x))
             + cvf.fp(n, x)
         )
         np.testing.assert_allclose(corr(n, x, cvf.f(n, x)), expect, rtol=1e-12)
@@ -419,7 +410,7 @@ def reference_pair(cvf, n, x):
     """Slow reference for the coefficient pair at one node: f and
     grad(f) f + f' evaluated afresh."""
     fx = cvf.f(n, x)
-    return fx, np.einsum("...abc,...cj->...abj", cvf.gradient(n, x), fx) + cvf.fp(n, x)
+    return fx, np.einsum("...abc,...cj->...abj", cvf.grad(n, x), fx) + cvf.fp(n, x)
 
 
 def reference_slots(sol):
@@ -1052,7 +1043,7 @@ def reference_cvf_increments(cvf, p, idx, probes):
     sel = list(range(cvf.grid.steps + 1))
     fs = np.stack([cvf.f(n, probes) for n in sel])
     fps = np.stack([cvf.fp(n, probes) for n in sel])
-    grads = np.stack([cvf.gradient(n, probes) for n in sel])
+    grads = np.stack([cvf.grad(n, probes) for n in sel])
     d_f = d_fp = d_grad = rem = 0.0
     for a in range(len(sel) - 1):
         gaps = nodes[sel[a + 1 :]] - nodes[sel[a]]
@@ -1104,8 +1095,7 @@ def per_node(cvf):
             [fn(m, xm) for m, xm in zip(n, x)])
 
     return vf.ControlledVectorField(cvf.grid, cvf.d, cvf.k, cvf.out_shape,
-                                    loop(cvf.f), loop(cvf.fp),
-                                    None if cvf.grad is None else loop(cvf.grad))
+                                    loop(cvf.f), loop(cvf.fp), loop(cvf.grad))
 
 
 def reference_compose(cvf, ce):
@@ -1117,7 +1107,7 @@ def reference_compose(cvf, ce):
     for n in range(n1):
         x = ce.Z[:, n]
         z[:, n] = cvf.f(n, x)
-        gx = cvf.gradient(n, x).reshape(p_count, cvf.out_size, cvf.d)
+        gx = cvf.grad(n, x).reshape(p_count, -1, cvf.d)
         lead = np.einsum("pfd,pdk->pfk", gx, ce.Zp[:, n])
         zp[:, n] = lead.reshape((p_count,) + fshape + (cvf.k,)) + cvf.fp(n, x)
     return z, zp
@@ -1175,7 +1165,6 @@ class TestNonFiniteNode:
 
     def test_derivative_field_names_its_node(self):
         model = late_nan_model({})
-        model.sigma0_dmu = None  # the central difference reads sigma0
         cvf = vf.build_cvf_from_flow(model, random_flow(12, rp.TimeGrid(1.0, 64)))
         message = "derivative field produced non-finite values at node 33"
         with pytest.raises(vf.NumericError, match=f"^{message}$"):
