@@ -131,8 +131,9 @@ _SETTINGS = {
     "domain.epsilon": ("domain_epsilon", float, "> 0"),
     "domain.inner_samples": ("domain_inner", int, ">= 1"),
     "domain.max_windows": ("domain_windows", int, ">= 1"),
-    "randomize.samples": ("rz_samples", int, ">= 1"),
-    "randomize.particles": ("rz_particles", int, ">= 1"),
+    # the bridge's standard errors need two samples and two particles
+    "randomize.samples": ("rz_samples", int, ">= 2"),
+    "randomize.particles": ("rz_particles", int, ">= 2"),
     "randomize.mode": ("rz_mode", str, ("frozen-flow", "per-sample-fixedpoint")),
     "randomize.inner_refine": ("rz_inner_refine", int, "a power of 2"),
     "rsde.particles": ("rsde_particles", int, ">= 1"),

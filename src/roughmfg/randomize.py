@@ -26,14 +26,15 @@ from .roughpath import InputError, RoughPath, TimeGrid, ito_lift
 
 FROZEN_FLOW = "frozen-flow"
 PER_SAMPLE_FIXEDPOINT = "per-sample-fixedpoint"
-# particle rows the frozen-flow pass advances together: bounds its (rows, N, l)
-# block of idiosyncratic increments (16 MiB at N = 64, l = 1)
-GROUP_ROWS = 1 << 15
+# idiosyncratic increments the frozen-flow pass holds at a time: bounds its
+# time-major (N, rows, l) block to 16 MiB whatever N (32 samples at P = 1000,
+# N = 64, l = 1)
+PASS_INCREMENTS = 1 << 21
 # rows per block of the energy test: permutation masks per matrix product,
 # and distance rows per coordinate pass
 BLOCK = 64
 # idiosyncratic increments joint_simulate holds at a time: bounds its
-# (G, P, N, l) block (2 MiB; 4 samples at P = 1000, N = 64, l = 1)
+# time-major (N, G, P, l) block (2 MiB; 4 samples at P = 1000, N = 64, l = 1)
 JOINT_INCREMENTS = 1 << 18
 # the bridge verdicts: pooled moments within SIGMA_BAND standard errors, and
 # the energy test's p-value at least LEVEL
@@ -107,10 +108,12 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     conditional particle system) unless an external flow is supplied.
     Blocks of max(1, JOINT_INCREMENTS // (P N l)) samples advance together.
     A block draws each sample's (P, N, l) idiosyncratic increments in turn,
-    in sample order, from one stream, and per node makes one policy, drift,
-    sigma and sigma0 call on its (G, P, d) states, each group interacting
-    with its own sample's cloud (the grouping convention of models); the
-    first grouped calls are checked against sample 0 alone
+    in sample order, from one stream, and stores them time-major, (N, G, P,
+    l), so that each node reads one contiguous slice.  Per node it makes one
+    policy, drift, sigma and sigma0 call on its (G, P, d) states, each group
+    interacting with its own sample's cloud (the grouping convention of
+    models), and contracts sigma dW and sigma0 dB0 with einsum; the first
+    grouped calls are checked against sample 0 alone
     (models.check_grouped).  A blow-up raises DivergedError naming the step,
     the sample and the particle within the sample: the first blow-up
     (earliest step, then sample and particle) of the first block that has
@@ -126,13 +129,14 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     external = flow is not None
     per_block = min(samples, max(1, JOINT_INCREMENTS // (particles * steps * l)))
     # allocated once; a shorter last block uses the leading samples
-    dw = np.empty((per_block, particles, steps, l))
-    db0 = np.empty((per_block, steps, k, 1))
+    dw = np.empty((steps, per_block, particles, l))
+    db0 = np.empty((steps, per_block, k))
     for first in range(0, samples, per_block):
         count = min(per_block, samples - first)
         for g in range(count):
-            dw[g] = w_rng.normal(0.0, math.sqrt(grid.dt), size=(particles, steps, l))
-            db0[g, ..., 0] = common_increments(grid, k, seed, first + g)
+            dw[:, g] = w_rng.normal(0.0, math.sqrt(grid.dt),
+                                    size=(particles, steps, l)).transpose(1, 0, 2)
+            db0[:, g] = common_increments(grid, k, seed, first + g)
         xs = x[first : first + count]
         for n in range(steps):
             t = nodes[n]
@@ -150,9 +154,9 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
                         models.check_grouped(coeffs, name, got, getattr(coeffs, name),
                                              t, xs, clouds)
             nxt = xs + drift * (nodes[n + 1] - t)
-            nxt = nxt + np.einsum("gpdl,gpl->gpd", sig, dw[:count, :, n])
+            nxt = nxt + np.einsum("gpdl,gpl->gpd", sig, dw[n, :count])
             if sig0 is not None:
-                nxt = nxt + (sig0 @ db0[:count, None, n])[..., 0]
+                nxt = nxt + np.einsum("gqdk,gk->gqd", sig0, db0[n, :count])
             bad = rsde._blowup_row(nxt.reshape(-1, d))
             if bad is not None:
                 g, particle = divmod(bad, particles)
@@ -177,25 +181,28 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
     """Terminal states of the per-sample solves under one frozen flow, from
     a grouped terminal-only pass; equal bitwise to one rsde.solve per sample.
 
-    Blocks of max(1, GROUP_ROWS // particles) samples advance together.  A
-    block stacks, one sample at a time, the initial states and idiosyncratic
+    Blocks of max(1, PASS_INCREMENTS // (P N l)) samples advance together.
+    A block stacks, one sample at a time, the initial states and idiosyncratic
     increments rsde.solve draws from the sample's seed, and the rough
     increments of the sample's lift; each sample's rows step with its own
-    lift.  Per node the block makes one rsde._pair and one rsde._advance
-    call on all its rows and keeps only the current states.  A
-    blow-up raises DivergedError naming the step, the sample and the
-    particle within the sample; a non-finite coefficient pair, at any node
-    up to the terminal one, raises NumericError as in the solve.
+    lift.  The increments are stored time-major, (N, rows, l), so that each
+    node reads one contiguous slice.  Per node the block makes one
+    rsde._pair and one rsde._advance call on all its rows (whose _step
+    contracts each sample's rough increments with einsum) and keeps only the
+    current states.  A blow-up raises DivergedError naming the step, the
+    sample and the particle within the sample; a non-finite coefficient
+    pair, at any node up to the terminal one, raises NumericError as in the
+    solve.
     """
     if flow.grid != grid:  # every sample's lift lives on grid
         raise InputError("flow and rough path live on different grids")
     d, l, k = coeffs.d, coeffs.l, coeffs.k
     cvf, correction = rsde._rough_coefficient(coeffs, flow)
     nodes, steps = grid.nodes, grid.steps
-    per_block = min(samples, max(1, GROUP_ROWS // particles))
+    per_block = min(samples, max(1, PASS_INCREMENTS // (particles * steps * l)))
     # allocated once, so one block's increments are live at a time; a shorter
     # last block uses the leading rows
-    dw = np.empty((per_block * particles, steps, l))
+    dw = np.empty((steps, per_block * particles, l))
     db = np.empty((per_block, steps, k))
     bb = np.empty((per_block, steps, k, k))
     out = np.empty((samples, particles, d))
@@ -207,11 +214,12 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
             sample_seed = derive_seed(seed, "randomize", "pathwise", first + g, w_salt)
             rows = slice(g * particles, (g + 1) * particles)
             x[rows] = rsde.draw_initial(sample_seed, init, particles, d)
-            dw[rows] = rsde.draw_wiener(sample_seed, particles, steps, l, grid.dt)
+            dw[:, rows] = rsde.draw_wiener(sample_seed, particles, steps, l,
+                                           grid.dt).transpose(1, 0, 2)
             db[g] = lift.increments()
             bb[g] = lift.step_second()
         for n in range(steps):
-            x = rsde._advance(coeffs, flow, policy, nodes, n, x, dw[: len(x), n],
+            x = rsde._advance(coeffs, flow, policy, nodes, n, x, dw[n, : len(x)],
                               db[:count, n], bb[:count, n],
                               *rsde._pair(cvf, correction, n, x))
             bad = rsde._blowup_row(x)
@@ -370,10 +378,17 @@ def compare_pathwise_vs_randomized(
     conditional means must agree within the band.  Pooled: first and second
     moments within SIGMA_BAND standard errors (from the between-sample
     spread, which respects the within-sample correlation), and an
-    energy-distance permutation test on subsampled terminals at LEVEL.  Fewer
-    than one particle or sample raises InputError (pathwise_terminals)
-    before any solve.
+    energy-distance permutation test on subsampled terminals at LEVEL.  A
+    standard error needs two of each, so fewer than two particles or two
+    samples raises InputError before any solve; pathwise_terminals and
+    joint_simulate accept one.
     """
+    _require_counts(particles, samples)
+    if particles < 2 or samples < 2:
+        raise InputError(
+            "a standard error needs at least two particles and two samples, got"
+            f" particles={particles}, samples={samples}"
+        )
     pw = pathwise_terminals(
         coeffs, policy, init, grid, particles, samples, seed, mode, flow,
         inner_refine=inner_refine,

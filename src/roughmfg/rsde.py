@@ -462,7 +462,8 @@ def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
 
     The node's rough increments come one pair per group, db_n (G, k) and
     bb_n (G, k, k), for rows grouped contiguously into G equal blocks; a
-    single path passes G = 1."""
+    single path passes G = 1.  All three noise terms are einsum
+    contractions: sigma dW over l, f dB over k, fhat BB over (i, j)."""
     t = nodes[n]
     nxt = xn + drift * (nodes[n + 1] - t)
     nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xn, cloud), dw_n)
@@ -470,7 +471,7 @@ def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
         groups, k = db_n.shape
         f_g = f_n.reshape((groups, -1) + f_n.shape[1:])
         fhat_g = fhat_n.reshape(groups, -1, k, k)
-        nxt = nxt + (f_g @ db_n.reshape(groups, 1, k, 1)).reshape(nxt.shape)
+        nxt = nxt + np.einsum("gqdk,gk->gqd", f_g, db_n).reshape(nxt.shape)
         nxt = nxt + np.einsum("gqij,gij->gq", fhat_g, bb_n).reshape(nxt.shape)
     return nxt
 

@@ -615,7 +615,18 @@ class TestCli:
                         "--out", str(tmp_path / "o")])
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert "[randomize] samples must be >= 1, got 0" in done.stderr
+        assert "[randomize] samples must be >= 2, got 0" in done.stderr
+
+    @pytest.mark.parametrize("flag", ["--samples", "--particles"])
+    def test_randomize_compare_refuses_one_sample_or_particle(self, tmp_path, flag):
+        # a standard error needs two: one would write NaN tokens
+        out = tmp_path / "o"
+        done = run_cli(["randomize", "compare", "--model", "lq", flag, "1",
+                        "--out", str(out)])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"[randomize] {flag[2:]} must be >= 2, got 1" in done.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new, message", [
         ("lattice_nodes = 31", "lattice_nodes = 0",

@@ -49,6 +49,17 @@ def axis_zero_model(name):
     return model
 
 
+def two_driver_model():
+    """tanh-interaction with l = 2 idiosyncratic drivers, each loading on the
+    state: both bridge passes' (N, rows, l) increment blocks then carry an
+    l axis."""
+    model = models.make_model("tanh-interaction")
+    model.l = 2
+    model.sigma = lambda t, x, mu: np.stack(
+        [0.4 + 0.1 * np.tanh(x), 0.3 * np.cos(x)], axis=-1)
+    return model
+
+
 def random_flow(seed, grid, particles=48, d=1, k=1):
     rng = substream(seed, "rz", "flow")
     y = rng.normal(size=(particles, grid.steps + 1, d)) * 0.5
@@ -94,7 +105,7 @@ def ref_joint_terminals(coeffs, policy, init, grid, particles, samples, seed,
             nxt = xs + drift * (nodes[n + 1] - t)
             nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xs, cloud), dw[s, :, n])
             if coeffs.sigma0 is not None:
-                nxt = nxt + coeffs.sigma0(t, xs, cloud) @ db0[s, n]
+                nxt = nxt + np.einsum("pdk,k->pd", coeffs.sigma0(t, xs, cloud), db0[s, n])
             rsde.check_blowup(nxt, n)
             x[s] = nxt
     return x
@@ -207,7 +218,8 @@ class TestJointSimulate:
             rz.joint_simulate(model, policy, rsde.InitialLaw(), rp.TimeGrid(1.0, 8),
                               particles=8, samples=2, seed=0)
 
-    @pytest.mark.parametrize("case", ["conditional", "external", "sin-mean"])
+    @pytest.mark.parametrize("case", ["conditional", "external", "sin-mean",
+                                      "two-drivers"])
     def test_matches_node_outer_reference(self, case):
         grid = rp.TimeGrid(1.0, 12)
         model = models.make_model("tanh-interaction")
@@ -216,6 +228,8 @@ class TestJointSimulate:
             flow = random_flow(2, grid)
         elif case == "sin-mean":
             model = sin_mean_model()
+        elif case == "two-drivers":
+            model = two_driver_model()
         policy = mfg.RelaxedPolicy.constant(model.actions, 12, action_index=2)
         init = rsde.InitialLaw("normal", 0.2, 0.6)
         args = (model, policy, init, grid, 40, 5, 6)
@@ -381,7 +395,9 @@ class TestFrozenFlowPass:
         ("lq", {"w_salt": 1}),
         ("tanh", {"flow": "random"}),
         ("sin-mean", {}),
-    ], ids=["lq", "lq-no-rough", "tanh", "inner-refine", "w-salt", "flow", "sin-mean"])
+        ("two-drivers", {}),
+    ], ids=["lq", "lq-no-rough", "tanh", "inner-refine", "w-salt", "flow", "sin-mean",
+            "two-drivers"])
     def test_matches_per_sample_solves(self, case, kwargs):
         grid = rp.TimeGrid(1.0, 16)
         model = {
@@ -390,6 +406,7 @@ class TestFrozenFlowPass:
                 "lq", actions=(0.0,), sigma=0.5, mean_coupling=0.0, sigma0=None),
             "tanh": lambda: models.make_model("tanh-interaction"),
             "sin-mean": sin_mean_model,
+            "two-drivers": two_driver_model,
         }[case]()
         if kwargs.get("flow") == "random":
             kwargs = dict(kwargs, flow=random_flow(4, grid))
@@ -419,13 +436,35 @@ class TestFrozenFlowPass:
             want = rsde._step(model, nodes, 2, x[r], None, drift[r], dw[r],
                               db[g : g + 1], bb[g : g + 1], f[r], fhat[r])
             np.testing.assert_array_equal(got[r], want)
-            # one group is the single-path step: f dB as a matrix-vector
-            # product, fhat BB as an einsum over (i, j)
+            # one group is the single-path step: f dB as an einsum over k,
+            # fhat BB as an einsum over (i, j)
             single = x[r] + drift[r] * (nodes[3] - nodes[2])
             single = single + np.einsum("pdl,pl->pd", np.full((rows, d, 2), 0.3), dw[r])
-            single = single + f[r] @ db[g]
+            single = single + np.einsum("pdk,k->pd", f[r], db[g])
             single = single + np.einsum("pdij,ij->pd", fhat[r], bb[g])
             np.testing.assert_array_equal(want, single)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_step_rough_contraction_is_the_matmul_formula(self, d, k):
+        # every other term zero, so _step returns f dB alone; the einsum sums
+        # over k in another order than a (d, k) @ (k, 1) matmul per row
+        rng = substream(d * 10 + k, "rz", "contraction")
+        groups, rows = 4, 29
+        model = models.CoefficientSet(
+            name="contraction", d=d, l=1, k=k, actions=np.zeros((1, 1)),
+            b=None, f=None, g=None, sigma=lambda t, x, mu: np.zeros(x.shape + (1,)),
+        )
+        zero = np.zeros((groups * rows, d))
+        f = rng.normal(size=(groups * rows, d, k))
+        db = rng.normal(size=(groups, k))
+        got = rsde._step(model, np.linspace(0.0, 1.0, 3), 0, zero, None, zero,
+                         np.zeros((groups * rows, 1)), db, np.zeros((groups, k, k)),
+                         f, np.zeros((groups * rows, d, k, k)))
+        f_g = f.reshape(groups, rows, d, k)
+        want = (f_g @ db.reshape(groups, 1, k, 1)).reshape(got.shape)
+        scale = np.abs(f_g * db[:, None, None, :]).sum(axis=-1).reshape(got.shape)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("group_rows", [3 * 50 + 7, 49])
     def test_blocks_that_do_not_divide_the_samples(self, monkeypatch, group_rows):
@@ -435,7 +474,8 @@ class TestFrozenFlowPass:
         grid = rp.TimeGrid(1.0, 8)
         args = (model, null_policy(model, 8), rsde.InitialLaw(), grid, 50, 7, 2)
         want = ref_pathwise_terminals(*args)
-        monkeypatch.setattr(rz, "GROUP_ROWS", group_rows)
+        # a budget of group_rows rows: N l = 8 increments per row
+        monkeypatch.setattr(rz, "PASS_INCREMENTS", group_rows * 8)
         np.testing.assert_array_equal(rz.pathwise_terminals(*args), want)
 
     @pytest.mark.parametrize("pass_", [ref_pathwise_terminals, rz.pathwise_terminals],
@@ -464,22 +504,35 @@ class TestFrozenFlowPass:
                                     grid, 16, 3, 1)
         assert out.shape == (3, 16, 1)
 
-    def test_memory_bounded_by_one_block(self):
-        # bridge size: N = 64, P = 1000; the (rows, N, l) increments of one
-        # 32-sample block (16 MiB) dominate, whatever the sample count
+    @staticmethod
+    def pass_peaks(steps, one_block, samples):
+        """Traced peaks of the frozen-flow pass at P = 1000 over `steps` grid
+        steps, for one block's samples and for more."""
         model = gaussian_model(c=0.6, sigma=0.3)
-        grid = rp.TimeGrid(1.0, 64)
-        policy = null_policy(model, 64)
+        grid = rp.TimeGrid(1.0, steps)
+        policy = null_policy(model, steps)
         init = rsde.InitialLaw("normal", 0.0, 0.5)
 
-        def peak(samples):
+        def peak(count):
             return traced_peak_mib(lambda: rz.pathwise_terminals(
-                model, policy, init, grid, 1000, samples, 7))
+                model, policy, init, grid, 1000, count, 7))
 
-        one_block, hundred = peak(32), peak(100)
+        return peak(one_block), peak(samples)
+
+    def test_memory_bounded_by_one_block(self):
+        # bridge size: N = 64, P = 1000; the (N, rows, l) increments of one
+        # 32-sample block (16 MiB) dominate, whatever the sample count
+        one_block, hundred = self.pass_peaks(64, 32, 100)
         assert hundred <= 24.0
         # beyond one block only the (S, P, d) output grows: 0.52 MiB more
         assert hundred <= one_block + 1.0
+
+    def test_memory_bound_holds_on_a_longer_grid(self):
+        # N = 256: the budget is in increments, so a block is 8 samples (16
+        # MiB), not the 32 samples (64 MiB) a budget in rows would give
+        one_block, sixteen = self.pass_peaks(256, 8, 16)
+        assert sixteen <= 24.0
+        assert sixteen <= one_block + 1.0
 
     def test_joint_memory_bounded_by_one_sample(self):
         model = gaussian_model(c=0.6, sigma=0.3)
@@ -521,16 +574,16 @@ class TestBridgeBlowups:
     """Both bridge pipelines name the step, the sample and the particle
     within the sample."""
 
-    @pytest.mark.parametrize("pipeline, group_rows, joint_increments", [
-        ("pathwise", rz.GROUP_ROWS, rz.JOINT_INCREMENTS),
-        ("pathwise", 8, rz.JOINT_INCREMENTS),
-        ("joint", rz.GROUP_ROWS, rz.JOINT_INCREMENTS),
-        ("joint", rz.GROUP_ROWS, 64),
+    @pytest.mark.parametrize("pipeline, pass_increments, joint_increments", [
+        ("pathwise", rz.PASS_INCREMENTS, rz.JOINT_INCREMENTS),
+        ("pathwise", 64, rz.JOINT_INCREMENTS),
+        ("joint", rz.PASS_INCREMENTS, rz.JOINT_INCREMENTS),
+        ("joint", rz.PASS_INCREMENTS, 64),
     ], ids=["pathwise", "pathwise-blocks-of-one", "joint", "joint-blocks-of-one"])
     def test_nan_drift_names_sample_and_particle(self, monkeypatch, pipeline,
-                                                 group_rows, joint_increments):
-        monkeypatch.setattr(rz, "GROUP_ROWS", group_rows)
-        # 8 particles x 8 steps: 64 increments per joint sample
+                                                 pass_increments, joint_increments):
+        # 8 particles x 8 steps: 64 increments per sample in either pass
+        monkeypatch.setattr(rz, "PASS_INCREMENTS", pass_increments)
         monkeypatch.setattr(rz, "JOINT_INCREMENTS", joint_increments)
         particles, samples = 8, 6
         model = models.make_model("tanh-interaction")
@@ -750,6 +803,18 @@ class TestCompare:
                 model, null_policy(model, 8), rsde.InitialLaw(), grid,
                 particles=16, samples=2, seed=1, flow=flow,
             )
+
+    @pytest.mark.parametrize("particles, samples", [(16, 1), (1, 2)])
+    def test_compare_needs_two_particles_and_two_samples(self, particles, samples):
+        # a standard error needs two; the passes themselves accept one
+        model = gaussian_model()
+        grid = rp.TimeGrid(1.0, 8)
+        args = (model, null_policy(model, 8), rsde.InitialLaw(), grid, particles,
+                samples, 1)
+        with pytest.raises(rp.InputError, match="at least two particles and two samples"):
+            rz.compare_pathwise_vs_randomized(*args)
+        assert rz.pathwise_terminals(*args).shape == (samples, particles, 1)
+        assert rz.joint_simulate(*args).terminal.shape == (samples, particles, 1)
 
     @pytest.mark.parametrize("particles, samples", [(16, 0), (0, 2), (-1, 2)])
     @pytest.mark.parametrize("entry", ["compare", "pathwise", "joint"])

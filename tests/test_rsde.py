@@ -278,7 +278,8 @@ class TestNodeBody:
         assert advanced == [(n, 8 * n_inner * stepping[n]) for n in range(2, 12)]
 
     def test_frozen_flow_pass(self, advanced, monkeypatch):
-        monkeypatch.setattr(rz, "GROUP_ROWS", 3 * 16)  # blocks of 3 and 2 samples
+        # 16 particles x 8 steps: blocks of 3 and 2 samples
+        monkeypatch.setattr(rz, "PASS_INCREMENTS", 3 * 16 * 8)
         model = models.make_model("tanh-interaction")
         grid = rp.TimeGrid(1.0, 8)
         rz.pathwise_terminals(model, delta_policy(model, 8), rsde.InitialLaw(), grid,
