@@ -147,10 +147,10 @@ def _run_mfg(cfg, out: Path, strict: bool) -> int:
         for it in rep.iterations:
             values = (it.w2_update, it.exploitability, it.exploitability_raw,
                       it.exploitability_err)
-            fp.write(
-                f"{it.index},{_cells(values)},{int(it.domain_member)},"
-                f"{_cells([it.domain_worst])}\n"
-            )
+            # an unchecked domain leaves both cells empty
+            domain = (",," if it.domain_member is None else
+                      f",{int(it.domain_member)},{_cells([it.domain_worst])}")
+            fp.write(f"{it.index},{_cells(values)}{domain}\n")
     pol = result.policy
     with _open_csv(out / "policy.csv", h) as fp:
         k = pol.n_actions

@@ -16,7 +16,8 @@ EXACT_ASSIGNMENT_MAX = 64
 class MeasureFlow:
     """t -> mu_t as P particle trajectories Y with derivative particles Y'.
 
-    Y: (P, N+1, d); Yp: (P, N+1, d, k).  Weights are uniform 1/P.
+    Y: (P, N+1, d); Yp: (P, N+1, d, k).  Weights are uniform 1/P.  Nothing
+    writes into a flow's arrays: they may be read-only views (constant_flow).
     """
 
     grid: TimeGrid
@@ -59,12 +60,14 @@ def at_nodes(a: np.ndarray, n) -> np.ndarray:
 
 
 def constant_flow(grid: TimeGrid, cloud: np.ndarray, k: int) -> MeasureFlow:
-    """Flow frozen at an initial cloud, derivative particles zero."""
+    """Flow frozen at an initial cloud, derivative particles zero.
+
+    Y is a read-only broadcast view of the one cloud (P, d) over the nodes,
+    and Yp one of a single zero: no node's cloud or zeros are copied."""
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-    p, d = cloud.shape
-    y = np.repeat(cloud[:, None, :], grid.steps + 1, axis=1)
-    yp = np.zeros((p, grid.steps + 1, d, k))
-    return MeasureFlow(grid, y, yp)
+    shape = (cloud.shape[0], grid.steps + 1, cloud.shape[1])
+    return MeasureFlow(grid, np.broadcast_to(cloud[:, None, :], shape),
+                       np.broadcast_to(0.0, shape + (k,)))
 
 
 def from_solution(sol) -> MeasureFlow:

@@ -233,7 +233,6 @@ class BestResponse:
     values: np.ndarray  # (N+1, nodes)
     lattice: np.ndarray
     escape_mass: float
-    warned: bool
 
 
 def _auto_bounds(coeffs, flow, p, init, seed) -> tuple:
@@ -333,7 +332,7 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
             raise LatticeEscapeError(msg)
         warnings.warn(msg)
     policy = RelaxedPolicy(coeffs.actions, FEEDBACK, lattice, table)
-    return BestResponse(policy, values, lattice, escape_rate, warned)
+    return BestResponse(policy, values, lattice, escape_rate)
 
 
 def _refuse_non_finite(table, what, *axes):
@@ -386,8 +385,8 @@ class IterationRecord:
     exploitability: float
     exploitability_raw: float
     exploitability_err: float
-    domain_member: bool
-    domain_worst: float
+    domain_member: bool | None  # None: no domain check ran
+    domain_worst: float | None
     offending_window: tuple | None
 
 
@@ -459,6 +458,9 @@ def fixed_point(
     would make.  A damped mix makes a new flow, and the next sweep runs its
     own DP and solve.
 
+    Without domain_bound no domain check runs, and every record's
+    domain_member and domain_worst are None.
+
     Every sweep solves with the same seed (common random numbers), so the
     domain checks share one dict of continuation increments
     (mf.check_domain's draws) and draw each anchor's block once per call.
@@ -515,7 +517,7 @@ def fixed_point(
                     f" (worst window {offend}, norm {worst:.3g})"
                 )
         else:
-            member, worst, offend = True, math.nan, None
+            member = worst = offend = None
         records.append(
             IterationRecord(it, dist, exp_value, exp_raw, exp_err, member,
                             worst, offend)

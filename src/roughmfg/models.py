@@ -43,7 +43,9 @@ class CoefficientSet:
     direction per particle of mu and rough direction, the derivative of
     sigma0 as each mu[p] moves along v[p, :, j], shaped (..., d, k, k); it
     equals the particle average of the measure derivative contracted with
-    v.  A coefficient constant in x or in the measure has an exact zero.
+    v, so it is linear in v and zero along v = 0, where
+    vectorfield.build_cvf_from_flow does not call it.  A coefficient
+    constant in x or in the measure has an exact zero.
 
     Every evaluator also takes groups (module docstring): mu (G, P, d)
     against x (G, Q, d), v (G, P, d, k), and t a number or (G, 1, 1).

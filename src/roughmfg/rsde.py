@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,7 +161,6 @@ class RsdeSolution:
     correction: object | None
     fhat: np.ndarray | None
     audit_log: list | None = None
-    monitors: list = field(default_factory=list)
 
     @property
     def grid(self):
@@ -199,7 +198,6 @@ class RsdeSolution:
             ensemble=ct.ControlledEnsemble(ens.grid, head(ens.Z), head(ens.Zp)),
             W_increments=head(self.W_increments),
             fhat=head(self.fhat),
-            monitors=[],
         )
 
     def _inner_increments(self, rows, s_idx, stop=None, draws=None):
@@ -921,6 +919,4 @@ def apriori_monitor(sol: RsdeSolution, idx: ct.IndexPair, m: int = 4,
                              moments=moments["sigma0"], anchor_stride=anchor_stride)
     envelope = const * max(1.0, field) ** exponent
     flagged = state.combined > envelope or coeff.combined > envelope
-    snap = AprioriSnapshot(state, coeff, field, envelope, const, exponent, flagged)
-    sol.monitors.append(snap)
-    return snap
+    return AprioriSnapshot(state, coeff, field, envelope, const, exponent, flagged)

@@ -65,6 +65,13 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
     (1/P) sum_p d_mu sigma0(x, mu^P)(y_p) Y'_p = d/dh sigma0(x, {y_p + h Y'_p})
     at h = 0: the model's sigma0_dmu.  A model without sigma0, grad_sigma0
     or sigma0_dmu is refused before any evaluation.
+
+    sigma0_dmu is linear in the derivative particles.  When the flow's
+    derivative particles have no nonzero entry (a frozen flow,
+    mf.constant_flow), the derivative field is an exact-zero read-only view,
+    with no model call and no finiteness check: a sigma0_dmu that is
+    non-finite at a finite state then does not raise.  sigma0 is checked
+    either way.
     """
     for name in ("sigma0", "grad_sigma0", "sigma0_dmu"):
         if getattr(coeffs, name) is None:
@@ -93,7 +100,11 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
         return at
 
     f = evaluator("coefficient", "sigma0", coeffs.sigma0)
-    fp = evaluator("derivative field", "sigma0_dmu", coeffs.sigma0_dmu, flow.Yp)
+    if flow.Yp.any():
+        fp = evaluator("derivative field", "sigma0_dmu", coeffs.sigma0_dmu, flow.Yp)
+    else:
+        def fp(n, x):
+            return np.broadcast_to(0.0, x.shape[:-1] + (coeffs.d, k, k))
     grad = evaluator(None, "grad_sigma0", coeffs.grad_sigma0)
     return ControlledVectorField(flow.grid, coeffs.d, k, (coeffs.d, k), f, fp, grad)
 

@@ -316,6 +316,27 @@ class TestCli:
             first = (out / name).read_text().splitlines()[0]
             assert first == f"# manifest {manifest['manifest_hash']}"
 
+    def test_unchecked_domain_is_recorded_as_unchecked(self, tmp_path):
+        # without [domain] no check runs: report.json records null, with no
+        # NaN token, and iterations.csv leaves both domain cells empty
+        text = MINIMAL.replace("n = 16", "n = 8").replace("max_iters = 4",
+                                                           "max_iters = 2")
+        out = tmp_path / "out"
+        path = write_config(tmp_path, text)
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=refuse)
+        assert report["iterations"]
+        for it in report["iterations"]:
+            assert it["domain_member"] is None and it["domain_worst"] is None
+        rows = (out / "iterations.csv").read_text().splitlines()
+        assert rows[1].endswith(",domain_member,domain_worst")
+        assert rows[2:] and all(row.endswith(",,") for row in rows[2:])
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -358,7 +379,12 @@ class TestCli:
             rows = csv_path.read_text().splitlines()[2:]  # manifest, header
             assert rows
             for row in rows:
-                for cell in row.split(","):
+                cells = row.split(",")
+                if csv_path.name == "iterations.csv":
+                    # no [domain]: the unchecked domain's two cells are empty
+                    assert cells[-2:] == ["", ""]
+                    cells = cells[:-2]
+                for cell in cells:
                     float(cell)
 
     def test_rsde_solve_from_rough_file(self, tmp_path):

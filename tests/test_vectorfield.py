@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from roughmfg import controlled as ct
 from roughmfg import measureflow as mf
 from roughmfg import mfg
 from roughmfg import models
+from roughmfg import randomize as rz
 from roughmfg import roughpath as rp
 from roughmfg import rsde
 from roughmfg import vectorfield as vf
@@ -518,6 +521,173 @@ class TestSolvedSlots:
         assert calls == {"f": 17, "correction": 17}
 
 
+BUILD_CVF = vf.build_cvf_from_flow
+
+
+def materialized_flow(grid, cloud, k):
+    """A frozen flow stored as arrays: the cloud repeated at every node and
+    all-zero derivative particles (the reference for constant_flow's views)."""
+    y = np.repeat(np.atleast_2d(cloud)[:, None, :], grid.steps + 1, axis=1)
+    return mf.MeasureFlow(grid, y, np.zeros(y.shape + (k,)))
+
+
+def evaluated_cvf(coeffs, flow):
+    """build_cvf_from_flow whose derivative field calls the model's
+    sigma0_dmu whatever the derivative particles, all zero or not."""
+    nodes = flow.grid.nodes
+
+    def fp(n, x):
+        args = (models.node_time(nodes, n), x, flow.cloud(n),
+                mf.at_nodes(flow.Yp, n))
+        if isinstance(n, np.ndarray):
+            return models.grouped_call(coeffs, "sigma0_dmu", coeffs.sigma0_dmu,
+                                       *args)
+        return coeffs.sigma0_dmu(*args)
+
+    return dataclasses.replace(BUILD_CVF(coeffs, flow), fp=fp)
+
+
+def counted_dmu(model):
+    """Record each sigma0_dmu call of model from here on."""
+    calls = []
+    dmu = model.sigma0_dmu
+
+    def counted(*args):
+        calls.append(args[0])
+        return dmu(*args)
+
+    model.sigma0_dmu = counted
+    return calls
+
+
+FROZEN_MODELS = {
+    "tanh-interaction": lambda: models.make_model("tanh-interaction"),
+    "lq": lambda: models.make_model("lq"),
+    "sin-mean": sin_mean_model,
+}
+
+
+class TestFrozenFlow:
+    """constant_flow's read-only views, with the exact-zero derivative field,
+    against the materialized frozen flow whose field calls sigma0_dmu."""
+
+    @staticmethod
+    def both(monkeypatch, model, run, steps=12, particles=8, seed=4):
+        """run(flow, lift) on constant_flow, then on the reference flow
+        with the evaluated derivative field."""
+        grid = rp.TimeGrid(1.0, steps)
+        lift = brownian_lift(seed, n=steps, k=model.k)
+        cloud = rsde.draw_initial(seed, rsde.InitialLaw(), particles, model.d)
+        got = run(mf.constant_flow(grid, cloud, model.k), lift)
+        monkeypatch.setattr(vf, "build_cvf_from_flow", evaluated_cvf)
+        return got, run(materialized_flow(grid, cloud, model.k), lift)
+
+    @staticmethod
+    def solve(model, flow, lift, particles=8, seed=4):
+        policy = mfg.RelaxedPolicy.constant(model.actions, lift.grid.steps)
+        return rsde.solve(model, flow, lift, policy, rsde.InitialLaw(),
+                          particles, seed)
+
+    def test_constant_flow_is_read_only_views(self):
+        grid = rp.TimeGrid(1.0, 8)
+        cloud = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 1.0]])
+        flow = mf.constant_flow(grid, cloud, 2)
+        ref = materialized_flow(grid, cloud, 2)
+        np.testing.assert_array_equal(flow.Y, ref.Y)
+        np.testing.assert_array_equal(flow.Yp, ref.Yp)
+        for a in (flow.Y, flow.Yp):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        assert np.shares_memory(flow.Y, cloud) and flow.Yp.strides == (0,) * 4
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_MODELS))
+    def test_solve_matches_materialized_flow(self, monkeypatch, name):
+        model = FROZEN_MODELS[name]()
+        got, want = self.both(monkeypatch, model,
+                              lambda flow, lift: self.solve(model, flow, lift))
+        np.testing.assert_array_equal(got.ensemble.Z, want.ensemble.Z)
+        np.testing.assert_array_equal(got.ensemble.Zp, want.ensemble.Zp)
+        np.testing.assert_array_equal(got.fhat, want.fhat)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_MODELS))
+    def test_continuation_moments_match_materialized_flow(self, monkeypatch, name):
+        model = FROZEN_MODELS[name]()
+
+        def run(flow, lift):
+            sol = self.solve(model, flow, lift)
+            return sol.continuation_moments([0, 4, 8], [12, 12, 12], 3, 4)
+
+        got, want = self.both(monkeypatch, model, run)
+        assert sorted(got) == sorted(want) == ["sigma0", "state"]
+        for target in got:
+            for name_ in ("delta_z", "delta_zp", "remainder"):
+                np.testing.assert_array_equal(getattr(got[target], name_),
+                                              getattr(want[target], name_))
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_MODELS))
+    def test_frozen_flow_pass_matches_materialized_flow(self, monkeypatch, name):
+        model = FROZEN_MODELS[name]()
+        steps, particles, samples, seed = 12, 8, 5, 4
+        grid = rp.TimeGrid(1.0, steps)
+        policy = mfg.RelaxedPolicy.constant(model.actions, steps)
+        init = rsde.InitialLaw()
+        # the pass's own base flow: constant_flow of the seed's initial cloud
+        base = rz.pathwise_terminals(model, policy, init, grid, particles,
+                                     samples, seed)
+        got, want = self.both(monkeypatch, model, lambda flow, lift: (
+            rz.pathwise_terminals(model, policy, init, grid, particles, samples,
+                                  seed, flow=flow)), steps, particles, seed)
+        np.testing.assert_array_equal(base, got)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["lq", "tanh-interaction"])  # d = 1 only
+    def test_best_response_matches_materialized_flow(self, monkeypatch, name):
+        model = FROZEN_MODELS[name]()
+        settings = mfg.DpSettings(-4.0, 4.0, 21)
+        got, want = self.both(monkeypatch, model, lambda flow, lift: (
+            mfg.best_response(model, flow, lift, settings, rsde.InitialLaw(), 4)))
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.policy.table, want.policy.table)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_MODELS))
+    def test_cvf_norm_matches_materialized_flow(self, monkeypatch, name):
+        model = FROZEN_MODELS[name]()
+        probes = np.linspace(-1.5, 1.5, 5)[:, None] * np.ones(model.d)
+        got, want = self.both(monkeypatch, model, lambda flow, lift: vf.cvf_norm(
+            vf.build_cvf_from_flow(model, flow), lift, ct.IndexPair(), probes))
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+    def test_frozen_solve_makes_no_derivative_call(self):
+        # the 17-call solve above, under a frozen flow: sigma0_dmu is linear
+        # in the zero derivative particles, so it is never called
+        model = models.make_model("tanh-interaction")
+        grid = rp.TimeGrid(1.0, 16)
+        cloud = rsde.draw_initial(4, rsde.InitialLaw(), 8, 1)
+        calls = counted_dmu(model)
+        frozen = self.solve(model, mf.constant_flow(grid, cloud, 1),
+                            brownian_lift(4, n=16))
+        assert calls == []
+        np.testing.assert_array_equal(frozen.cvf.fp(3, cloud),
+                                      np.zeros((8, 1, 1, 1)))
+
+    def test_moving_flows_call_the_derivative_at_every_node(self):
+        # a solved flow, and a frozen one with a single nonzero derivative
+        # particle entry, keep the model's evaluator: 17 calls
+        grid, lift = rp.TimeGrid(1.0, 16), brownian_lift(4, n=16)
+        cloud = rsde.draw_initial(4, rsde.InitialLaw(), 8, 1)
+        moving = mf.from_solution(self.solve(
+            models.make_model("tanh-interaction"),
+            mf.constant_flow(grid, cloud, 1), lift))
+        one_entry = materialized_flow(grid, cloud, 1)
+        one_entry.Yp[5, 9, 0, 0] = 0.25
+        for flow in (moving, one_entry):
+            model = models.make_model("tanh-interaction")
+            calls = counted_dmu(model)
+            self.solve(model, flow, lift)
+            assert len(calls) == 17
+
+
 def reference_estimate_norm(ce, p, idx, m=4, n_mode=ct.N_INFTY, window=None,
                             inner_samples=8, resampler=None, anchor_stride=None,
                             combine="sum"):
@@ -841,7 +1011,6 @@ class TestCommonRandomNumbers:
             np.testing.assert_array_equal(head.fhat, fresh.fhat)
         # copies: the slice holds none of the rows after it
         assert head.ensemble.Z.base is None and head.W_increments.base is None
-        assert head.monitors == [] and head.monitors is not big.monitors
 
     def test_first_rows_rejects_bad_counts_and_causal_solves(self):
         sol = solved(models.make_model("tanh-interaction"))
