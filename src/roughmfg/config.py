@@ -121,7 +121,8 @@ _SETTINGS = {
     "indices.gamma": ("indices.gamma", float, "<= 2"),
     "indices.alpha": ("indices.alpha", float, "<= 0.5"),
     "indices.m": ("m", int, ">= 2"),
-    "fixedpoint.particles": ("particles", int, ">= 1"),
+    # an error bar needs two particles: the exploitability's standard error
+    "fixedpoint.particles": ("particles", int, ">= 2"),
     "fixedpoint.lambda_mix": ("lambda_mix", float, ">= 0 and <= 1"),
     "fixedpoint.max_iters": ("max_iters", int, ">= 1"),
     # convergence needs the W2 update and the exploitability strictly below
@@ -136,7 +137,8 @@ _SETTINGS = {
     "randomize.particles": ("rz_particles", int, ">= 2"),
     "randomize.mode": ("rz_mode", str, ("frozen-flow", "per-sample-fixedpoint")),
     "randomize.inner_refine": ("rz_inner_refine", int, "a power of 2"),
-    "rsde.particles": ("rsde_particles", int, ">= 1"),
+    # an error bar needs two particles: the martingale battery's t statistics
+    "rsde.particles": ("rsde_particles", int, ">= 2"),
 }
 _SECTIONS = {key.split(".", 1)[0] for key in _SETTINGS}
 # the [rough] keys build_rough reads besides source, by source

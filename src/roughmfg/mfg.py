@@ -183,8 +183,11 @@ def cost(coeffs, flow, p: RoughPath, policy, particles: int, seed: int,
     """Monte Carlo cost: running mixture cost plus terminal cost, with the
     sample standard error of the particle mean.  The running cost weighs the
     actions by the weights the solve stepped with, from one mixture call.
-    The estimate carries that solve.  A non-finite total raises
+    The estimate carries that solve.  A standard error needs two particles,
+    so fewer raises InputError before the solve; a non-finite total raises
     NumericError naming its particle."""
+    if particles < 2:
+        raise InputError(f"a standard error needs two particles, got {particles}")
     init = init or rsde.InitialLaw()
     sol = rsde.solve(coeffs, flow, p, policy, init, particles, seed)
     grid = sol.grid

@@ -93,9 +93,12 @@ def _group0(call, t, groups):
 
 
 def grouped_call(coeffs, name, call, t, *groups):
-    """call(t, *groups), checked by check_grouped.  A ValueError or
-    TypeError that the call on group 0 alone does not raise (an array t
-    read as a number) becomes InputError; one that it raises propagates."""
+    """call(t, *groups), refused with InputError unless its group 0 equals
+    (rtol 1e-12) the call on group 0 alone, at group 0's time: a model that
+    reduces a cloud over axis 0 instead of the particle axis -2, or reads an
+    array t as a number, would mix the groups.  A ValueError or TypeError
+    that the call on group 0 alone does not raise (an array t read as a
+    number) becomes InputError; one that it raises propagates."""
     try:
         out = call(t, *groups)
     except (ValueError, TypeError) as exc:
@@ -108,17 +111,8 @@ def grouped_call(coeffs, name, call, t, *groups):
             "(G, P, d) clouds but not on one group's cloud; broadcast an "
             "array t (G, 1, 1) like a state, never read it as a number"
         ) from exc
-    check_grouped(coeffs, name, out, call, t, *groups)
-    return out
-
-
-def check_grouped(coeffs, name, got, call, t, *groups):
-    """Raise InputError unless group 0 of got = call(t, *groups) equals
-    (rtol 1e-12) the call on group 0 alone, at group 0's time: a model that
-    reduces a cloud over axis 0 instead of the particle axis -2, or reads an
-    array t as a number, would mix the groups."""
     want = _group0(call, t, groups)
-    got = np.asarray(got)[0]
+    got = np.asarray(out)[0]
     if got.shape != want.shape or not np.allclose(
             got, want, rtol=1e-12, atol=0.0, equal_nan=True):
         raise InputError(
@@ -126,6 +120,7 @@ def check_grouped(coeffs, name, got, call, t, *groups):
             "(G, P, d) clouds from a call on one group's cloud; reduce clouds "
             "over the particle axis -2, not axis 0, and broadcast an array t"
         )
+    return out
 
 
 def _mean(mu):

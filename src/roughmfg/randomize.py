@@ -100,6 +100,18 @@ def _require_counts(particles, samples):
         )
 
 
+def _check_block(x, n, particles, first):
+    """Raise DivergedError when a state of a block of samples, first on, P
+    rows each in sample order, is NaN or beyond the blow-up threshold after
+    step n, naming the sample and the particle within it."""
+    rows = x.reshape(-1, x.shape[-1])
+    bad = rsde._blowup_row(rows)
+    if bad is not None:
+        g, particle = divmod(bad, particles)
+        raise rsde.DivergedError(n, particle, float(np.abs(rows[bad]).max()),
+                                 sample=first + g)
+
+
 def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
                    particles: int, samples: int, seed, flow=None) -> JointSummary:
     """Euler recursion with two independent Brownian drivers.
@@ -110,14 +122,15 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     A block draws each sample's (P, N, l) idiosyncratic increments in turn,
     in sample order, from one stream, and stores them time-major, (N, G, P,
     l), so that each node reads one contiguous slice.  Per node it makes one
-    policy, drift, sigma and sigma0 call on its (G, P, d) states, each group
-    interacting with its own sample's cloud (the grouping convention of
-    models), and contracts sigma dW and sigma0 dB0 with einsum; the first
-    grouped calls are checked against sample 0 alone
-    (models.check_grouped).  A blow-up raises DivergedError naming the step,
-    the sample and the particle within the sample: the first blow-up
-    (earliest step, then sample and particle) of the first block that has
-    one.
+    sigma0 call and one rsde._advance call on its (G, P, d) states, each
+    group interacting with its own sample's cloud (the grouping convention
+    of models): the Euler step of every forward recursion, with sigma0 as
+    the rough coefficient of the common increments and no second-level
+    term.  The drift mixture, sigma and sigma0 are first checked on the
+    first block's grouped states at node 0 (models.grouped_call).  A
+    blow-up raises DivergedError naming the step, the sample and the
+    particle within the sample: the first blow-up (earliest step, then
+    sample and particle) of the first block that has one.
     """
     _require_counts(particles, samples)
     d, l, k = coeffs.d, coeffs.l, coeffs.k
@@ -128,6 +141,16 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
     w_rng = substream(seed, "randomize", "joint-W")
     external = flow is not None
     per_block = min(samples, max(1, JOINT_INCREMENTS // (particles * steps * l)))
+    xs = x[:per_block]
+    cloud = flow.cloud(0) if external else xs
+    clouds = np.broadcast_to(cloud, xs.shape[:1] + cloud.shape[-2:])
+    weights = rsde._mixture_weights(policy, 0, xs, coeffs.n_actions)
+    models.grouped_call(coeffs, "b", functools.partial(rsde._drift_mixture, coeffs),
+                        nodes[0], xs, clouds, weights)
+    for name in ("sigma", "sigma0"):
+        call = getattr(coeffs, name)
+        if call is not None:
+            models.grouped_call(coeffs, name, call, nodes[0], xs, clouds)
     # allocated once; a shorter last block uses the leading samples
     dw = np.empty((steps, per_block, particles, l))
     db0 = np.empty((steps, per_block, k))
@@ -139,30 +162,11 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
             db0[:, g] = common_increments(grid, k, seed, first + g)
         xs = x[first : first + count]
         for n in range(steps):
-            t = nodes[n]
             cloud = flow.cloud(n) if external else xs
-            weights = rsde._mixture_weights(policy, n, xs, coeffs.n_actions)
-            drift = rsde._drift_mixture(coeffs, t, xs, cloud, weights)
-            sig = coeffs.sigma(t, xs, cloud)
-            sig0 = None if coeffs.sigma0 is None else coeffs.sigma0(t, xs, cloud)
-            if first == n == 0:
-                clouds = np.broadcast_to(cloud, xs.shape[:1] + cloud.shape[-2:])
-                mixed = functools.partial(rsde._drift_mixture, coeffs)
-                models.check_grouped(coeffs, "b", drift, mixed, t, xs, clouds, weights)
-                for name, got in (("sigma", sig), ("sigma0", sig0)):
-                    if got is not None:
-                        models.check_grouped(coeffs, name, got, getattr(coeffs, name),
-                                             t, xs, clouds)
-            nxt = xs + drift * (nodes[n + 1] - t)
-            nxt = nxt + np.einsum("gpdl,gpl->gpd", sig, dw[n, :count])
-            if sig0 is not None:
-                nxt = nxt + np.einsum("gqdk,gk->gqd", sig0, db0[n, :count])
-            bad = rsde._blowup_row(nxt.reshape(-1, d))
-            if bad is not None:
-                g, particle = divmod(bad, particles)
-                worst = float(np.abs(nxt[g, particle]).max())
-                raise rsde.DivergedError(n, particle, worst, sample=first + g)
-            xs = nxt
+            sig0 = None if coeffs.sigma0 is None else coeffs.sigma0(nodes[n], xs, cloud)
+            xs = rsde._advance(coeffs, cloud, policy, nodes, n, xs, dw[n, :count],
+                               db0[n, :count], None, sig0)
+            _check_block(xs, n, particles, first)
         x[first : first + count] = xs
     cond_means = x.mean(axis=1)
     cond_second = np.einsum("spa,spb->sab", x, x) / particles
@@ -219,14 +223,10 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
             db[g] = lift.increments()
             bb[g] = lift.step_second()
         for n in range(steps):
-            x = rsde._advance(coeffs, flow, policy, nodes, n, x, dw[n, : len(x)],
-                              db[:count, n], bb[:count, n],
+            x = rsde._advance(coeffs, flow.cloud(n), policy, nodes, n, x,
+                              dw[n, : len(x)], db[:count, n], bb[:count, n],
                               *rsde._pair(cvf, correction, n, x))
-            bad = rsde._blowup_row(x)
-            if bad is not None:
-                g, particle = divmod(bad, particles)
-                raise rsde.DivergedError(n, particle, float(np.abs(x[bad]).max()),
-                                         sample=first + g)
+            _check_block(x, n, particles, first)
         # no step uses the pair at the terminal node; evaluated as the solve
         # does, so a non-finite coefficient there still raises
         rsde._pair(cvf, correction, steps, x)

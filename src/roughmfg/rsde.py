@@ -8,7 +8,11 @@ where (f, f') is the interaction coefficient built from the frozen measure
 flow, fhat = grad(f) f + f' is the second-level correction, and b_bar
 averages the drift over the policy's action mixture.  The same recursion,
 restarted from a frozen node with fresh idiosyncratic draws, provides the
-conditional continuations that feed the norm estimators.
+conditional continuations that feed the norm estimators.  Its node body,
+_advance and the Euler-Davie step _step, exists once: the solve, the
+causal realization, the continuations and both bridge passes of randomize
+step through it, the conditional particle system of a Brownian common
+noise with f = sigma0 and no second-level term.
 """
 
 from __future__ import annotations
@@ -411,8 +415,8 @@ class RsdeSolution:
                                     axis=1)
                 dw_node = n
             run = slice((first - lo) * rows, None)
-            nxt = _advance(coeffs, self.flow, self.policy, nodes, n, xa[run],
-                           dw[n - dw_node], db[n : n + 1], bb[n : n + 1],
+            nxt = _advance(coeffs, self.flow.cloud(n), self.policy, nodes, n,
+                           xa[run], dw[n - dw_node], db[n : n + 1], bb[n : n + 1],
                            *(a[run] for a in pair))
             bad = _blowup_row(nxt)
             if bad is not None:
@@ -454,23 +458,27 @@ def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
 
 def _step(coeffs, nodes, n, xn, cloud, drift, dw_n, db_n, bb_n, f_n=None,
           fhat_n=None):
-    """One Euler-Davie step of the states xn (P, d) from node n: the drift
-    (P, d), the idiosyncratic increments dw_n (P, l) and, with a rough
-    coefficient, f_n dB + fhat_n BB from the pair evaluated at node n.
+    """One Euler-Davie step of the states xn from node n: the drift, the
+    idiosyncratic increments dw_n (..., l) and the rough terms f_n dB and
+    fhat_n BB of the coefficients given.  States come flat, (rows, d), or
+    grouped, (G, P, d); drift, dw_n, f_n and fhat_n share their leading axes.
 
     The node's rough increments come one pair per group, db_n (G, k) and
     bb_n (G, k, k), for rows grouped contiguously into G equal blocks; a
-    single path passes G = 1.  All three noise terms are einsum
-    contractions: sigma dW over l, f dB over k, fhat BB over (i, j)."""
+    single path passes G = 1.  fhat_n None drops the second-level term: a
+    Brownian common noise has no lift, and bb_n is then not read.  All
+    three noise terms are einsum contractions: sigma dW over l, f dB over
+    k, fhat BB over (i, j)."""
     t = nodes[n]
     nxt = xn + drift * (nodes[n + 1] - t)
-    nxt = nxt + np.einsum("pdl,pl->pd", coeffs.sigma(t, xn, cloud), dw_n)
+    nxt = nxt + np.einsum("...dl,...l->...d", coeffs.sigma(t, xn, cloud), dw_n)
     if f_n is not None:
         groups, k = db_n.shape
-        f_g = f_n.reshape((groups, -1) + f_n.shape[1:])
-        fhat_g = fhat_n.reshape(groups, -1, k, k)
+        f_g = f_n.reshape((groups, -1) + f_n.shape[-2:])
         nxt = nxt + np.einsum("gqdk,gk->gqd", f_g, db_n).reshape(nxt.shape)
-        nxt = nxt + np.einsum("gqij,gij->gq", fhat_g, bb_n).reshape(nxt.shape)
+        if fhat_n is not None:
+            fhat_g = fhat_n.reshape(groups, -1, k, k)
+            nxt = nxt + np.einsum("gqij,gij->gq", fhat_g, bb_n).reshape(nxt.shape)
     return nxt
 
 
@@ -483,13 +491,14 @@ def _pair(cvf, correction, n, x):
     return f, correction(n, x, f)
 
 
-def _advance(coeffs, flow, policy, nodes, n, xn, dw_n, db_n, bb_n, f_n=None,
+def _advance(coeffs, cloud, policy, nodes, n, xn, dw_n, db_n, bb_n, f_n=None,
              fhat_n=None, actions=None):
-    """The states after node n: the flow's cloud, the drift and _step, with
-    the pair _pair evaluated on xn at node n.  The drift mixes the actions
-    by the policy's weights or, given sampled actions (P,), takes each
-    row's own action."""
-    cloud = flow.cloud(n)
+    """The states after node n, the one node body of every forward
+    recursion: the drift against the node's cloud and _step, with the rough
+    terms f_n and fhat_n evaluated on xn at node n (_pair, or sigma0 alone
+    for a Brownian common noise).  The drift mixes the actions by the
+    policy's weights or, given sampled actions (P,), takes each row's own
+    action."""
     if actions is None:
         weights = _mixture_weights(policy, n, xn, coeffs.n_actions)
         drift = _drift_mixture(coeffs, nodes[n], xn, cloud, weights)
@@ -539,8 +548,8 @@ def _evolve(coeffs, flow, rough, policy, x0, dW, cvf, correction, start=0,
             actions = policy.sample_causal(n, view, exo_rng)
             audit.append({"step": n, "max_node_accessed": view.max_accessed})
             sampled.append(actions)
-        nxt = _advance(coeffs, flow, policy, nodes, n, xn, dW[:, i], db[n : n + 1],
-                       bb[n : n + 1], *pair, actions=actions)
+        nxt = _advance(coeffs, flow.cloud(n), policy, nodes, n, xn, dW[:, i],
+                       db[n : n + 1], bb[n : n + 1], *pair, actions=actions)
         check_blowup(nxt, n)
         x[:, i + 1] = nxt
     return x, fx, fhat
@@ -809,16 +818,19 @@ def martingale_diagnostics(sol: RsdeSolution, phis=None,
     quadratic variation against the integrated squared noise loading; (c)
     realized cross variation between state and noise test functions against
     the integrated product of loadings.  Pass flags compare |t| to the
-    two-sided critical value at `level` (Bonferroni within each family).
+    two-sided critical value at `level` (Bonferroni within each family).  A
+    t statistic needs two particles, so fewer raises InputError.
     """
     from scipy import special  # slow to import
 
     if sol.coeffs.d != 1 or sol.coeffs.l != 1:
         raise InputError("the default diagnostics battery needs d = l = 1")
+    p_count = sol.ensemble.particles
+    if p_count < 2:
+        raise InputError(f"a t statistic needs two particles, got {p_count}")
     if phis is None:
         phis = default_battery()
     grid = sol.grid
-    p_count = sol.ensemble.particles
     paths = _martingale_paths(sol)
     x, wpath = paths[0], paths[1]
     t_crit = special.stdtrit(p_count - 1, 1.0 - 0.5 * level)

@@ -111,6 +111,16 @@ def with_field(cfg, name, value):
     return dataclasses.replace(cfg, **{attr: value})
 
 
+def load_strict(path):
+    """The JSON document at path, refusing the NaN, Infinity and -Infinity
+    tokens that Python's json writes for non-finite floats: RFC 8259 JSON
+    has no such token."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def write_config(tmp_path, text=MINIMAL, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -306,7 +316,7 @@ class TestCli:
         out = tmp_path / "out"
         code = cli.main(["run", "--config", str(path), "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "report.json").read_text())
+        report = load_strict(out / "report.json")
         assert report["converged"] is True
         assert report["converged_at"] == 1
         manifest = json.loads((out / "manifest.json").read_text())
@@ -324,12 +334,7 @@ class TestCli:
         out = tmp_path / "out"
         path = write_config(tmp_path, text)
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
-        report = json.loads((out / "report.json").read_text(),
-                            parse_constant=refuse)
+        report = load_strict(out / "report.json")
         assert report["iterations"]
         for it in report["iterations"]:
             assert it["domain_member"] is None and it["domain_worst"] is None
@@ -344,8 +349,8 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--out", str(out2)]) == 0
         for name in ("iterations.csv", "policy.csv", "flow_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
+        r1 = load_strict(out1 / "report.json")
+        r2 = load_strict(out2 / "report.json")
         assert r1 == r2
 
     def test_rsde_solve_outputs(self, tmp_path):
@@ -361,7 +366,7 @@ class TestCli:
         lines = (out / "trajectory_summary.csv").read_text().splitlines()
         assert lines[1] == "node,t,mean,std,min,max"
         assert len(lines) == 19  # manifest + header + 17 nodes
-        diag = json.loads((out / "diagnostics.json").read_text())
+        diag = load_strict(out / "diagnostics.json")
         assert "martingale" in diag and "apriori" in diag
 
     def test_csv_cells_are_plain_floats(self, tmp_path):
@@ -460,7 +465,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        rep = json.loads((out / "bridge_report.json").read_text())
+        rep = load_strict(out / "bridge_report.json")
         assert len(rep["per_sample"]) == 6
         assert all("p_value" in v for v in rep["per_sample"])
         assert "pooled" in rep
@@ -477,7 +482,7 @@ class TestCli:
             ["run", "--config", str(path), "--out", str(out), "--strict"]
         )
         assert code == 4
-        report = json.loads((out / "report.json").read_text())
+        report = load_strict(out / "report.json")
         assert report["converged"] is False
 
     @pytest.mark.parametrize("command", [["run"], ["mfg", "solve"]],
@@ -591,7 +596,7 @@ class TestCli:
         out = tmp_path / "rz"
         argv = [*command, "--config", str(path), "--out", str(out)]
         assert cli.main(argv + ["--strict"] * strict) == code
-        report = json.loads((out / "bridge_report.json").read_text())
+        report = load_strict(out / "bridge_report.json")
         assert report["all_ok"] is (coupling == 0.0)
 
     def test_per_sample_p_value_is_normal_tail(self):
@@ -634,7 +639,42 @@ class TestCli:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         # --particles sets the rsde task's count alone
-        assert done.stderr == f"issue: [rsde] particles must be >= 1, got {particles}\n"
+        assert done.stderr == f"issue: [rsde] particles must be >= 2, got {particles}\n"
+
+    @pytest.mark.parametrize("case", ["rsde-solve", "mfg-run"])
+    def test_one_particle_is_refused_before_any_work(self, tmp_path, case):
+        # an error bar needs two particles: one wrote NaN tokens to
+        # diagnostics.json (the battery's t statistics) or report.json (the
+        # exploitability's standard error) and exited 0
+        out = tmp_path / "o"
+        if case == "rsde-solve":
+            argv = ["rsde", "solve", "--model", "tanh-interaction", "--grid", "16",
+                    "--particles", "1"]
+            message = "[rsde] particles must be >= 2, got 1"
+        else:
+            text = MINIMAL.replace("particles = 64", "particles = 1")
+            argv = ["run", "--config", str(write_config(tmp_path, text))]
+            message = "[fixedpoint] particles must be >= 2, got 1"
+        done = run_cli(argv + ["--out", str(out)])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"issue: {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_sigma0_is_a_runtime_error(self, tmp_path):
+        # sigma0 of order 1e308: the rough terms overflow in the first step
+        text = RSDE.replace("name = tanh-interaction",
+                            "name = tanh-interaction\ns_base = 1e308\ns_int = 1e308")
+        text = text.replace("particles = 32", "particles = 8")
+        out = tmp_path / "o"
+        done = run_cli(["rsde", "solve", "--config", str(write_config(tmp_path, text)),
+                        "--out", str(out)])
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 3
+        assert manifest["error"] == ("DivergedError: state blew up at step 0, "
+                                     "particle 0 (|X| = nan)")
 
     def test_randomize_compare_rejects_zero_samples(self, tmp_path):
         done = run_cli(["randomize", "compare", "--model", "lq", "--samples", "0",
@@ -722,8 +762,8 @@ class TestCli:
             assert cli.main(["rsde", "solve", "--config", str(path),
                              "--out", str(out)]) == 0
             outs[label] = out
-        norm = {label: json.loads((out / "diagnostics.json").read_text())
-                ["apriori"]["field_norm"] for label, out in outs.items()}
+        norm = {label: load_strict(out / "diagnostics.json")["apriori"]["field_norm"]
+                for label, out in outs.items()}
         assert norm["1.9"] != norm["2.0"]
         # the key at its default changes nothing but the config's hash
         for name in ("diagnostics.json", "trajectory_summary.csv"):

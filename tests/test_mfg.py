@@ -294,6 +294,13 @@ class TestCost:
         est = mfg.cost(model, flow, p, policy, 16, 0)
         assert est.value == 0.0
 
+    def test_one_particle_is_refused(self):
+        # its standard error would be NaN
+        model, p, flow = self.setup_inputs(n=8)
+        policy = mfg.RelaxedPolicy.constant(model.actions, 8, action_index=1)
+        with pytest.raises(rp.InputError, match="needs two particles, got 1$"):
+            mfg.cost(model, flow, p, policy, 1, 0)
+
 
     def test_recorded_weights_match_policy_lookup(self):
         # slow reference: look the mixture up again at every node

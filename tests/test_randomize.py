@@ -416,7 +416,7 @@ class TestFrozenFlowPass:
         got = rz.pathwise_terminals(*args, **kwargs)
         np.testing.assert_array_equal(got, ref_pathwise_terminals(*args, **kwargs))
 
-    @pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (1, 3), (3, 2)])
+    @pytest.mark.parametrize("d, k", [(1, 1), (2, 2), (1, 3), (3, 2), (1, 2), (2, 1)])
     def test_step_per_group_equals_shared(self, d, k):
         rng = substream(d * 10 + k, "rz", "step")
         groups, rows = 5, 37
@@ -443,6 +443,20 @@ class TestFrozenFlowPass:
             single = single + np.einsum("pdk,k->pd", f[r], db[g])
             single = single + np.einsum("pdij,ij->pd", fhat[r], bb[g])
             np.testing.assert_array_equal(want, single)
+        # the same rows as (G, P, d) states, as joint_simulate steps them
+        xg, drift_g, dw_g, f_g, fhat_g = (a.reshape((groups, rows) + a.shape[1:])
+                                          for a in (x, drift, dw, f, fhat))
+        np.testing.assert_array_equal(
+            rsde._step(model, nodes, 2, xg, None, drift_g, dw_g, db, bb, f_g, fhat_g),
+            got.reshape(groups, rows, d))
+        # without fhat the step is x + b dt + sigma dW + f dB: a Brownian
+        # common noise has no second level, and bb is not read
+        brownian = rsde._step(model, nodes, 2, xg, None, drift_g, dw_g, db, None, f_g)
+        for g in range(groups):
+            want = xg[g] + drift_g[g] * (nodes[3] - nodes[2])
+            want = want + np.einsum("pdl,pl->pd", np.full((rows, d, 2), 0.3), dw_g[g])
+            want = want + np.einsum("pdk,k->pd", f_g[g], db[g])
+            np.testing.assert_array_equal(brownian[g], want)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [2, 3])

@@ -244,17 +244,17 @@ class TestSolve:
 
 
 class TestNodeBody:
-    """Every forward recursion but joint_simulate's steps through
-    rsde._advance, once per node at which some rows step."""
+    """Every forward recursion steps through rsde._advance, once per node at
+    which some rows step; each call is logged with the rows it steps."""
 
     @pytest.fixture
     def advanced(self, monkeypatch):
         calls = []
         advance = rsde._advance
 
-        def counting(coeffs, flow, policy, nodes, n, xn, *args, **kwargs):
-            calls.append((n, len(xn)))
-            return advance(coeffs, flow, policy, nodes, n, xn, *args, **kwargs)
+        def counting(coeffs, cloud, policy, nodes, n, xn, *args, **kwargs):
+            calls.append((n, xn[..., 0].size))
+            return advance(coeffs, cloud, policy, nodes, n, xn, *args, **kwargs)
 
         monkeypatch.setattr(rsde, "_advance", counting)
         return calls
@@ -284,6 +284,17 @@ class TestNodeBody:
         grid = rp.TimeGrid(1.0, 8)
         rz.pathwise_terminals(model, delta_policy(model, 8), rsde.InitialLaw(), grid,
                               16, 5, 7)
+        assert advanced == [(n, 48) for n in range(8)] + [(n, 32) for n in range(8)]
+
+    @pytest.mark.parametrize("flow", [False, True], ids=["conditional", "external"])
+    def test_joint_simulate(self, advanced, monkeypatch, flow):
+        # 16 particles x 8 steps: blocks of 3 and 2 samples, each block one
+        # (G, 16, 1) call per node
+        monkeypatch.setattr(rz, "JOINT_INCREMENTS", 3 * 16 * 8)
+        model = models.make_model("tanh-interaction")
+        grid = rp.TimeGrid(1.0, 8)
+        rz.joint_simulate(model, delta_policy(model, 8), rsde.InitialLaw(), grid,
+                          16, 5, 7, flow=still_flow(grid) if flow else None)
         assert advanced == [(n, 48) for n in range(8)] + [(n, 32) for n in range(8)]
 
 
@@ -508,6 +519,12 @@ class TestMartingaleDiagnostics:
         const = [e for e in diag.per_phi if e.name == "constant"][0]
         assert const.exact_zero
         assert const.residual_pass and const.qv_pass
+
+    def test_one_particle_is_refused(self):
+        # its t statistics would be NaN
+        sol = self.solved_reference(particles=1, n=8)
+        with pytest.raises(rp.InputError, match="needs two particles, got 1$"):
+            rsde.martingale_diagnostics(sol)
 
     def test_reference_model_passes(self):
         sol = self.solved_reference()
