@@ -298,7 +298,8 @@ def _load_and_validate(args, task=None):
 def _execute(cfg, out_dir, strict, command) -> int:
     """Run the task and write manifest.json, also when the task fails with
     a validation or runtime error; a failed run's manifest adds "error"
-    (exception type and message) and "exit_code"."""
+    (exception type and message) and "exit_code", and a DivergedError's
+    adds "where", its step, particle, anchor, sample and sweep that are set."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
@@ -314,6 +315,12 @@ def _execute(cfg, out_dir, strict, command) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         code = EXIT_RUNTIME
         failure = {"error": f"{type(exc).__name__}: {exc}", "exit_code": code}
+        if isinstance(exc, rsde.DivergedError):
+            failure["where"] = {
+                key: getattr(exc, key)
+                for key in ("step", "particle", "anchor", "sample", "sweep")
+                if getattr(exc, key) is not None
+            }
     _write_manifest(out, cfg, command, time.monotonic() - start, **failure)
     return code
 

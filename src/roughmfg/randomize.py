@@ -100,18 +100,6 @@ def _require_counts(particles, samples):
         )
 
 
-def _check_block(x, n, particles, first):
-    """Raise DivergedError when a state of a block of samples, first on, P
-    rows each in sample order, is NaN or beyond the blow-up threshold after
-    step n, naming the sample and the particle within it."""
-    rows = x.reshape(-1, x.shape[-1])
-    bad = rsde._blowup_row(rows)
-    if bad is not None:
-        g, particle = divmod(bad, particles)
-        raise rsde.DivergedError(n, particle, float(np.abs(rows[bad]).max()),
-                                 sample=first + g)
-
-
 def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
                    particles: int, samples: int, seed, flow=None) -> JointSummary:
     """Euler recursion with two independent Brownian drivers.
@@ -166,7 +154,7 @@ def joint_simulate(coeffs, policy, init: rsde.InitialLaw, grid: TimeGrid,
             sig0 = None if coeffs.sigma0 is None else coeffs.sigma0(nodes[n], xs, cloud)
             xs = rsde._advance(coeffs, cloud, policy, nodes, n, xs, dw[n, :count],
                                db0[n, :count], None, sig0)
-            _check_block(xs, n, particles, first)
+            rsde.check_blowup(xs, n, particles, sample=range(first, samples))
         x[first : first + count] = xs
     cond_means = x.mean(axis=1)
     cond_second = np.einsum("spa,spb->sab", x, x) / particles
@@ -226,7 +214,7 @@ def _frozen_flow_terminals(coeffs, policy, init, grid, particles, samples, seed,
             x = rsde._advance(coeffs, flow.cloud(n), policy, nodes, n, x,
                               dw[n, : len(x)], db[:count, n], bb[:count, n],
                               *rsde._pair(cvf, correction, n, x))
-            _check_block(x, n, particles, first)
+            rsde.check_blowup(x, n, particles, sample=range(first, samples))
         # no step uses the pair at the terminal node; evaluated as the solve
         # does, so a non-finite coefficient there still raises
         rsde._pair(cvf, correction, steps, x)

@@ -59,20 +59,25 @@ class DivergedError(RuntimeError):
         self.sweep = sweep
 
 
-def _blowup_row(x):
-    """Index of the first row of x (P, d) that is NaN or beyond the blow-up
-    threshold, or None."""
+def check_blowup(x, step, group_rows=None, inner=1, **groups):
+    """Raise DivergedError when a state in x (..., d) is NaN or beyond the
+    blow-up threshold after step `step`, naming the first such row of x
+    flattened to (rows, d).
+
+    The rows come in groups of group_rows (by default one group), each
+    inner consecutive rows one particle's: the error names row // inner
+    within its group as the particle, and, for each keyword groups[name]
+    (one value per group), groups[name][g] of the row's group g as
+    DivergedError's `name`.  So the solve names the row, a continuation
+    pass the outer particle and its anchor, a bridge pass the sample and
+    the particle within it."""
     if np.abs(x).max() <= BLOWUP_THRESHOLD:  # false for NaN
-        return None
-    return int((~(np.abs(x) <= BLOWUP_THRESHOLD).all(axis=-1)).argmax())
-
-
-def check_blowup(x, step):
-    """Raise DivergedError when a state in x (P, d) is NaN or beyond the
-    blow-up threshold, naming the first such particle."""
-    i = _blowup_row(x)
-    if i is not None:
-        raise DivergedError(step, i, float(np.abs(x[i]).max()))
+        return
+    rows = x.reshape(-1, x.shape[-1])
+    i = int((~(np.abs(rows) <= BLOWUP_THRESHOLD).all(axis=-1)).argmax())
+    g, r = divmod(i, group_rows or len(rows))
+    raise DivergedError(step, r // inner, float(np.abs(rows[i]).max()),
+                        **{name: values[g] for name, values in groups.items()})
 
 
 class CausalityViolationError(RuntimeError):
@@ -418,11 +423,7 @@ class RsdeSolution:
             nxt = _advance(coeffs, self.flow.cloud(n), self.policy, nodes, n,
                            xa[run], dw[n - dw_node], db[n : n + 1], bb[n : n + 1],
                            *(a[run] for a in pair))
-            bad = _blowup_row(nxt)
-            if bad is not None:
-                g, r = divmod(bad, rows)
-                raise DivergedError(n, r // n_inner, float(np.abs(nxt[bad]).max()),
-                                    anchor=anchors[first + g])
+            check_blowup(nxt, n, rows, n_inner, anchor=anchors[first:])
             x[first * rows : hi * rows] = nxt
         return {
             t: ct.ConditionalMoments(anchors, stops, *tables[t], m=m,
@@ -450,7 +451,7 @@ def _drift_mixture(coeffs, t, x, cloud, weights) -> np.ndarray:
     out = np.zeros_like(x)
     for a in range(coeffs.n_actions):
         w = weights[..., a]
-        if not np.any(w):
+        if not w.any():
             continue
         out += w[..., None] * coeffs.b(t, x, cloud, coeffs.actions[a])
     return out

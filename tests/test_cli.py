@@ -675,6 +675,7 @@ class TestCli:
         assert manifest["exit_code"] == 3
         assert manifest["error"] == ("DivergedError: state blew up at step 0, "
                                      "particle 0 (|X| = nan)")
+        assert manifest["where"] == {"step": 0, "particle": 0}
 
     def test_randomize_compare_rejects_zero_samples(self, tmp_path):
         done = run_cli(["randomize", "compare", "--model", "lq", "--samples", "0",

@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import math
+import pstats
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +298,42 @@ class TestNodeBody:
         rz.joint_simulate(model, delta_policy(model, 8), rsde.InitialLaw(), grid,
                           16, 5, 7, flow=still_flow(grid) if flow else None)
         assert advanced == [(n, 48) for n in range(8)] + [(n, 32) for n in range(8)]
+
+
+def profiled_calls(run):
+    """Function calls cProfile counts in run(), after one call that warms
+    any cache."""
+    run()
+    profile = cProfile.Profile()
+    profile.enable()
+    run()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+class TestCallsPerNodeStep:
+    """The fixed cost per node cannot creep back: function calls of a
+    16-step frozen-flow solve on tanh-interaction, and of a continuation
+    pass on it, per node-step (one _advance call), are bounded at their
+    counts.  cProfile also counts NumPy's own Python-level calls, so a new
+    NumPy may move the counts without any change here."""
+
+    steps = 16
+
+    def solve(self):
+        model = models.make_model("tanh-interaction")
+        p = brownian_lift(2, n=self.steps)
+        flow, policy = still_flow(p.grid), delta_policy(model, self.steps)
+        return lambda: rsde.solve(model, flow, p, policy, rsde.InitialLaw(), 8, 3)
+
+    def test_solve(self):
+        assert profiled_calls(self.solve()) / self.steps <= 154
+
+    def test_continuation_moments(self):
+        sol = self.solve()()
+        calls = profiled_calls(
+            lambda: sol.continuation_moments([0, 4, 8], [16] * 3, 3, 4))
+        assert calls / self.steps <= 262
 
 
 class TestCausalRealization:

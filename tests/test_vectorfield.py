@@ -1256,6 +1256,112 @@ class TestCvfNormReference:
         assert got == vf.cvf_norm(per_node(cvf), sol.rough, idx, probes)
 
 
+def t_scaled_model():
+    """tanh-interaction whose sigma0 and both its derivatives are scaled by
+    1 + t, broadcast like a (..., 1) state: a field that moves from node to
+    node also along a frozen flow."""
+    model = models.make_model("tanh-interaction")
+
+    def scaled(call):
+        def at(t, *args):
+            out = call(t, *args)
+            s = 1.0 + np.asarray(t)
+            return s.reshape(s.shape + (1,) * (out.ndim - s.ndim)) * out
+
+        return at
+
+    for name in ("sigma0", "grad_sigma0", "sigma0_dmu"):
+        setattr(model, name, scaled(getattr(model, name)))
+    model.name = "t-scaled"
+    return model
+
+
+def frozen_field(model, steps=16, particles=8, seed=4):
+    """(field of model along a frozen flow, a lift on its grid)."""
+    grid = rp.TimeGrid(1.0, steps)
+    cloud = rsde.draw_initial(seed, rsde.InitialLaw(), particles, model.d)
+    flow = mf.constant_flow(grid, cloud, model.k)
+    return vf.build_cvf_from_flow(model, flow), brownian_lift(seed, n=steps, k=model.k)
+
+
+def counted_spread(monkeypatch):
+    """Record the node a of each vf._spread call from here on."""
+    calls = []
+    spread = vf._spread
+
+    def counted(cols, a):
+        calls.append(a)
+        return spread(cols, a)
+
+    monkeypatch.setattr(vf, "_spread", counted)
+    return calls
+
+
+def field_parts(norm):
+    return norm.delta_f, norm.delta_fp, norm.delta_grad, norm.remainder
+
+
+class TestSteadyField:
+    """Along a frozen flow, for a model that does not read t, the field is
+    steady: cvf_norm skips its loop over node pairs, whose four parts are
+    exact zeros."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_MODELS))
+    def test_frozen_flow_parts_are_exact_zeros(self, name):
+        model = FROZEN_MODELS[name]()
+        cvf, lift = frozen_field(model)
+        probes = substream(6, "vf", "probes").uniform(-2.0, 2.0, size=(9, model.d))
+        idx = ct.IndexPair()
+        got = vf.cvf_norm(cvf, lift, idx, probes)
+        assert field_parts(got) == reference_cvf_increments(cvf, lift, idx, probes)
+        assert field_parts(got) == (0.0, 0.0, 0.0, 0.0)
+        assert got == vf.cvf_norm(per_node(cvf), lift, idx, probes)
+        assert got.sup_part > 0.0
+
+    def test_frozen_flow_makes_no_spread_call(self, monkeypatch):
+        model = models.make_model("tanh-interaction")
+        cvf, lift = frozen_field(model)
+        probes = np.linspace(-1.5, 1.5, 5)[:, None]
+        spread = counted_spread(monkeypatch)
+        vf.cvf_norm(cvf, lift, ct.IndexPair(), probes)
+        assert spread == []
+        # a moving flow's field: f, f' and grad f at every node pair start
+        moving = vf.build_cvf_from_flow(model, random_flow(4, lift.grid))
+        vf.cvf_norm(moving, lift, ct.IndexPair(), probes)
+        assert spread == [a for a in range(16) for _ in range(3)]
+
+    def test_field_that_reads_t_runs_the_loop(self, monkeypatch):
+        model = t_scaled_model()
+        cvf, lift = frozen_field(model)
+        probes = substream(6, "vf", "probes").uniform(-2.0, 2.0, size=(9, 1))
+        idx = ct.IndexPair()
+        spread = counted_spread(monkeypatch)
+        got = vf.cvf_norm(cvf, lift, idx, probes)
+        assert len(spread) == 3 * 16
+        want = reference_cvf_increments(cvf, lift, idx, probes)
+        assert field_parts(got) == want
+        d_f, d_fp, d_grad, rem = want
+        assert d_fp == 0.0 and min(d_f, d_grad, rem) > 0.0
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["frozen", "moving"])
+    @pytest.mark.parametrize("name", sorted(FROZEN_MODELS))
+    def test_correction_is_contraction_plus_fp(self, name, moving):
+        # bitwise, -0.0 included
+        model = FROZEN_MODELS[name]()
+        cvf, lift = frozen_field(model, steps=8)
+        if moving:
+            flow = random_flow(9, lift.grid, d=model.d, k=model.k)
+            cvf = vf.build_cvf_from_flow(model, flow)
+        corr = vf.gubinelli_correction(cvf)
+        x = substream(8, "vf", "corr").normal(size=(3, 7, model.d))
+        for n, xn in [(0, x[0]), (5, x[1]), (8, x[2]), (np.array([1, 4, 8]), x)]:
+            fx = cvf.f(n, xn)
+            want = (np.einsum("...abc,...cj->...abj", cvf.grad(n, xn), fx)
+                    + cvf.fp(n, xn))
+            got = corr(n, xn, fx)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def per_node(cvf):
     """cvf whose evaluators make one call per node of a grouped call and
     stack the results: the loops the grouped calls replaced."""
