@@ -142,11 +142,11 @@ def _run_mfg(cfg, out: Path, strict: bool) -> int:
     with _open_csv(out / "iterations.csv", h) as fp:
         fp.write(
             "iter,w2_update,exploitability,exploitability_raw,"
-            "exploitability_err,domain_member,domain_worst\n"
+            "exploitability_err,escape_rate,domain_member,domain_worst\n"
         )
         for it in rep.iterations:
             values = (it.w2_update, it.exploitability, it.exploitability_raw,
-                      it.exploitability_err)
+                      it.exploitability_err, it.escape_rate)
             # an unchecked domain leaves both cells empty
             domain = (",," if it.domain_member is None else
                       f",{int(it.domain_member)},{_cells([it.domain_worst])}")
@@ -298,8 +298,10 @@ def _load_and_validate(args, task=None):
 def _execute(cfg, out_dir, strict, command) -> int:
     """Run the task and write manifest.json, also when the task fails with
     a validation or runtime error; a failed run's manifest adds "error"
-    (exception type and message) and "exit_code", and a DivergedError's
-    adds "where", its step, particle, anchor, sample and sweep that are set."""
+    (exception type and message) and "exit_code", and a runtime error that
+    knows where it happened (a DivergedError's step, particle, anchor,
+    sample and sweep; a NumericError's node, step, action, lattice node or
+    particle) adds them as "where"."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
@@ -315,12 +317,8 @@ def _execute(cfg, out_dir, strict, command) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         code = EXIT_RUNTIME
         failure = {"error": f"{type(exc).__name__}: {exc}", "exit_code": code}
-        if isinstance(exc, rsde.DivergedError):
-            failure["where"] = {
-                key: getattr(exc, key)
-                for key in ("step", "particle", "anchor", "sample", "sweep")
-                if getattr(exc, key) is not None
-            }
+        if getattr(exc, "where", None):
+            failure["where"] = exc.where
     _write_manifest(out, cfg, command, time.monotonic() - start, **failure)
     return code
 

@@ -227,43 +227,38 @@ class ConditionalMoments:
     inner_samples: int
 
 
-def node_moments(held, now, db, targets, m: int, n_mode: str):
+def node_moments(held, now, db, m: int, n_mode: str):
     """The estimator's statistics at one node t for G anchor groups, for
-    every requested target at once.
+    every held slot and every adjacent pair of slots at once.
 
-    held and now are the slots of the inner continuations at their anchor s
-    and at node t, each (G, P, n_inner, *v); targets maps a name to its
-    (Z, Z') pair of slot indices, and db (G, k) holds the increments
-    B_t - B_s.  Returns, per target, three (G,) arrays: the particle
-    reduction of the conditional m-th moment of |Z_t - Z_s| and of
-    |Z'_t - Z'_s|, and the largest |E[R^Z_{s,t} | F_s]| over particles.
+    held and now are the S slots of the inner continuations at their anchor
+    s and at node t, each (G, P, n_inner, *v), and db (G, k) holds the
+    increments B_t - B_s.  A target is an adjacent pair (Z, Z') = (slot i,
+    slot i+1).  Returns (moments, remainders): moments[i] (G,) is the
+    particle reduction of the conditional m-th moment of |Z_t - Z_s| for
+    slot i, and remainders[i] (G,) the largest |E[R^Z_{s,t} | F_s]| over
+    particles for the pair (i, i+1).
 
-    A slot that is one target's Z' and another's Z has its moment computed
-    once.  Magnitudes and inner means are sums of slices in numpy's own
-    order (_add_reduce), so the two moments are bitwise those of
-    np.linalg.norm and of np.mean over the contiguous inner axis.  np.mean
-    sums the inner axis of dZ (G, P, n_inner, *v) in plain order when the
-    value axes hold more than one entry; the orders agree below 8 inner
-    samples, so from n_inner = 8 up the remainder of such a target moves
-    by round-off."""
+    Magnitudes and inner means are sums of slices in numpy's own order
+    (_add_reduce), so the moments are bitwise those of np.linalg.norm and
+    of np.mean over the contiguous inner axis.  np.mean sums the inner axis
+    of dZ (G, P, n_inner, *v) in plain order when the value axes hold more
+    than one entry; the orders agree below 8 inner samples, so from
+    n_inner = 8 up the remainder of such a pair moves by round-off."""
     n_inner = now[0].shape[2]
 
     def inner_mean(a):
         return _add_reduce([a[:, :, r] for r in range(n_inner)]) / n_inner
 
-    delta = {i: now[i] - held[i] for pair in targets.values() for i in pair}
-    moment = {
-        i: _reduce(inner_mean(_vec_abs(dz, dz.ndim - 3) ** m) ** (1.0 / m),
-                   m, n_mode, axis=1)
-        for i, dz in delta.items()
-    }
-    out = {}
-    for name, (i, j) in targets.items():
-        # conditional mean of R^Z; Z'_s and dB are F_s-measurable
-        lin = np.einsum("gp...k,gk->gp...", held[j][:, :, 0], db)
-        rem = _vec_abs(inner_mean(delta[i]) - lin, delta[i].ndim - 3).max(axis=1)
-        out[name] = (moment[i], moment[j], rem)
-    return out
+    delta = [b - a for a, b in zip(held, now)]
+    moments = [_reduce(inner_mean(_vec_abs(dz, dz.ndim - 3) ** m) ** (1.0 / m),
+                       m, n_mode, axis=1) for dz in delta]
+    # conditional mean of R^Z; Z'_s and dB are F_s-measurable
+    return moments, [
+        _vec_abs(inner_mean(dz) - np.einsum("gp...k,gk->gp...", zp[:, :, 0], db),
+                 dz.ndim - 3).max(axis=1)
+        for dz, zp in zip(delta, held[1:])
+    ]
 
 
 def estimate_norm(

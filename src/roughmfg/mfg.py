@@ -305,7 +305,7 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     values = np.empty((grid.steps + 1, n_lat))
     values[grid.steps] = coeffs.g(lattice[:, None], flow.cloud(grid.steps))
     _refuse_non_finite(values[grid.steps], "best response: non-finite terminal "
-                       f"value at step {grid.steps}", "lattice node")
+                       f"value at step {grid.steps}", "lattice node", step=grid.steps)
     table = np.zeros((grid.steps, n_lat, coeffs.n_actions))
     escaped = 0.0
     total_mass = 0.0
@@ -319,7 +319,7 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
             ev = np.interp(nxt, lattice, values[n + 1]) @ gh_w
             q[a] = run[a][n] * dt + ev
         _refuse_non_finite(q, f"best response: non-finite Q value at step {n}",
-                           "action", "lattice node")
+                           "action", "lattice node", step=n)
         best = q.argmin(axis=0)
         values[n] = q[best, np.arange(n_lat)]
         table[n, np.arange(n_lat), best] = 1.0
@@ -338,12 +338,15 @@ def best_response(coeffs, flow, p: RoughPath, settings: DpSettings | None = None
     return BestResponse(policy, values, lattice, escape_rate)
 
 
-def _refuse_non_finite(table, what, *axes):
-    """NumericError "what, <axis> <index>, ..." at table's first non-finite entry."""
+def _refuse_non_finite(table, what, *axes, **known):
+    """NumericError "what, <axis> <index>, ..." at table's first non-finite
+    entry; its where holds known and each axis's index, under the axis name
+    with underscores for spaces."""
     bad = ~np.isfinite(table)
     if bad.any():
-        at = np.unravel_index(bad.argmax(), table.shape)
-        raise NumericError(", ".join([what, *(f"{a} {i}" for a, i in zip(axes, at))]))
+        at = [int(i) for i in np.unravel_index(bad.argmax(), table.shape)]
+        raise NumericError(", ".join([what, *(f"{a} {i}" for a, i in zip(axes, at))]),
+                           {**known, **{a.replace(" ", "_"): i for a, i in zip(axes, at)}})
 
 
 @dataclass
@@ -388,6 +391,7 @@ class IterationRecord:
     exploitability: float
     exploitability_raw: float
     exploitability_err: float
+    escape_rate: float  # the sweep's best response escape_mass
     domain_member: bool | None  # None: no domain check ran
     domain_worst: float | None
     offending_window: tuple | None
@@ -522,8 +526,8 @@ def fixed_point(
         else:
             member = worst = offend = None
         records.append(
-            IterationRecord(it, dist, exp_value, exp_raw, exp_err, member,
-                            worst, offend)
+            IterationRecord(it, dist, exp_value, exp_raw, exp_err,
+                            br.escape_mass, member, worst, offend)
         )
         if dist < tol_w2 and exp_value < tol_exp:
             converged = True

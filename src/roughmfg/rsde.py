@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,11 +45,11 @@ class DivergedError(RuntimeError):
     def __init__(self, step, particle, worst, anchor=None, sample=None,
                  sweep=None):
         which = "" if sample is None else f"sample {sample}, "
-        where = "" if anchor is None else f" in the continuation from anchor node {anchor}"
+        within = "" if anchor is None else f" in the continuation from anchor node {anchor}"
         if sweep is not None:
-            where += f" in consistency sweep {sweep}"
+            within += f" in consistency sweep {sweep}"
         super().__init__(
-            f"state blew up at step {step}, {which}particle {particle}{where}"
+            f"state blew up at step {step}, {which}particle {particle}{within}"
             f" (|X| = {worst:.3g})"
         )
         self.step = step
@@ -57,6 +58,13 @@ class DivergedError(RuntimeError):
         self.anchor = anchor
         self.sample = sample
         self.sweep = sweep
+
+    @property
+    def where(self):
+        """The step, particle, anchor, sample and sweep that are set."""
+        return {key: getattr(self, key)
+                for key in ("step", "particle", "anchor", "sample", "sweep")
+                if getattr(self, key) is not None}
 
 
 def check_blowup(x, step, group_rows=None, inner=1, **groups):
@@ -295,14 +303,21 @@ class RsdeSolution:
         owns, keeps those columns of each block, so that passes over
         solutions of one seed, particle count and grid draw each anchor's
         block once (common random numbers); without it nothing is kept
-        past the pass.  At node n the active groups, those with
-        anchors[g] <= n <= stops[g], advance together: one coefficient,
-        correction, policy and drift call per node on all their rows.  The
-        estimator's per-node statistics (ct.node_moments, one call per
-        node for every target) are folded into the pass, so only the
-        current rows, the anchor values, the increments not yet consumed
-        and the tables are kept.  Anchors must increase and stops must not
-        decrease, so the active rows are one contiguous block.
+        past the pass.  Anchors must increase and stops must not decrease,
+        so at node n each kind of group is one contiguous range, read off
+        the sorted lists by bisection: the active groups lo..hi-1 (anchor
+        <= n <= stop), of which lo..done-1 (anchor < n) have a target node
+        at n and first..hi-1 (stop > n) step on from it.  The stepping
+        groups advance together: one coefficient, correction, policy and
+        drift call per node on all their rows.
+
+        The pass holds the slots x, f(x) and, when "sigma0" is requested,
+        fhat(x); target i is the pair (slot i, slot i+1).  The estimator's
+        per-node statistics are folded into the pass: one ct.node_moments
+        call per node returns every held slot's moment and every adjacent
+        pair's remainder, written into one moment table and one remainder
+        table by one assignment each.  So only the current rows, the anchor
+        values, the increments not yet consumed and the tables are kept.
 
         The groups that step change only at anchors and stops, the cut
         nodes.  A group's block is cut, when it is drawn, into time-major
@@ -311,17 +326,18 @@ class RsdeSolution:
         slices are the nodes' increments, and the pieces are dropped.  Each
         node reads the draw's own numbers, so the continuations are bitwise
         make_resampler's; node_moments states where its statistics are
-        bitwise the per-target np.linalg.norm and np.mean ones.
+        bitwise the per-pair np.linalg.norm and np.mean ones.
 
         Returns {"state": moments of (X, f(X)), "sigma0": moments of
         (f(X), fhat(X))}, each a ct.ConditionalMoments with (G, N+1)
         tables, for the requested targets: by default every target the
-        solution has, "sigma0" only with a rough coefficient.  Only the
-        requested tables are built and only the slots they read are held
-        at the anchors; without "sigma0" no fhat is held (the step still
-        evaluates it).  An unknown target, "sigma0" without a rough
-        coefficient, a moment order below 2 or an unknown n_mode raises
-        InputError before any continuation runs.  A continuation that
+        solution has, "sigma0" only with a rough coefficient.  The two
+        targets share the f(x) table, state's delta_zp and sigma0's
+        delta_z.  Without "sigma0" no fhat is held (the step still
+        evaluates it); with it the state statistics are computed too.  An
+        unknown target, "sigma0" without a rough coefficient, a moment
+        order below 2 or an unknown n_mode raises InputError before any
+        continuation runs.  A continuation that
         blows up raises DivergedError naming the step, the outer particle
         and the anchor.
         """
@@ -355,63 +371,58 @@ class RsdeSolution:
         nodes = self.grid.nodes
         db = rough.increments()
         bb = rough.step_second()
-        # slots x, f(x), fhat(x); a target is a (Z, Z') pair of slots
-        pairs = {"state": (0, 1)} if cvf is None else {"state": (0, 1), "sigma0": (1, 2)}
+        # slots x, f(x), fhat(x); target i is the pair (slot i, slot i+1)
+        names = ("state",) if cvf is None else ("state", "sigma0")
         if targets is None:
-            targets = tuple(pairs)
+            targets = names
         for t in targets:
             if t == "sigma0" and cvf is None:
                 raise InputError("solution has no rough coefficient")
-            if t not in pairs:
+            if t not in names:
                 raise InputError(f"unknown continuation target {t!r}")
         if not targets:
             raise InputError("need at least one continuation target")
-        targets = {t: pairs[t] for t in targets}
-        held_slots = max(j for _, j in targets.values()) + 1
+        held_slots = 3 if "sigma0" in targets else 2
         shapes = [(d,), (d, k), (d, k, k)][:held_slots]
         anchor = [np.empty((n_groups * rows,) + shape) for shape in shapes]
-        tables = {t: np.full((3, n_groups, steps + 1), np.nan) for t in targets}
+        moment = np.full((held_slots, n_groups, steps + 1), np.nan)
+        rem = np.full((held_slots - 1, n_groups, steps + 1), np.nan)
         x = np.empty_like(anchor[0])
+        zero = np.broadcast_to(0.0, (n_groups * rows, d, k)) if cvf is None else None
+        anchor_at = np.asarray(anchors)
         cut_nodes = set(anchors) | set(stops)
         pieces = [None] * n_groups  # per group, its pieces not yet joined
         dw = dw_node = None  # the stepping rows' increments from node dw_node
-        lo = hi = 0  # the active groups are lo .. hi-1
+
+        def grouped(a):
+            return a.reshape((-1, p_count, n_inner) + a.shape[1:])
+
         for n in range(anchors[0], stops[-1] + 1):
-            while stops[lo] < n:
-                lo += 1
-            fresh = hi < n_groups and anchors[hi] == n
-            if fresh:
-                block = self._inner_increments(rows, n, stop=stops[hi], draws=draws)
-                ends = sorted(c for c in cut_nodes if n <= c <= stops[hi])
-                pieces[hi] = [block[:, a - n : b - n].transpose(1, 0, 2).copy()
-                              for a, b in zip(ends, ends[1:])]
+            lo = bisect_left(stops, n)  # the active groups are lo .. hi-1
+            hi = bisect_right(anchors, n)
+            done = bisect_left(anchors, n)  # lo .. done-1 have a target node at n
+            first = bisect_right(stops, n)  # first .. hi-1 step on from n
+            if done < hi:  # group done starts at n
+                block = self._inner_increments(rows, n, stop=stops[done], draws=draws)
+                ends = sorted(c for c in cut_nodes if n <= c <= stops[done])
+                pieces[done] = [block[:, a - n : b - n].transpose(1, 0, 2).copy()
+                                for a, b in zip(ends, ends[1:])]
                 del block  # only the pieces outlive the draw
-                x[hi * rows : (hi + 1) * rows] = np.repeat(
+                x[done * rows : hi * rows] = np.repeat(
                     self.ensemble.Z[:, n], n_inner, axis=0
                 )
-                hi += 1
             xa = x[lo * rows : hi * rows]
             pair = _pair(cvf, self.correction, n, xa)
-            slots = [xa, *pair] if pair else [xa, np.zeros((len(xa), d, k))]
-            if fresh:
+            slots = [xa, *pair] if pair else [xa, zero[: len(xa)]]
+            if done < hi:
                 for held, now in zip(anchor, slots):
-                    held[(hi - 1) * rows : hi * rows] = now[-rows:]
-            done = hi - fresh  # groups lo .. done-1 have a target node at n
+                    held[done * rows : hi * rows] = now[-rows:]
             if done > lo:
-                cut = (done - lo) * rows
-
-                def grouped(a):
-                    return a.reshape((done - lo, p_count, n_inner) + a.shape[1:])
-
                 held = [grouped(a[lo * rows : done * rows]) for a in anchor]
-                now = [grouped(a[:cut]) for a in slots]
-                inc = rough.increment(np.asarray(anchors[lo:done]), n)
-                stats = ct.node_moments(held, now, inc, targets, m, n_mode)
-                for t, table in tables.items():
-                    table[:, lo:done, n] = stats[t]
-            first = lo  # groups first .. hi-1 step on from n
-            while first < hi and stops[first] == n:
-                first += 1
+                now = [grouped(a[: (done - lo) * rows]) for a in slots]
+                inc = rough.increment(anchor_at[lo:done], n)
+                moment[:, lo:done, n], rem[:, lo:done, n] = ct.node_moments(
+                    held, now, inc, m, n_mode)
             if first == hi:
                 continue
             if n in cut_nodes:
@@ -426,9 +437,9 @@ class RsdeSolution:
             check_blowup(nxt, n, rows, n_inner, anchor=anchors[first:])
             x[first * rows : hi * rows] = nxt
         return {
-            t: ct.ConditionalMoments(anchors, stops, *tables[t], m=m,
-                                     n_mode=n_mode, inner_samples=n_inner)
-            for t in targets
+            t: ct.ConditionalMoments(anchors, stops, moment[i], moment[i + 1], rem[i],
+                                     m=m, n_mode=n_mode, inner_samples=n_inner)
+            for t, i in zip(targets, map(names.index, targets))
         }
 
 

@@ -34,7 +34,13 @@ class ConfigurationError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values produced during evaluation."""
+    """Non-finite values produced during evaluation.  where holds the known
+    coordinates of the first such value (node; step, action, lattice_node
+    or particle), each an int."""
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where or {}
 
 
 @dataclass
@@ -94,7 +100,8 @@ def build_cvf_from_flow(coeffs, flow) -> ControlledVectorField:
             if what and not np.isfinite(out).all():
                 if grouped:
                     n = n[(~np.isfinite(out)).reshape(len(n), -1).any(axis=1).argmax()]
-                raise NumericError(f"{what} produced non-finite values at node {n}")
+                raise NumericError(f"{what} produced non-finite values at node {n}",
+                                   {"node": int(n)})
             return out
 
         return at

@@ -342,6 +342,27 @@ class TestCli:
         assert rows[1].endswith(",domain_member,domain_worst")
         assert rows[2:] and all(row.endswith(",,") for row in rows[2:])
 
+    def test_lattice_escape_rate_reaches_the_run_records(self, tmp_path):
+        # a lattice on [-0.5, 0.5] loses quadrature mass at its edges; each
+        # sweep's rate is in report.json and in iterations.csv
+        text = MINIMAL.replace("n = 16", "n = 8").replace("max_iters = 4",
+                                                           "max_iters = 2") \
+            .replace("lattice_lo = -4.0", "lattice_lo = -0.5") \
+            .replace("lattice_hi = 4.0", "lattice_hi = 0.5")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="escaped the lattice"):
+            code = cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                             "--out", str(out)])
+        assert code == 0
+        rates = [it["escape_rate"]
+                 for it in load_strict(out / "report.json")["iterations"]]
+        assert rates and all(rate > 0.0 for rate in rates)
+        rows = (out / "iterations.csv").read_text().splitlines()
+        header = rows[1].split(",")
+        assert header[-3:] == ["escape_rate", "domain_member", "domain_worst"]
+        column = header.index("escape_rate")
+        assert [float(row.split(",")[column]) for row in rows[2:]] == rates
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -537,6 +558,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == f"NumericError: {message}"
         assert manifest["exit_code"] == 3
+        assert manifest["where"] == {"node": 32}
 
     def test_coefficient_reading_time_as_a_number_is_refused(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -572,6 +594,7 @@ class TestCli:
         assert err == f"runtime error: {message}\n" and "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == f"NumericError: {message}"
+        assert manifest["where"] == {"step": 16, "lattice_node": 0}
         assert not (out / "report.json").exists()
 
     def test_strict_leaves_config_and_outputs(self, tmp_path):

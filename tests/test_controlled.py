@@ -4,6 +4,7 @@ import pytest
 from roughmfg import controlled as ct
 from roughmfg import roughpath as rp
 from roughmfg.rng import substream
+from test_vectorfield import reference_node_moments
 
 
 def brownian_lift(seed, n=32, k=1, horizon=1.0):
@@ -125,14 +126,41 @@ def moments_of(resampler, ce, p, n_inner=8, m=4, n_mode=ct.N_INFTY,
     for g, s in enumerate(anchors):
         zc, zpc = resampler(s, n_inner)
         for t in range(s + 1, end + 1):
-            stats = ct.node_moments(
+            (dz, dzp), (rem,) = ct.node_moments(
                 [zc[None, :, :, s], zpc[None, :, :, s]],
                 [zc[None, :, :, t], zpc[None, :, :, t]],
-                p.increment(np.array([s]), t), {"z": (0, 1)}, m, n_mode,
-            )["z"]
-            tables[:, g, t] = [v[0] for v in stats]
+                p.increment(np.array([s]), t), m, n_mode,
+            )
+            tables[:, g, t] = [dz[0], dzp[0], rem[0]]
     return ct.ConditionalMoments(anchors, [end] * len(anchors), *tables, m=m,
                                  n_mode=n_mode, inner_samples=n_inner)
+
+
+class TestNodeMoments:
+    """node_moments returns one moment per held slot and one remainder per
+    adjacent pair of slots, each bitwise the per-pair reference."""
+
+    @pytest.mark.parametrize("n_mode", [ct.N_INFTY, ct.N_EQ_M])
+    @pytest.mark.parametrize("n_inner", [1, 4, 7])
+    @pytest.mark.parametrize("n_slots", [2, 3])
+    def test_matches_reference_on_each_adjacent_pair(self, n_slots, n_inner, n_mode):
+        rng = substream(31, "t", "node-moments", n_slots, n_inner)
+        groups, particles, d, k = 3, 5, 2, 2
+        shapes = [(d,), (d, k), (d, k, k)][:n_slots]
+        # the pass holds each anchor value once per inner sample
+        held = [np.repeat(rng.normal(size=(groups, particles, 1) + shape), n_inner,
+                          axis=2) for shape in shapes]
+        now = [rng.normal(size=(groups, particles, n_inner) + shape)
+               for shape in shapes]
+        db = rng.normal(size=(groups, k))
+        moments, remainders = ct.node_moments(held, now, db, 4, n_mode)
+        assert (len(moments), len(remainders)) == (n_slots, n_slots - 1)
+        for i in range(n_slots - 1):
+            dz, dzp, rem = reference_node_moments(held[i], held[i + 1], now[i],
+                                                  now[i + 1], db, 4, n_mode)
+            np.testing.assert_array_equal(moments[i], dz)
+            np.testing.assert_array_equal(moments[i + 1], dzp)
+            np.testing.assert_array_equal(remainders[i], rem)
 
 
 class TestEstimateNorm:

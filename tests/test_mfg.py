@@ -104,8 +104,9 @@ def ref_fixed_point(coeffs, p, init, particles, seed, lambda_mix, max_iters,
             flow_cand, p, idx, 4, domain_bound, domain_epsilon, solution=sol,
             inner_samples=2, max_windows=domain_windows, anchor_stride=4,
         )
-        records.append(mfg.IterationRecord(it, dist, value, raw, err, cert.member,
-                                           cert.worst, cert.offending_window))
+        records.append(mfg.IterationRecord(it, dist, value, raw, err, br.escape_mass,
+                                           cert.member, cert.worst,
+                                           cert.offending_window))
         flow_prev = mf.mix(flow_cand, flow_prev, lambda_mix, seed=seed + it)
     return records, flow_cand, br, sol
 
@@ -338,6 +339,15 @@ class TestCost:
         assert 0 < first and np.isinf(totals).sum() < 32
         assert str(err.value) == f"cost: non-finite total, particle {first}"
 
+    def test_non_finite_total_names_its_particle_in_where(self):
+        _, p, flow = self.setup_inputs(n=16)
+        model = models.make_model("lq", mean_coupling=0.0, cost_x=1e308)
+        policy = mfg.RelaxedPolicy.constant(model.actions, 16, action_index=1)
+        with np.errstate(over="ignore"), pytest.raises(mfg.NumericError) as err:
+            mfg.cost(model, flow, p, policy, 32, 5)
+        particle = int(str(err.value).rsplit(" ", 1)[1])
+        assert err.value.where == {"particle": particle}
+
 
 class TestBestResponse:
     @pytest.mark.parametrize("key, message", [
@@ -352,6 +362,14 @@ class TestBestResponse:
                 mfg.NumericError, match=f"^best response: {message}$"):
             mfg.best_response(model, still_flow(p.grid, seed=4), p,
                               mfg.DpSettings(-4.0, 4.0, 9))
+
+    def test_non_finite_q_value_names_where(self):
+        model = models.make_model("lq", mean_coupling=0.0, cost_x=1e308)
+        p = brownian_lift(3, n=8)
+        with np.errstate(over="ignore"), pytest.raises(mfg.NumericError) as err:
+            mfg.best_response(model, still_flow(p.grid, seed=4), p,
+                              mfg.DpSettings(-4.0, 4.0, 9))
+        assert err.value.where == {"step": 7, "action": 0, "lattice_node": 0}
 
     def test_drift_free_cost_minimizer(self):
         # b does not depend on u and f = u^2 + ...: mass sits on u = 0

@@ -1,18 +1,25 @@
 """Property tests: an evaluation on grid nodes as groups equals the stacked
-evaluations at one node each, bit for bit, and a model's derivatives of
-sigma0 agree with central differences of sigma0 on node groups.
+evaluations at one node each, bit for bit, a model's derivatives of sigma0
+agree with central differences of sigma0 on node groups, and config.validate
+refuses a setting exactly where its _SETTINGS domain does.
 
 Hypothesis draws the model (each registry model and the d = k = 2 sin-mean
 model), a node subset (unsorted, with repeats), the flow's particle count P
-and the probe count Q.  The examples are derandomized and no database is
-kept, so the suite is deterministic; 40 small examples per property keep
-the module to a few seconds.
+and the probe count Q; for the settings table, a row with a domain and a
+value of the row's type on both sides of it.  The examples are
+derandomized and no database is kept, so the suite is deterministic; 40
+small examples per field property keep the module to a few seconds.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughmfg import config
 from roughmfg import measureflow as mf
 from roughmfg import models
 from roughmfg import roughpath as rp
@@ -109,3 +116,53 @@ def test_sigma0_derivatives_match_central_differences(case):
     np.testing.assert_allclose(model.sigma0_dmu(t, x, cloud, v),
                                difference_dmu(model.sigma0, t, x, cloud, v),
                                rtol=0, atol=DERIVATIVE_ATOL)
+
+
+# the table's rows with a domain, and values of each type on both sides of
+# every bound in use (0, 0.5, 1, 2 and the powers of 2)
+DOMAIN_ROWS = sorted(key for key, (_, _, domain) in config._SETTINGS.items()
+                     if domain is not None)
+VALUES = {
+    int: st.integers(-4, 70),
+    float: st.one_of(st.floats(-3.0, 3.0),
+                     st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.0])),
+}
+
+
+def values_of(key):
+    """Values of the row's type: one of a tuple domain's values or any
+    short text, a number near the bounds otherwise."""
+    _, cast, domain = config._SETTINGS[key]
+    if isinstance(domain, tuple):
+        return st.one_of(st.sampled_from(domain), st.text(max_size=6))
+    return VALUES[cast]
+
+
+def configured(key, value):
+    """The default config with the row's field set to value, bypassing the
+    part's own checks (IndexPair's admissible set), which validate never
+    reaches."""
+    cfg = config.ExperimentConfig()
+    part, _, attr = config._SETTINGS[key][0].rpartition(".")
+    if not part:
+        return dataclasses.replace(cfg, **{attr: value})
+    fields = dataclasses.asdict(getattr(cfg, part))
+    return dataclasses.replace(cfg, **{part: SimpleNamespace(**{**fields,
+                                                                attr: value})})
+
+
+@pytest.mark.parametrize("key", DOMAIN_ROWS)
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_validate_refuses_a_setting_where_its_domain_does(key, data):
+    value = data.draw(values_of(key))
+    domain = config._SETTINGS[key][2]
+    section, option = key.split(".")
+    named = [issue for issue in config.validate(configured(key, value))
+             if issue.startswith(f"[{section}] {option} ")]
+    if config._within(value, domain):
+        assert named == []
+    else:
+        allowed = ("one of " + " | ".join(domain) if isinstance(domain, tuple)
+                   else domain)
+        assert named == [f"[{section}] {option} must be {allowed}, got {value!r}"]

@@ -333,7 +333,7 @@ class TestCallsPerNodeStep:
         sol = self.solve()()
         calls = profiled_calls(
             lambda: sol.continuation_moments([0, 4, 8], [16] * 3, 3, 4))
-        assert calls / self.steps <= 262
+        assert calls / self.steps <= 261.5
 
 
 class TestCausalRealization:

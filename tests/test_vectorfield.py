@@ -1098,12 +1098,13 @@ def reference_node_moments(z_s, zp_s, z_t, zp_t, db, m, n_mode):
             rem)
 
 
-def reference_kernel(held, now, db, targets, m, n_mode):
+def reference_kernel(held, now, db, m, n_mode):
     """ct.node_moments' signature over reference_node_moments, one call per
-    target."""
-    return {name: reference_node_moments(held[i], held[j], now[i], now[j], db, m,
-                                         n_mode)
-            for name, (i, j) in targets.items()}
+    adjacent pair of slots."""
+    stats = [reference_node_moments(held[i], held[i + 1], now[i], now[i + 1], db,
+                                    m, n_mode)
+             for i in range(len(held) - 1)]
+    return [s[0] for s in stats] + [stats[-1][1]], [s[2] for s in stats]
 
 
 def tables_of(moments):
